@@ -2,26 +2,22 @@
 
 Runs the timing harness from ``repro.perf.bench`` on the Fig. 1 scenario:
 the Fig. 5 max-damage workload timed with the seed-style independent
-factorisations / per-link LP assembly versus the shared ``LinearSystem``
-kernel and incremental ``IncrementalLpSolver``, plus the instrumented
-full-pipeline stage breakdown.  The JSON lands in
+factorisations versus the shared ``LinearSystem`` kernel, the cold
+``linprog`` reference versus the warm ``IncrementalLpSolver``, plus the
+instrumented full-pipeline stage breakdown.  The JSON lands in
 ``benchmarks/results/BENCH_perf.json``.
 
-The speedup assertion uses a safety margin below the headline target
-(typically ~2-3x on this workload) so that a loaded CI box does not turn
-timing noise into a failure; the measured numbers are what the JSON
-records.
+The speedup assertions use a safety margin below the headline targets so
+that a loaded CI box does not turn timing noise into a failure; the
+measured numbers are what the JSON records.
 """
 
 import json
 
 from repro.perf import full_perf_benchmark, write_bench_json
 
-# Headline target is >= 2x; assert with margin against timing noise.
-MIN_COMBINED_SPEEDUP = 1.5
-
 # LP engine acceptance floor: headline target is >= 5x cold-vs-warm on the
-# fig5 scan (measured ~9-20x with HiGHS bindings); 3x absorbs CI noise.
+# fig5 scan (measured ~9-20x); 3x absorbs CI noise.
 MIN_LP_WARM_SPEEDUP = 3.0
 
 # Sweep-cache acceptance floor: cached-vs-cold on the bench grid must hold
@@ -47,19 +43,12 @@ def test_perf_smoke_writes_bench_json(results_dir, record):
 
     fig5 = envelope["benchmarks"]["fig5_max_damage"]
     speedup = fig5["speedup"]
-    record(
-        "BENCH_perf_summary",
-        "perf smoke: svd x{svd:.2f}, lp_assembly x{lp_assembly:.2f}, "
-        "combined x{combined:.2f}".format(**speedup),
-    )
+    record("BENCH_perf_summary", "perf smoke: svd x{svd:.2f}".format(**speedup))
     assert speedup["svd"] > 1.0
-    assert speedup["lp_assembly"] > 1.0
-    assert speedup["combined"] >= MIN_COMBINED_SPEEDUP
 
-    # Per-stage timings and counters must be present for both paths.
+    # Per-stage timings must be present for both paths.
     for side in ("seed_path", "optimized_path"):
-        for key in ("svd_s", "lp_assembly_s", "total_s"):
-            assert fig5[side][key] >= 0.0
+        assert fig5[side]["svd_s"] >= 0.0
     assert fig5["optimized_path"]["svd_calls_per_context"] == 1
 
     fig1 = envelope["benchmarks"]["fig1_pipeline"]
@@ -71,22 +60,17 @@ def test_perf_smoke_writes_bench_json(results_dir, record):
     lp = envelope["benchmarks"]["lp"]
     record(
         "BENCH_lp_summary",
-        "lp engine ({engine}): cold/warm x{warm:.2f}, gap {gap:.2e}".format(
-            engine=lp["engine"],
+        "lp engine: cold/warm x{warm:.2f}, gap {gap:.2e}".format(
             warm=lp["speedup"]["fig5_max_damage"],
             gap=lp["max_damage_gap"],
         ),
     )
-    # All three phases solve identical LPs — optimal damage must agree to
-    # solver tolerance regardless of which engine ran.
+    # Both phases solve identical LPs — optimal damage must agree to
+    # solver tolerance.
     assert lp["max_damage_gap"] <= 1e-6
-    for phase in ("cold_s", "incremental_s", "warm_s"):
+    for phase in ("cold_s", "warm_s"):
         assert lp["phases"][phase] > 0.0
-    if lp["engine"] == "highs":
-        # The persistent warm-started model is the acceptance headline;
-        # without HiGHS bindings the warm phase aliases the incremental
-        # scipy path and no floor applies.
-        assert lp["speedup"]["fig5_max_damage"] >= MIN_LP_WARM_SPEEDUP
+    assert lp["speedup"]["fig5_max_damage"] >= MIN_LP_WARM_SPEEDUP
 
     sweep = envelope["benchmarks"]["sweep_cache"]
     record(

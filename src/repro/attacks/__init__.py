@@ -40,11 +40,7 @@ from repro.attacks.lp import (
     theorem1_fast_path,
     theorem1_manipulation,
 )
-from repro.attacks.lp_engine import (
-    PersistentLpSolver,
-    highs_bindings,
-    resolve_engine_name,
-)
+from repro.attacks.lp_engine import PersistentLpSolver
 from repro.attacks.chosen_victim import ChosenVictimAttack
 from repro.attacks.max_damage import MaxDamageAttack
 from repro.attacks.obfuscation import ObfuscationAttack
@@ -70,8 +66,6 @@ __all__ = [
     "IncrementalLpSolver",
     "LpSolution",
     "PersistentLpSolver",
-    "highs_bindings",
-    "resolve_engine_name",
     "resolve_unbounded_cap",
     "solve_manipulation_lp",
     "theorem1_fast_path",

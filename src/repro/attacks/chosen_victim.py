@@ -30,7 +30,6 @@ from repro.attacks.lp import (
     solve_manipulation_lp,
     theorem1_fast_path,
 )
-from repro.attacks.lp_engine import resolve_engine_name
 from repro.exceptions import AttackConstraintError, ValidationError
 
 __all__ = ["ChosenVictimAttack", "build_chosen_victim_bands"]
@@ -132,9 +131,8 @@ def build_chosen_victim_bands(
 class ChosenVictimAttack:
     """Plan a chosen-victim scapegoating attack.
 
-    ``engine`` selects the LP engine (see
-    :func:`repro.attacks.lp_engine.resolve_engine_name`; default: the
-    ``REPRO_LP_ENGINE`` environment variable, then scipy).  ``analytic``
+    The LP is solved on the warm HiGHS path
+    (:class:`~repro.attacks.lp.IncrementalLpSolver`).  ``analytic``
     tries Theorem 1's solver-free perfect-cut witness before any LP —
     when it applies the outcome is a *feasibility certificate with
     minimal forged shift*, not the damage-maximising optimum
@@ -155,7 +153,6 @@ class ChosenVictimAttack:
         mode: str = "paper",
         stealthy: bool = False,
         confined: bool = False,
-        engine: str | None = None,
         analytic: bool = False,
     ) -> None:
         if mode not in _MODES:
@@ -164,7 +161,6 @@ class ChosenVictimAttack:
         self.mode = mode
         self.stealthy = stealthy
         self.confined = confined
-        self.engine = resolve_engine_name(engine)
         self.analytic = bool(analytic)
         victims = tuple(sorted(set(int(v) for v in victim_links)))
         if not victims:
@@ -199,39 +195,21 @@ class ChosenVictimAttack:
             )
             analytic_used = solution is not None
         if solution is None:
-            if self.engine == "highs":
-                solver = IncrementalLpSolver(
-                    None,
-                    self.context.baseline_estimate,
-                    self.context.support,
-                    self.context.num_paths,
-                    bands,
-                    cap=self.context.cap,
-                    sub_operator=self.context.support_operator,
-                    consistency_columns=(
-                        self.context.residual_projector_support()
-                        if self.stealthy
-                        else None
-                    ),
-                    engine=self.engine,
-                    presolve=False,
-                )
-                solution = solver.solve()
-            else:
-                solution = solve_manipulation_lp(
-                    None,
-                    self.context.baseline_estimate,
-                    self.context.support,
-                    self.context.num_paths,
-                    bands,
-                    cap=self.context.cap,
-                    sub_operator=self.context.support_operator,
-                    consistency_columns=(
-                        self.context.residual_projector_support()
-                        if self.stealthy
-                        else None
-                    ),
-                )
+            solution = IncrementalLpSolver(
+                None,
+                self.context.baseline_estimate,
+                self.context.support,
+                self.context.num_paths,
+                bands,
+                cap=self.context.cap,
+                sub_operator=self.context.support_operator,
+                consistency_columns=(
+                    self.context.residual_projector_support()
+                    if self.stealthy
+                    else None
+                ),
+                presolve=False,
+            ).solve()
         if not solution.feasible or solution.manipulation is None:
             return AttackOutcome.infeasible(
                 self.strategy_name, solution.status, self.victim_links

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.attacks.base import AttackContext, AttackOutcome
-from repro.attacks.lp import BandConstraints, solve_manipulation_lp
+from repro.attacks.lp import BandConstraints, IncrementalLpSolver
 from repro.exceptions import AttackConstraintError
 
 __all__ = ["FrameAndBlurAttack"]
@@ -77,7 +77,7 @@ class FrameAndBlurAttack:
         for j in self.blur_links:
             bands.require_at_least(j, uncertain_lo)
             bands.require_at_most(j, uncertain_hi)
-        solution = solve_manipulation_lp(
+        solution = IncrementalLpSolver(
             None,
             context.baseline_estimate,
             context.support,
@@ -88,7 +88,8 @@ class FrameAndBlurAttack:
             consistency_columns=(
                 context.residual_projector_support() if self.stealthy else None
             ),
-        )
+            presolve=False,
+        ).solve()
         if not solution.feasible or solution.manipulation is None:
             return AttackOutcome.infeasible(
                 self.strategy_name, solution.status, self.victim_links

@@ -13,32 +13,28 @@ implements that constructive direction for perfect cuts, and
 :func:`theorem1_fast_path` turns it into a solver-free feasibility
 witness when a perfect cut is detected).
 
-Constraint assembly is vectorised: the finite band bounds are selected by
-numpy masks and turned into inequality rows in one shot, preserving the
-historical per-link (upper row, then lower row) ordering so solver vertex
-selection is unchanged.  Candidate scans that vary only a few links' bands
-(max-damage, per-victim damage maps, the obfuscation greedy growth)
-should use :class:`IncrementalLpSolver`, which assembles the shared
-constraint block once and splices per-candidate rows into it.
+Every production solve runs on one engine:
+:class:`IncrementalLpSolver` validates the problem and slices the
+support-restricted operator once, then serves each candidate on a
+:class:`~repro.attacks.lp_engine.PersistentLpSolver` — one HiGHS model
+per solver whose candidate solves edit only the overridden links' row
+bounds and reuse the previous simplex basis (warm start).  The strategies
+(chosen-victim, max-damage, obfuscation, frame-and-blur) all solve
+through it.
 
-Two solver engines serve the assembled problem
-(:func:`repro.attacks.lp_engine.resolve_engine_name` decides which):
-
-- ``"scipy"`` (the default) — one :func:`scipy.optimize.linprog` HiGHS
-  call per solve, byte-identical to the historical path;
-- ``"highs"`` — a :class:`~repro.attacks.lp_engine.PersistentLpSolver`
-  holding one mutable HiGHS model per solver instance: candidate solves
-  edit only the overridden links' row bounds and reuse the previous
-  simplex basis (warm start).  Opt in per solver (``engine=``) or
-  globally (``REPRO_LP_ENGINE=highs``/``auto``); requires the ``highspy``
-  bindings (standalone or scipy-vendored).  Optimal damage matches the
-  scipy engine to solver tolerance; the chosen vertex may differ when
-  optima are non-unique.
+:func:`solve_manipulation_lp` is the cold reference: vectorised band-row
+assembly plus one :func:`scipy.optimize.linprog` call.  It exists so
+tests and the Theorem-1 witness contract
+(:func:`repro.attacks.chosen_victim.analytic_witness`) can check the
+warm path against an independent solve; no other library code calls it.
+Both agree on feasibility, unboundedness and optimal damage (parity
+tests hold damage to 1e-9 relative); the optimal vertex may differ when
+optima are non-unique.
 
 An unbounded LP (possible only with an infinite per-path cap) is reported
 as feasible with ``unbounded=True`` and re-solved under a large finite cap
-so callers still get a concrete vector; the re-solve reuses the
-already-assembled constraint arrays, and the cap is configurable via
+so callers still get a concrete vector (the warm path builds its model
+with that cap from the start), and the cap is configurable via
 :func:`resolve_unbounded_cap` (``REPRO_LP_RESOLVE_CAP`` or an explicit
 ``resolve_cap=`` argument).  The reported ``damage`` is always the L1
 norm of the *returned* vector — unboundedness is signalled exclusively
@@ -53,11 +49,10 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse
 from scipy.optimize import linprog
 
 from repro import config
-from repro.attacks.lp_engine import resolve_engine_name
+from repro.attacks.lp_engine import PersistentLpSolver, prune_capacities
 from repro.exceptions import AttackError, ValidationError
 from repro.obs import core as obs
 from repro.perf import instrumentation as perf
@@ -85,12 +80,6 @@ RESOLVE_CAP_ENV_VAR = "REPRO_LP_RESOLVE_CAP"
 #: Status prefix marking solutions rejected by the Constraint-1 presolve
 #: pruner without any LP being assembled or solved.
 PRESOLVE_STATUS_PREFIX = "presolve:"
-
-#: Constraint-block size (rows * cols) above which sparse handoff is considered.
-_SPARSE_BLOCK_SIZE = 65536
-
-#: Exact-zero density at or below which a large block ships to HiGHS as CSR.
-_SPARSE_BLOCK_DENSITY = 0.25
 
 
 def resolve_unbounded_cap(explicit: float | None = None) -> float:
@@ -122,28 +111,6 @@ def resolve_unbounded_cap(explicit: float | None = None) -> float:
             f"got {value} ({source})"
         )
     return value
-
-
-def _maybe_sparse(block, nnz: int | None = None):
-    """Hand a constraint block to HiGHS in CSR form when it pays off.
-
-    HiGHS accepts sparse ``A_ub``/``A_eq`` directly; converting is only a
-    win for large blocks with mostly exact zeros (e.g. support-restricted
-    band rows at ISP scale).  Small or dense blocks pass through untouched
-    — the solver sees identical constraints either way.  A block that is
-    *already* sparse passes straight through, and callers that track
-    their block's nonzero count incrementally (``IncrementalLpSolver``)
-    pass it as ``nnz`` so unchanged base blocks are never recounted.
-    """
-    if block is None or scipy.sparse.issparse(block):
-        return block
-    if block.size < _SPARSE_BLOCK_SIZE:
-        return block
-    if nnz is None:
-        nnz = int(np.count_nonzero(block))
-    if nnz / block.size > _SPARSE_BLOCK_DENSITY:
-        return block
-    return scipy.sparse.csr_matrix(block)
 
 
 @dataclass
@@ -221,14 +188,12 @@ def _assemble_band_rows(
     lower: np.ndarray,
     upper: np.ndarray,
     x_true: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised inequality assembly for the estimate bands.
 
-    Returns ``(a_ub, b_ub, keys)`` where row order matches the historical
-    per-link interleaving (link 0 upper, link 0 lower, link 1 upper, ...)
-    and ``keys[i] = 2 * link + is_lower`` identifies each row for
-    incremental edits.  Finite bounds are selected with masks — no Python
-    loop over links.
+    Returns ``(a_ub, b_ub)`` with rows in the per-link interleaving
+    (link 0 upper, link 0 lower, link 1 upper, ...).  Finite bounds are
+    selected with masks — no Python loop over links.
     """
     up_idx = np.nonzero(np.isfinite(upper))[0]
     lo_idx = np.nonzero(np.isfinite(lower))[0]
@@ -242,7 +207,7 @@ def _assemble_band_rows(
     b_ub = np.concatenate(
         [upper[up_idx] - x_true[up_idx], x_true[lo_idx] - lower[lo_idx]]
     )[order]
-    return a_ub, b_ub, keys[order]
+    return a_ub, b_ub
 
 
 def _assemble_consistency(
@@ -308,81 +273,59 @@ def _pinned_at_cap(values: np.ndarray, cap: float) -> bool:
     return bool(np.any(values >= cap - tolerance))
 
 
+def _unbounded_solution(
+    manipulation: np.ndarray, damage: float, large_cap: float
+) -> LpSolution:
+    """An infinite optimum, reported through its capped stand-in vector.
+
+    The damage stays the L1 norm of the concrete (capped) vector handed
+    back — an inf here would poison every downstream aggregate that sums
+    or tabulates damages.  The flag carries the infinity.
+    """
+    if obs.is_enabled():
+        obs.event("lp_unbounded_resolve", resolve_cap=large_cap, capped_damage=damage)
+    return LpSolution(
+        feasible=True,
+        manipulation=manipulation,
+        damage=damage,
+        status="unbounded (re-solved with large cap)",
+        unbounded=True,
+    )
+
+
 def _solve_assembled(
     support_list: list[int],
     num_paths: int,
-    a_ub,
+    a_ub: np.ndarray | None,
     b_ub: np.ndarray | None,
-    a_eq,
+    a_eq: np.ndarray | None,
     b_eq: np.ndarray | None,
     cap: float | None,
     *,
     resolve_cap: float | None = None,
-    a_ub_nnz: int | None = None,
 ) -> LpSolution:
-    """Run HiGHS on pre-assembled constraints (``cap`` must be finite here);
-    ``cap=None`` delegates to a large-cap solve and flags unboundedness.
+    """One cold :func:`scipy.optimize.linprog` call on assembled constraints.
 
-    ``a_ub``/``a_eq`` may arrive dense or already in CSR form;
-    ``a_ub_nnz`` is an optional nonzero-count hint so incrementally
-    maintained blocks skip the density recount inside :func:`_maybe_sparse`.
+    ``cap=None`` solves under the large finite re-solve cap instead —
+    HiGHS can misclassify feasible-but-unbounded instances of this LP as
+    infeasible when variables are uncapped — and infers unboundedness
+    from variables pinned at that cap.
     """
-    if cap is None:
-        # HiGHS can misclassify feasible-but-unbounded instances of this LP
-        # as infeasible when variables are uncapped; solve under a large
-        # finite cap instead and infer unboundedness from variables pinned
-        # at that cap.  The constraint arrays are reused as-is.
-        large_cap = resolve_unbounded_cap(resolve_cap)
-        capped = _solve_assembled(
-            support_list,
-            num_paths,
-            a_ub,
-            b_ub,
-            a_eq,
-            b_eq,
-            large_cap,
-            a_ub_nnz=a_ub_nnz,
-        )
-        if not capped.feasible or capped.manipulation is None:
-            return capped
-        if _pinned_at_cap(capped.manipulation, large_cap):
-            # The optimum is infinite, but the damage reported must stay
-            # the L1 norm of the concrete (capped) vector handed back —
-            # an inf here would poison every downstream aggregate that
-            # sums or tabulates damages.  The flag carries the infinity.
-            if obs.is_enabled():
-                obs.event(
-                    "lp_unbounded_resolve",
-                    resolve_cap=large_cap,
-                    capped_damage=capped.damage,
-                )
-            return LpSolution(
-                feasible=True,
-                manipulation=capped.manipulation,
-                damage=capped.damage,
-                status="unbounded (re-solved with large cap)",
-                unbounded=True,
-            )
-        return capped
-
+    large_cap = resolve_unbounded_cap(resolve_cap) if cap is None else None
+    var_cap = cap if large_cap is None else large_cap
     k = len(support_list)
     perf.record_event("lp_solve")
-    a_ub_opt = _maybe_sparse(a_ub, a_ub_nnz)
-    a_eq_opt = _maybe_sparse(a_eq)
     with perf.stage("lp_solve"):
         result = linprog(
             c=-np.ones(k),
-            A_ub=a_ub_opt,
+            A_ub=a_ub,
             b_ub=b_ub,
-            A_eq=a_eq_opt,
+            A_eq=a_eq,
             b_eq=b_eq,
-            bounds=[(0.0, cap)] * k,
+            bounds=[(0.0, var_cap)] * k,
             method="highs",
         )
     if obs.is_enabled():
-        sparse_handoff = scipy.sparse.issparse(a_ub_opt) or scipy.sparse.issparse(
-            a_eq_opt
-        )
         obs.event(
             "lp_solve",
             success=bool(result.success),
@@ -391,8 +334,7 @@ def _solve_assembled(
             variables=k,
             rows_ub=0 if a_ub is None else int(a_ub.shape[0]),
             rows_eq=0 if a_eq is None else int(a_eq.shape[0]),
-            cap=cap,
-            backend="sparse" if sparse_handoff else "dense",
+            cap=var_cap,
         )
 
     if not result.success:
@@ -404,10 +346,13 @@ def _solve_assembled(
         )
     m = np.zeros(num_paths)
     m[support_list] = np.maximum(result.x, 0.0)  # clip solver round-off
+    damage = float(m.sum())
+    if large_cap is not None and _pinned_at_cap(m, large_cap):
+        return _unbounded_solution(m, damage, large_cap)
     return LpSolution(
         feasible=True,
         manipulation=m,
-        damage=float(m.sum()),
+        damage=damage,
         status=result.message,
     )
 
@@ -496,9 +441,11 @@ def solve_manipulation_lp(
         (default: ``REPRO_LP_RESOLVE_CAP`` or ``1e7``); see
         :func:`resolve_unbounded_cap`.
 
-    This one-shot entry point always runs the cold scipy path — it is the
-    bit-compatibility reference.  Candidate scans wanting warm starts use
-    :class:`IncrementalLpSolver` with ``engine="highs"``.
+    This one-shot entry point is the cold reference — one
+    :func:`scipy.optimize.linprog` call per solve.  Tests and the
+    Theorem-1 witness contract compare the warm production path
+    (:class:`IncrementalLpSolver`) against it; library code solves
+    through :class:`IncrementalLpSolver`.
     """
     x_true = check_finite_vector(true_metrics, "true_metrics")
     bands.validate()
@@ -523,7 +470,7 @@ def solve_manipulation_lp(
                 f"operator rows ({sub.shape[0]}) must match true_metrics "
                 f"length ({x_true.shape[0]})"
             )
-        a_ub, b_ub, _ = _assemble_band_rows(sub, bands.lower, bands.upper, x_true)
+        a_ub, b_ub = _assemble_band_rows(sub, bands.lower, bands.upper, x_true)
         if a_ub.shape[0] == 0:
             a_ub, b_ub = None, None
         a_eq, b_eq = _assemble_consistency(
@@ -536,36 +483,26 @@ def solve_manipulation_lp(
 
 
 class IncrementalLpSolver:
-    """Manipulation-LP solver with an incrementally editable band block.
+    """The production manipulation-LP solver: one warm HiGHS model per scan.
 
     Candidate scans (max-damage, per-victim damage maps, the obfuscation
     greedy growth) solve thousands of LPs that differ only in one or two
-    links' bands.  This solver validates the problem, slices the
-    support-restricted operator, and assembles the *base* band rows and
-    the consistency block exactly once; each :meth:`solve` call splices
-    the overridden links' rows into the cached block (dropping the links'
-    base rows first) and hands the result to HiGHS.  Row ordering matches
-    :func:`solve_manipulation_lp`'s interleaved convention, so solutions
-    are identical to a from-scratch assembly of the edited bands.
+    links' bands; one-off strategies (chosen-victim, frame-and-blur)
+    solve a single LP the same way.  This solver validates the problem,
+    slices the support-restricted operator and the consistency block
+    once, and serves every :meth:`solve` on one
+    :class:`~repro.attacks.lp_engine.PersistentLpSolver` (built at the
+    first solve): a candidate edits only its overridden links' row bounds
+    and re-solves from the previous simplex basis.  Optimal damage agrees
+    with the cold reference :func:`solve_manipulation_lp` to solver
+    tolerance; the optimal vertex may differ where optima are non-unique.
 
-    Three optimisation layers sit on top of the splice:
-
-    - ``engine="highs"`` (or ``REPRO_LP_ENGINE=highs``/``auto``) swaps the
-      per-candidate :func:`scipy.optimize.linprog` call for one persistent
-      warm-started HiGHS model
-      (:class:`~repro.attacks.lp_engine.PersistentLpSolver`): candidate
-      solves edit only the overridden links' row bounds and reuse the
-      previous simplex basis.  Optimal damage agrees with the scipy
-      engine to solver tolerance; the default (``"scipy"``) stays
-      byte-identical to the historical path.
-    - ``presolve=True`` (default) rejects overrides whose required
-      estimate shift provably exceeds what any Constraint-1 manipulation
-      can deliver (:meth:`presolve_prune_reason`) before anything is
-      assembled; pruned solves return an infeasible solution whose status
-      starts with :data:`PRESOLVE_STATUS_PREFIX` and are counted in
-      :attr:`presolve_pruned` (and as ``lp_presolve_prune`` obs events).
-    - the base block's sparsity decision and conversions are cached, so
-      repeated solves never recount an unchanged block's nonzeros.
+    ``presolve=True`` (default) rejects overrides whose required
+    estimate shift provably exceeds what any Constraint-1 manipulation
+    can deliver (:meth:`presolve_prune_reason`) before the model is
+    touched; pruned solves return an infeasible solution whose status
+    starts with :data:`PRESOLVE_STATUS_PREFIX` and are counted in
+    :attr:`presolve_pruned` (and as ``lp_presolve_prune`` obs events).
 
     Parameters mirror :func:`solve_manipulation_lp`; ``base_bands`` is the
     constraint state shared by every candidate.
@@ -583,7 +520,6 @@ class IncrementalLpSolver:
         consistency_matrix: np.ndarray | None = None,
         sub_operator: np.ndarray | None = None,
         consistency_columns: np.ndarray | None = None,
-        engine: str | None = None,
         presolve: bool = True,
         resolve_cap: float | None = None,
     ) -> None:
@@ -591,7 +527,6 @@ class IncrementalLpSolver:
         self.cap = cap
         if cap is not None and cap < 0:
             raise ValidationError(f"cap must be non-negative or None, got {cap}")
-        self.engine = resolve_engine_name(engine)
         self.presolve = bool(presolve)
         self.resolve_cap = resolve_cap
         if resolve_cap is not None:
@@ -612,81 +547,19 @@ class IncrementalLpSolver:
                     f"operator rows ({self._sub_operator.shape[0]}) must match "
                     f"true_metrics length ({self.num_links})"
                 )
-            self._base_a, self._base_b, self._base_keys = _assemble_band_rows(
-                self._sub_operator, self._base_lower, self._base_upper, self._x_true
-            )
-            self._a_eq, self._b_eq = _assemble_consistency(
+            self._a_eq, _ = _assemble_consistency(
                 consistency_matrix,
                 self._support,
                 num_paths,
                 columns=consistency_columns,
             )
-            # Cached sparsity bookkeeping: the base block's per-row nonzero
-            # counts ride along through every splice, so a spliced block's
-            # density decision costs a vector sum, never a full recount,
-            # and the unchanged base / consistency blocks convert at most
-            # once for the lifetime of the solver.
-            self._base_row_nnz = (
-                np.count_nonzero(self._base_a, axis=1)
-                if self._base_a.shape[0]
-                else np.zeros(0, dtype=int)
-            )
-            self._base_nnz = int(self._base_row_nnz.sum())
-            self._base_a_opt = _maybe_sparse(self._base_a, self._base_nnz)
-            self._a_eq_opt = _maybe_sparse(self._a_eq)
             # Presolve capacities: what any Constraint-1 manipulation can
             # do to each link's estimate (see lp_engine.prune_capacities).
-            from repro.attacks.lp_engine import prune_capacities
-
             self._pos_capacity, self._neg_capacity = prune_capacities(
                 self._sub_operator
             )
-        self._persistent = None
+        self._persistent: PersistentLpSolver | None = None
         self._persistent_cap: float | None = None
-
-    def _rows_for_overrides(
-        self, overrides: Mapping[int, tuple[float, float]]
-    ) -> tuple[np.ndarray | None, np.ndarray | None, int]:
-        """Base rows with each overridden link's rows replaced, in order.
-
-        The base keys are sorted, so each edited link's rows occupy one
-        contiguous slice located by binary search; the replacement is a
-        three-piece splice per link — no re-sort, no mask over the block.
-        Returns ``(a_ub, b_ub, nnz)``; the nonzero count is maintained
-        through the splice so the sparsity decision never rescans the
-        block.
-        """
-        a_ub, b_ub, keys = self._base_a, self._base_b, self._base_keys
-        row_nnz = self._base_row_nnz
-        for j, (lower, upper) in overrides.items():
-            lo_pos, hi_pos = np.searchsorted(keys, (2 * j, 2 * j + 2))
-            add_a: list[np.ndarray] = []
-            add_b: list[float] = []
-            add_keys: list[int] = []
-            if np.isfinite(upper):
-                add_a.append(self._sub_operator[j])
-                add_b.append(float(upper - self._x_true[j]))
-                add_keys.append(2 * j)
-            if np.isfinite(lower):
-                add_a.append(-self._sub_operator[j])
-                add_b.append(float(self._x_true[j] - lower))
-                add_keys.append(2 * j + 1)
-            if add_a:
-                add_nnz = [int(np.count_nonzero(row)) for row in add_a]
-                a_ub = np.concatenate([a_ub[:lo_pos], add_a, a_ub[hi_pos:]])
-                b_ub = np.concatenate([b_ub[:lo_pos], add_b, b_ub[hi_pos:]])
-                keys = np.concatenate([keys[:lo_pos], add_keys, keys[hi_pos:]])
-                row_nnz = np.concatenate(
-                    [row_nnz[:lo_pos], add_nnz, row_nnz[hi_pos:]]
-                )
-            elif hi_pos > lo_pos:
-                a_ub = np.concatenate([a_ub[:lo_pos], a_ub[hi_pos:]])
-                b_ub = np.concatenate([b_ub[:lo_pos], b_ub[hi_pos:]])
-                keys = np.concatenate([keys[:lo_pos], keys[hi_pos:]])
-                row_nnz = np.concatenate([row_nnz[:lo_pos], row_nnz[hi_pos:]])
-        if a_ub.shape[0] == 0:
-            return None, None, 0
-        return a_ub, b_ub, int(row_nnz.sum())
 
     def presolve_prune_reason(
         self, overrides: Mapping[int, tuple[float, float]]
@@ -740,11 +613,9 @@ class IncrementalLpSolver:
                         )
         return None
 
-    def _warm_solver(self):
+    def _warm_solver(self) -> PersistentLpSolver:
         """The persistent HiGHS model (built once per solver instance)."""
         if self._persistent is None:
-            from repro.attacks.lp_engine import PersistentLpSolver
-
             self._persistent_cap = (
                 self.cap
                 if self.cap is not None
@@ -767,10 +638,10 @@ class IncrementalLpSolver:
         estimate and hence the band rows moved) does not need a new
         solver: the sub-operator, the consistency block and the presolve
         capacities are all functions of ``Q[:, support]`` alone.  Only
-        the assembled band rows and the persistent model's row bounds
-        depend on ``x_true``/``bands``, so those are re-derived in place
-        — the warm-started HiGHS model (and its simplex basis) survives
-        via ``changeRowBounds`` instead of being rebuilt from scratch.
+        the persistent model's row bounds depend on ``x_true``/``bands``,
+        so those are re-derived in place — the warm-started HiGHS model
+        (and its simplex basis) survives via ``changeRowBounds`` instead
+        of being rebuilt from scratch.
         """
         x_true = check_finite_vector(true_metrics, "true_metrics")
         if x_true.shape[0] != self.num_links:
@@ -790,58 +661,8 @@ class IncrementalLpSolver:
         self._x_true = x_true
         self._base_lower = lower
         self._base_upper = upper
-        with perf.stage("lp_assembly"):
-            self._base_a, self._base_b, self._base_keys = _assemble_band_rows(
-                self._sub_operator, lower, upper, x_true
-            )
-            self._base_row_nnz = (
-                np.count_nonzero(self._base_a, axis=1)
-                if self._base_a.shape[0]
-                else np.zeros(0, dtype=int)
-            )
-            self._base_nnz = int(self._base_row_nnz.sum())
-            self._base_a_opt = _maybe_sparse(self._base_a, self._base_nnz)
         if self._persistent is not None:
             self._persistent.update_base_bounds(lower - x_true, upper - x_true)
-
-    def _solve_warm(
-        self, overrides: Mapping[int, tuple[float, float]]
-    ) -> LpSolution:
-        """One warm-started solve on the persistent HiGHS model."""
-        solver = self._warm_solver()
-        shifted = {
-            j: (lower - self._x_true[j], upper - self._x_true[j])
-            for j, (lower, upper) in overrides.items()
-        }
-        raw = solver.solve(shifted)
-        if not raw.optimal or raw.values is None:
-            return LpSolution(
-                feasible=False, manipulation=None, damage=0.0, status=raw.status
-            )
-        m = np.zeros(self.num_paths)
-        m[self._support] = np.maximum(raw.values, 0.0)  # clip solver round-off
-        damage = float(m.sum())
-        if self.cap is None and _pinned_at_cap(
-            m[self._support], self._persistent_cap
-        ):
-            # Same unbounded semantics as the scipy path: the flag carries
-            # the infinity, the damage stays the L1 norm of the vector.
-            if obs.is_enabled():
-                obs.event(
-                    "lp_unbounded_resolve",
-                    resolve_cap=self._persistent_cap,
-                    capped_damage=damage,
-                )
-            return LpSolution(
-                feasible=True,
-                manipulation=m,
-                damage=damage,
-                status="unbounded (re-solved with large cap)",
-                unbounded=True,
-            )
-        return LpSolution(
-            feasible=True, manipulation=m, damage=damage, status=raw.status
-        )
 
     def solve(
         self, overrides: Mapping[int, tuple[float, float]] | None = None
@@ -884,23 +705,23 @@ class IncrementalLpSolver:
                     feasible=False, manipulation=None, damage=0.0, status=reason
                 )
 
-        if self.engine == "highs":
-            return self._solve_warm(overrides)
-
-        with perf.stage("lp_assembly"):
-            a_ub, b_ub, a_ub_nnz = self._rows_for_overrides(overrides)
-        if a_ub is self._base_a:
-            a_ub = self._base_a_opt  # cached conversion + density decision
-        return _solve_assembled(
-            self._support,
-            self.num_paths,
-            a_ub,
-            b_ub,
-            self._a_eq_opt,
-            self._b_eq,
-            self.cap,
-            resolve_cap=self.resolve_cap,
-            a_ub_nnz=a_ub_nnz,
+        raw = self._warm_solver().solve(
+            {
+                j: (lower - self._x_true[j], upper - self._x_true[j])
+                for j, (lower, upper) in overrides.items()
+            }
+        )
+        if not raw.optimal or raw.values is None:
+            return LpSolution(
+                feasible=False, manipulation=None, damage=0.0, status=raw.status
+            )
+        m = np.zeros(self.num_paths)
+        m[self._support] = np.maximum(raw.values, 0.0)  # clip solver round-off
+        damage = float(m.sum())
+        if self.cap is None and _pinned_at_cap(m[self._support], self._persistent_cap):
+            return _unbounded_solution(m, damage, self._persistent_cap)
+        return LpSolution(
+            feasible=True, manipulation=m, damage=damage, status=raw.status
         )
 
     def solve_many(
@@ -909,9 +730,8 @@ class IncrementalLpSolver:
         """Lazily solve one LP per override mapping, sharing all warm state.
 
         Candidate scans consume this instead of calling :meth:`solve` in
-        a loop: the base block, its sparsity decision, the presolve
-        capacities and (under ``engine="highs"``) the warm-started model
-        basis all carry across iterations.  The generator is lazy, so
+        a loop: the presolve capacities and the warm-started model basis
+        carry across iterations.  The generator is lazy, so
         ``stop_at_first_feasible`` searches stop paying the moment they
         stop consuming.
         """

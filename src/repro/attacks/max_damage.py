@@ -11,9 +11,16 @@ attackers who *want* several guaranteed scapegoats.
 
 The candidate scan shares one :class:`~repro.attacks.lp.IncrementalLpSolver`:
 the constraint block common to every victim set (controlled links normal,
-plus any exclusive/confined rows) is assembled once, and each candidate
-only splices in its own victim rows — the per-LP cost is the solver call,
-not the rebuild.
+plus any exclusive/confined rows) is loaded into one warm HiGHS model, and
+each candidate only edits its own victims' row bounds — the per-LP cost is
+a warm re-solve, not a rebuild.
+
+Symmetric topologies (grids, ladders) give many candidates the same
+optimal damage, and two solves of tied candidates differ only by solver
+round-off.  A later candidate therefore replaces the incumbent only when
+its damage is larger by more than :data:`DAMAGE_TIE_RTOL` (relative), so
+ties go to the first candidate in enumeration order whatever the solver's
+last bits say (docs/THEORY.md, "Max-damage ties").
 
 Note the distinction the paper's Fig. 5 illustrates: the *required* victim
 set may be a single link, yet the damage-maximising manipulation typically
@@ -33,7 +40,13 @@ from repro.attacks.chosen_victim import analytic_witness, build_chosen_victim_ba
 from repro.attacks.lp import IncrementalLpSolver
 from repro.exceptions import ValidationError
 
-__all__ = ["MaxDamageAttack"]
+__all__ = ["DAMAGE_TIE_RTOL", "MaxDamageAttack"]
+
+#: Relative damage margin a later candidate must clear to displace the
+#: incumbent.  Tied optima agree to ~1e-13 and the warm and cold solves of
+#: one candidate to ~1e-12, while distinct optima differ by >= ~7e-8; see
+#: docs/THEORY.md, "Max-damage ties".
+DAMAGE_TIE_RTOL = 1e-9
 
 
 class MaxDamageAttack:
@@ -60,13 +73,6 @@ class MaxDamageAttack:
         Return the first feasible victim set instead of the best one.
         Success-probability experiments (Fig. 8) only need existence, and
         this short-circuits the candidate scan.
-    engine:
-        LP engine for the candidate scan (see
-        :func:`repro.attacks.lp_engine.resolve_engine_name`).
-        ``"highs"`` keeps one warm-started persistent model across the
-        whole victim loop; the default (scipy / ``REPRO_LP_ENGINE``)
-        stays byte-identical to the historical path.  Ignored when a
-        ``shared_solver`` is supplied (its engine wins).
     presolve:
         Enable the Constraint-1 presolve pruner on the candidate scan
         (default True); pruned candidates are counted in
@@ -82,11 +88,11 @@ class MaxDamageAttack:
         Optional pre-assembled :class:`IncrementalLpSolver` whose base
         block is the empty-victim chosen-victim bands of this context /
         mode / confined combination (what :meth:`_candidate_solver` would
-        build).  Grid sweeps pass one solver per (routing matrix,
-        attacker-set, mode) so the LP base block is assembled once and
-        reused across every victim candidate of every grid point sharing
-        it.  The caller is responsible for the base block matching; a
-        mismatched solver silently changes the constraints.
+        build), e.g. from
+        :meth:`repro.sweep.cache.FactorizationCache.solver_for`, so
+        several scans over one context share one warm model.  The
+        caller is responsible for the base block matching; a mismatched
+        solver silently changes the constraints.
     """
 
     strategy_name = "max-damage"
@@ -103,7 +109,6 @@ class MaxDamageAttack:
         stealthy: bool = False,
         confined: bool = False,
         shared_solver: IncrementalLpSolver | None = None,
-        engine: str | None = None,
         presolve: bool = True,
         analytic: bool = False,
     ) -> None:
@@ -118,7 +123,6 @@ class MaxDamageAttack:
         self.stop_at_first_feasible = stop_at_first_feasible
         self.stealthy = stealthy
         self.confined = confined
-        self.engine = engine
         self.presolve = bool(presolve)
         self.analytic = bool(analytic)
         if candidate_links is None:
@@ -159,7 +163,6 @@ class MaxDamageAttack:
                 consistency_columns=(
                     self.context.residual_projector_support() if self.stealthy else None
                 ),
-                engine=self.engine,
                 presolve=self.presolve,
             )
         return self._solver
@@ -203,7 +206,8 @@ class MaxDamageAttack:
                 }
             )
             if solution.feasible and (
-                best_solution is None or solution.damage > best_solution.damage
+                best_solution is None
+                or solution.damage > best_solution.damage * (1 + DAMAGE_TIE_RTOL)
             ):
                 best_solution = solution
                 best_victims = subset
@@ -228,7 +232,6 @@ class MaxDamageAttack:
                 "subsets_examined": enumerated,
                 "skipped_controlled": skipped_controlled,
                 "unbounded": best_solution.unbounded,
-                "engine": solver.engine,
                 "presolve_pruned": solver.presolve_pruned - pruned_before,
             },
         )

@@ -80,14 +80,11 @@ class ObfuscationAttack:
         since success is already decided there.
     candidate_links:
         Restrict the victim candidates (default: upward-manipulable,
-        non-controlled links).
-    engine:
-        LP engine for the greedy scan (see
-        :func:`repro.attacks.lp_engine.resolve_engine_name`).  The scan
-        shares one :class:`~repro.attacks.lp.IncrementalLpSolver` whose
-        base block carries the controlled links' uncertain bands; each
-        trial splices in only the candidate victims' rows, and
-        ``engine="highs"`` additionally warm-starts across trials.
+        non-controlled links).  The greedy scan shares one
+        :class:`~repro.attacks.lp.IncrementalLpSolver` whose base block
+        carries the controlled links' uncertain bands; each trial edits
+        only the candidate victims' row bounds and warm-starts from the
+        previous trial's basis.
     presolve:
         Enable the Constraint-1 presolve pruner on trial candidates
         (default True).
@@ -105,7 +102,6 @@ class ObfuscationAttack:
         mode: str = "paper",
         stealthy: bool = False,
         confined: bool = False,
-        engine: str | None = None,
         presolve: bool = True,
     ) -> None:
         if mode not in ("paper", "exclusive"):
@@ -122,7 +118,6 @@ class ObfuscationAttack:
         self.max_victims = max_victims
         self.stealthy = stealthy
         self.confined = confined
-        self.engine = engine
         self.presolve = bool(presolve)
         self._solver: IncrementalLpSolver | None = None
         if candidate_links is None:
@@ -178,7 +173,6 @@ class ObfuscationAttack:
                 consistency_columns=(
                     self.context.residual_projector_support() if self.stealthy else None
                 ),
-                engine=self.engine,
                 presolve=self.presolve,
             )
         return self._solver

@@ -151,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         default="all",
         help=(
-            "fig1 = instrumented pipeline, fig5 = seed-vs-optimized comparison, "
-            "lp = cold vs incremental vs warm-started LP engine, "
+            "fig1 = instrumented pipeline, fig5 = seed-vs-shared factorisation, "
+            "lp = cold linprog reference vs the warm-started LP engine, "
             "sweep = cold-vs-cached grid execution, "
             "backends = dense-vs-sparse kernel crossover, "
             "estimators = per-family estimate latency across the zoo, "

@@ -108,13 +108,6 @@ REGISTRY: dict[str, Knob] = {
             ),
         ),
         Knob(
-            name="REPRO_LP_ENGINE",
-            kind="choice",
-            default="scipy",
-            choices=("scipy", "highs", "auto"),
-            doc="manipulation-LP engine (auto = warm-started HiGHS when importable)",
-        ),
-        Knob(
             name="REPRO_LP_RESOLVE_CAP",
             kind="float",
             default=1e7,
@@ -156,7 +149,7 @@ def raw(name: str) -> str | None:
     """The raw environment value of a declared knob (None when unset).
 
     For dispatch sites that own their parsing, precedence rules, and
-    error text (the backend/LP-engine resolvers); plain typed reads use
+    error text (the backend resolver, the LP re-solve cap); plain typed reads use
     :func:`get_bool` / :func:`get_str` / :func:`get_float` instead.
     """
     declared(name)

@@ -7,11 +7,10 @@ Two benchmarks back the performance trajectory:
   reports per-stage wall time plus the library's internal counters (SVD
   factorisations, LP solves, LP-assembly time).
 - :func:`fig5_assembly_benchmark` measures the optimisation this layer
-  exists for: the seed's three independent SVD/pinv factorisations and
-  per-candidate Python-loop LP assembly versus the shared
-  :class:`~repro.tomography.linear_system.LinearSystem` kernel and the
-  incremental vectorised assembly.  Both paths are timed on the Fig. 5
-  max-damage candidate scan and the speedups recorded.
+  exists for: the seed's three independent SVD/pinv factorisations
+  versus the shared
+  :class:`~repro.tomography.linear_system.LinearSystem` kernel, on the
+  Fig. 5 max-damage scenario, and records the speedup.
 
 The JSON schema (``schema_version`` 1)::
 
@@ -94,43 +93,17 @@ def _shared_kernel_operators(matrix: np.ndarray) -> None:
     system.nullspace
 
 
-def _seed_assemble_rows(sub_operator, bands, x_true) -> tuple:
-    """The seed's per-link Python-loop constraint assembly (reference)."""
-    num_links = sub_operator.shape[0]
-    a_rows: list[np.ndarray] = []
-    b_vals: list[float] = []
-    for j in range(num_links):
-        if np.isfinite(bands.upper[j]):
-            a_rows.append(sub_operator[j])
-            b_vals.append(float(bands.upper[j] - x_true[j]))
-        if np.isfinite(bands.lower[j]):
-            a_rows.append(-sub_operator[j])
-            b_vals.append(float(x_true[j] - bands.lower[j]))
-    a_ub = np.vstack(a_rows) if a_rows else None
-    b_ub = np.asarray(b_vals) if b_vals else None
-    return a_ub, b_ub
-
-
 def fig5_assembly_benchmark(*, repeat: int = 5, inner_loops: int = 50) -> dict:
-    """Seed vs. cached/vectorised path on the Fig. 5 max-damage scan.
+    """Seed vs. shared-kernel factorisation on the Fig. 5 max-damage scan.
 
-    Times, for the Fig. 1 scenario's full candidate-victim scan:
-
-    - ``svd``: three independent factorisations per context (seed) versus
-      one shared :class:`LinearSystem` SVD (optimised);
-    - ``lp_assembly``: per-candidate band construction + Python-loop row
-      assembly (seed) versus incremental row splicing off the shared base
-      block (optimised).
-
-    Each measurement is the best of ``repeat`` runs of ``inner_loops``
-    scan passes, so sub-millisecond stages are resolved well above timer
-    noise.  Also runs the real (instrumented) max-damage attack once and
-    embeds its stage/counter snapshot.
+    Times three independent factorisations per context (seed) versus one
+    shared :class:`LinearSystem` SVD (optimised) for the Fig. 1
+    scenario's routing matrix.  Each measurement is the best of
+    ``repeat`` runs of ``inner_loops`` passes, so sub-millisecond stages
+    are resolved well above timer noise.  Also runs the real
+    (instrumented) max-damage attack once and embeds its stage/counter
+    snapshot.
     """
-    import math
-
-    from repro.attacks.chosen_victim import build_chosen_victim_bands
-    from repro.attacks.lp import IncrementalLpSolver
     from repro.attacks.max_damage import MaxDamageAttack
     from repro.scenarios.simple_network import paper_fig1_scenario
 
@@ -138,9 +111,6 @@ def fig5_assembly_benchmark(*, repeat: int = 5, inner_loops: int = 50) -> dict:
     scenario = paper_fig1_scenario()
     context = scenario.attack_context(["B", "C"])
     candidates = MaxDamageAttack(context).candidates
-    abnormal_bound = context.thresholds.upper + context.margin
-    support_cols = np.asarray(context.support, dtype=int)
-    sub_operator = context.operator[:, support_cols]
 
     def seed_svd() -> None:
         for _ in range(inner_loops):
@@ -150,31 +120,8 @@ def fig5_assembly_benchmark(*, repeat: int = 5, inner_loops: int = 50) -> dict:
         for _ in range(inner_loops):
             _shared_kernel_operators(context.routing_matrix)
 
-    def seed_assembly() -> None:
-        for _ in range(inner_loops):
-            for j in candidates:
-                bands = build_chosen_victim_bands(context, (j,), "paper")
-                _seed_assemble_rows(sub_operator, bands, context.baseline_estimate)
-
-    base_bands = build_chosen_victim_bands(context, (), "paper")
-    solver = IncrementalLpSolver(
-        context.operator,
-        context.baseline_estimate,
-        context.support,
-        context.num_paths,
-        base_bands,
-        cap=context.cap,
-    )
-
-    def incremental_assembly() -> None:
-        for _ in range(inner_loops):
-            for j in candidates:
-                solver._rows_for_overrides({j: (abnormal_bound, math.inf)})
-
     svd_seed_s = _best_of(seed_svd, repeat)
     svd_shared_s = _best_of(shared_svd, repeat)
-    assembly_seed_s = _best_of(seed_assembly, repeat)
-    assembly_vectorized_s = _best_of(incremental_assembly, repeat)
 
     recorder = PerfRecorder()
     with recording(recorder):
@@ -182,34 +129,16 @@ def fig5_assembly_benchmark(*, repeat: int = 5, inner_loops: int = 50) -> dict:
             outcome = MaxDamageAttack(context).run()
             MaxDamageAttack(context).damage_by_victim()
 
-    seed_total = svd_seed_s + assembly_seed_s
-    optimized_total = svd_shared_s + assembly_vectorized_s
     return {
         "bench": "fig5_max_damage_perf",
         "repeat": repeat,
         "inner_loops": inner_loops,
         "candidates": len(candidates),
         "wall_s": time.perf_counter() - start,
-        "seed_path": {
-            "svd_s": svd_seed_s,
-            "lp_assembly_s": assembly_seed_s,
-            "total_s": seed_total,
-            "svd_calls_per_context": 3,
-        },
-        "optimized_path": {
-            "svd_s": svd_shared_s,
-            "lp_assembly_s": assembly_vectorized_s,
-            "total_s": optimized_total,
-            "svd_calls_per_context": 1,
-        },
+        "seed_path": {"svd_s": svd_seed_s, "svd_calls_per_context": 3},
+        "optimized_path": {"svd_s": svd_shared_s, "svd_calls_per_context": 1},
         "speedup": {
             "svd": svd_seed_s / svd_shared_s if svd_shared_s > 0 else float("inf"),
-            "lp_assembly": (
-                assembly_seed_s / assembly_vectorized_s
-                if assembly_vectorized_s > 0
-                else float("inf")
-            ),
-            "combined": seed_total / optimized_total if optimized_total > 0 else float("inf"),
         },
         "attack": {
             "feasible": bool(outcome.feasible),
@@ -220,33 +149,27 @@ def fig5_assembly_benchmark(*, repeat: int = 5, inner_loops: int = 50) -> dict:
 
 
 def lp_benchmark(*, repeat: int = 5, inner_loops: int = 10) -> dict:
-    """Cold vs. incremental vs. warm-started LP engine on the Fig. 5 scan.
+    """Cold reference vs. the warm-started LP engine on the Fig. 5 scan.
 
-    Three implementations of the same full candidate-victim max-damage
+    Two implementations of the same full candidate-victim max-damage
     scan (every LP identical in constraints and optimum):
 
-    - **cold** — the pre-engine path: per candidate, from-scratch band
-      construction, constraint assembly and one cold
-      :func:`scipy.optimize.linprog` call;
-    - **incremental** — :class:`~repro.attacks.lp.IncrementalLpSolver`
-      on the scipy engine: shared base block, per-candidate row splicing,
-      still one cold ``linprog`` per candidate;
-    - **warm** — the same solver on the best available engine
-      (``resolve_engine_name("auto")``): one persistent HiGHS model,
-      per-candidate row-bound edits, warm-started basis.  Falls back to
-      the incremental scipy path when no HiGHS bindings exist (the
-      recorded ``engine`` says which ran).
+    - **cold** — per candidate, from-scratch band construction,
+      constraint assembly and one cold :func:`scipy.optimize.linprog`
+      call (:func:`~repro.attacks.lp.solve_manipulation_lp`, the
+      reference);
+    - **warm** — :class:`~repro.attacks.lp.IncrementalLpSolver`, the
+      production path: one persistent HiGHS model, per-candidate
+      row-bound edits, warm-started basis.
 
-    ``speedup["fig5_max_damage"]`` is cold / warm — the acceptance
-    headline for the persistent engine (target >= 5x with bindings).
-    Damage parity across all three phases is checked on a full pass and
-    the worst absolute gap recorded (``max_damage_gap``).
+    ``speedup["fig5_max_damage"]`` is cold / warm.  Damage parity is
+    checked on a full pass and the worst absolute gap recorded
+    (``max_damage_gap``).
     """
     import math
 
     from repro.attacks.chosen_victim import build_chosen_victim_bands
     from repro.attacks.lp import IncrementalLpSolver, solve_manipulation_lp
-    from repro.attacks.lp_engine import resolve_engine_name
     from repro.attacks.max_damage import MaxDamageAttack
     from repro.scenarios.simple_network import paper_fig1_scenario
 
@@ -255,10 +178,6 @@ def lp_benchmark(*, repeat: int = 5, inner_loops: int = 10) -> dict:
     context = scenario.attack_context(["B", "C"])
     candidates = MaxDamageAttack(context).candidates
     abnormal_bound = context.thresholds.upper + context.margin
-    engine = resolve_engine_name("auto")
-
-    def overrides_iter():
-        return ({j: (abnormal_bound, math.inf)} for j in candidates)
 
     def cold_scan() -> list[float]:
         damages = []
@@ -276,74 +195,49 @@ def lp_benchmark(*, repeat: int = 5, inner_loops: int = 10) -> dict:
             damages.append(solution.damage if solution.feasible else float("nan"))
         return damages
 
-    def make_solver(engine_name: str) -> IncrementalLpSolver:
-        return IncrementalLpSolver(
-            None,
-            context.baseline_estimate,
-            context.support,
-            context.num_paths,
-            build_chosen_victim_bands(context, (), "paper"),
-            cap=context.cap,
-            sub_operator=context.support_operator,
-            engine=engine_name,
-        )
+    warm_solver = IncrementalLpSolver(
+        None,
+        context.baseline_estimate,
+        context.support,
+        context.num_paths,
+        build_chosen_victim_bands(context, (), "paper"),
+        cap=context.cap,
+        sub_operator=context.support_operator,
+    )
 
-    incremental_solver = make_solver("scipy")
-    warm_solver = make_solver(engine)
-
-    def scan(solver: IncrementalLpSolver) -> list[float]:
+    def warm_scan() -> list[float]:
         return [
             solution.damage if solution.feasible else float("nan")
-            for solution in solver.solve_many(overrides_iter())
+            for solution in warm_solver.solve_many(
+                {j: (abnormal_bound, math.inf)} for j in candidates
+            )
         ]
 
     # One full pass per phase up front: damage parity + warm model build
     # (so the timed warm loop measures steady-state re-solves).
     cold_damages = np.asarray(cold_scan())
-    incremental_damages = np.asarray(scan(incremental_solver))
-    warm_damages = np.asarray(scan(warm_solver))
+    warm_damages = np.asarray(warm_scan())
     max_damage_gap = float(
-        max(
-            np.nanmax(np.abs(cold_damages - incremental_damages), initial=0.0),
-            np.nanmax(np.abs(cold_damages - warm_damages), initial=0.0),
-        )
+        np.nanmax(np.abs(cold_damages - warm_damages), initial=0.0)
     )
 
     cold_s = _best_of(lambda: [cold_scan() for _ in range(inner_loops)], repeat)
-    incremental_s = _best_of(
-        lambda: [scan(incremental_solver) for _ in range(inner_loops)], repeat
-    )
     recorder = PerfRecorder()
     with recording(recorder):
-        warm_s = _best_of(
-            lambda: [scan(warm_solver) for _ in range(inner_loops)], repeat
-        )
+        warm_s = _best_of(lambda: [warm_scan() for _ in range(inner_loops)], repeat)
 
     return {
         "bench": "lp_engine",
         "repeat": repeat,
         "inner_loops": inner_loops,
         "candidates": len(candidates),
-        "engine": engine,
         "wall_s": time.perf_counter() - start,
-        "phases": {
-            "cold_s": cold_s,
-            "incremental_s": incremental_s,
-            "warm_s": warm_s,
-        },
+        "phases": {"cold_s": cold_s, "warm_s": warm_s},
         "speedup": {
             "fig5_max_damage": cold_s / warm_s if warm_s > 0 else float("inf"),
-            "incremental_over_cold": (
-                cold_s / incremental_s if incremental_s > 0 else float("inf")
-            ),
-            "warm_over_incremental": (
-                incremental_s / warm_s if warm_s > 0 else float("inf")
-            ),
         },
         "max_damage_gap": max_damage_gap,
-        "presolve_pruned": int(
-            incremental_solver.presolve_pruned + warm_solver.presolve_pruned
-        ),
+        "presolve_pruned": int(warm_solver.presolve_pruned),
         "warm_phase": recorder.snapshot(),
     }
 

@@ -9,9 +9,9 @@ by the canonical :func:`repro.obs.manifest.matrix_digest` of ``R``:
 
 - one :class:`~repro.tomography.linear_system.LinearSystem` per distinct
   routing matrix — grid points on the same topology never re-run the SVD;
-- one :class:`~repro.attacks.lp.IncrementalLpSolver` base block per
-  (matrix, attacker set, mode) — victim-candidate scans across grid
-  points splice rows into the same assembled constraint arrays;
+- one :class:`~repro.attacks.lp.IncrementalLpSolver` per (matrix,
+  attacker set, mode) on request (:meth:`FactorizationCache.solver_for`)
+  — the sweep runner does not use it (see that method);
 - one :class:`~repro.detection.auditor.TomographyAuditor` per (matrix,
   alpha), sharing the system's factors with the detector.
 
@@ -42,7 +42,6 @@ import numpy as np
 from repro.attacks.base import AttackContext
 from repro.attacks.chosen_victim import build_chosen_victim_bands
 from repro.attacks.lp import IncrementalLpSolver
-from repro.attacks.lp_engine import resolve_engine_name
 from repro.detection.auditor import TomographyAuditor
 from repro.exceptions import ValidationError
 from repro.obs import core as obs
@@ -212,20 +211,21 @@ class FactorizationCache:
         mode: str = "paper",
         confined: bool = False,
         stealthy: bool = False,
-        engine: str | None = None,
     ) -> IncrementalLpSolver:
-        """The shared incremental LP solver for victim-candidate scans.
+        """The shared warm LP solver for victim-candidate scans.
 
         The base block is the empty-victim chosen-victim bands of this
         context (controlled links normal, plus exclusive/confined rows) —
         exactly what :class:`~repro.attacks.max_damage.MaxDamageAttack`
         assembles internally, so it can be handed to its
-        ``shared_solver`` parameter directly.  ``engine`` selects the LP
-        engine (resolved immediately so the cache key reflects the actual
-        engine, not the request); a warm-started ``"highs"`` solver keeps
-        its basis across every grid point that shares it.
+        ``shared_solver`` parameter directly, and its warm model keeps
+        its basis across every scan that shares it.
+
+        The sweep runner does not call this.  Its key holds the attacker
+        set, and every grid point draws its own, so a sweep never hits;
+        each held solver would only pin its solved HiGHS model (about
+        half a megabyte) for the life of the cache.
         """
-        engine_name = resolve_engine_name(engine)
         key = (
             context.system.digest,
             tuple(sorted(context.controlled_links)),
@@ -235,7 +235,6 @@ class FactorizationCache:
             context.cap,
             context.margin,
             (context.thresholds.lower, context.thresholds.upper),
-            engine_name,
         )
         solver = self._solvers.get(key)
         if solver is None:
@@ -251,7 +250,6 @@ class FactorizationCache:
                 consistency_columns=(
                     context.residual_projector_support() if stealthy else None
                 ),
-                engine=engine_name,
             )
             self._solvers[key] = solver
             self._count("solver", False, digest=key[0])

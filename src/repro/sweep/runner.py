@@ -132,7 +132,7 @@ def run_grid_point(
 ) -> dict:
     """Execute one grid point; returns its JSON-safe result record.
 
-    ``cache`` shares factorisations and LP base blocks across calls;
+    ``cache`` shares factorisations and auditors across calls;
     ``scenarios`` memoises built scenarios per topology index (both are
     created fresh when omitted — a cold run).  The record depends only on
     the spec and the point, never on cache warmth: cached and cold runs
@@ -198,13 +198,7 @@ def run_grid_point(
                 from repro.attacks.max_damage import MaxDamageAttack
 
                 outcome = MaxDamageAttack(
-                    context,
-                    mode=mode,
-                    stealthy=stealthy,
-                    confined=confined,
-                    shared_solver=cache.solver_for(
-                        context, mode=mode, confined=confined, stealthy=stealthy
-                    ),
+                    context, mode=mode, stealthy=stealthy, confined=confined
                 ).run()
             elif point.strategy == "obfuscation":
                 from repro.attacks.obfuscation import ObfuscationAttack

@@ -86,10 +86,10 @@ _REFINE_ATOL = 64.0 * np.finfo(float).eps
 def _memoised_columns(memo, kind, cols, build):
     """Column-slice memo shared by both backends.
 
-    LP base blocks, warm-started engine models and spliced override rows
-    all consume the same ``Q[:, support]`` / ``C[:, support]`` blocks;
-    one sweep grid point may ask for them several times (solver cache
-    key miss, per-strategy contexts on a shared kernel).  On the sparse
+    Every warm LP model of an attack context consumes the same
+    ``Q[:, support]`` / ``C[:, support]`` blocks; one sweep grid point
+    may ask for them several times (per-strategy contexts on a shared
+    kernel).  On the sparse
     backend each build is a batched matrix-free solve, so repeats are
     worth remembering.  Keys are the requested column tuple — distinct
     support sets coexist — and the cached block is returned as-is; the

@@ -24,10 +24,10 @@ genuinely different estimator families:
 - ``l1`` — a nonnegative basis-pursuit / LASSO-style sparse decoder
   (cf. compressive-sensing tomography, FRANTIC): minimise
   ``1^T x + penalty * ||R x - y||_1`` over ``x >= 0``, solved as an LP
-  on the persistent HiGHS bindings the attack LP engine already probes
-  (:func:`repro.attacks.lp_engine.highs_bindings` — reused, not a scipy
-  re-wrap).  On identifiable (full-column-rank) systems with consistent
-  measurements it recovers the exact solution.
+  on one persistent model of the HiGHS bindings scipy vendors (the same
+  API the attack LP engine uses — not a ``linprog`` re-wrap).  On
+  identifiable (full-column-rank) systems with consistent measurements
+  it recovers the exact solution.
 
 Dispatch is registry-based: :func:`resolve_estimator` resolves the
 family with the precedence *explicit name > ``REPRO_ESTIMATOR``
@@ -37,10 +37,6 @@ conventions.  Detection thresholds are recalibrated per estimator with
 sparsity) leave a nonzero residual even on honest measurements, and the
 detector's alpha must absorb that bias before it can mean "manipulation
 evidence".
-
-The attack LP engine lives *above* this layer (attacks depend on
-tomography, never the reverse), so the ``l1`` member imports the HiGHS
-bindings function-locally at first solve.
 """
 
 from __future__ import annotations
@@ -48,6 +44,8 @@ from __future__ import annotations
 from typing import Protocol, runtime_checkable
 
 import numpy as np
+import scipy.sparse
+from scipy.optimize._highspy import _core as highs  # noqa: PLC2701
 
 from repro import config
 from repro.exceptions import TomographyError, ValidationError
@@ -378,9 +376,9 @@ class L1SparseEstimator(_ZooEstimator):
     recovery ``min ||x||_1 + penalty * ||R x - y||_1`` over nonnegative
     metrics — always feasible, and exact (residual zero, minimum-L1
     ``x``) whenever ``y`` is consistent and the penalty dominates.  The
-    model is built once on the same HiGHS bindings the manipulation-LP
-    engine probes; each solve only edits the equality rows' bounds to the
-    new ``y`` and re-runs with the previous basis (the
+    model is built once on scipy's vendored HiGHS bindings; each solve
+    only edits the equality rows' bounds to the new ``y`` and re-runs
+    with the previous basis (the
     :class:`~repro.attacks.lp_engine.PersistentLpSolver` idiom, applied
     to decoding instead of attacking).
     """
@@ -393,26 +391,12 @@ class L1SparseEstimator(_ZooEstimator):
             )
         self.penalty = float(penalty)
         self._model = None
-        self._bindings = None
         self.solves = 0
 
     def params(self) -> dict:
         return {"penalty": self.penalty}
 
     def _build_model(self):
-        # The LP engine sits in the attacks layer, above tomography; the
-        # import is function-local so the layering (RP006) holds — the
-        # zoo only borrows the bindings probe, no attack semantics.
-        from repro.attacks.lp_engine import highs_bindings
-
-        hb = highs_bindings()
-        if hb is None:
-            raise TomographyError(
-                "the l1 estimator needs HiGHS bindings (install highspy, or "
-                "scipy >= 1.15 which vendors them)"
-            )
-        import scipy.sparse
-
         m, n = self.system.num_paths, self.system.num_links
         matrix = scipy.sparse.hstack(
             [
@@ -422,37 +406,36 @@ class L1SparseEstimator(_ZooEstimator):
             ],
             format="csr",
         )
-        lp = hb.HighsLp()
+        lp = highs.HighsLp()
         lp.num_col_ = n + 2 * m
         lp.num_row_ = m
         lp.col_cost_ = np.concatenate(
             [np.ones(n), np.full(2 * m, self.penalty)]
         )
         lp.col_lower_ = np.zeros(n + 2 * m)
-        lp.col_upper_ = np.full(n + 2 * m, hb.infinity)
+        lp.col_upper_ = np.full(n + 2 * m, float(highs.kHighsInf))
         lp.row_lower_ = np.zeros(m)
         lp.row_upper_ = np.zeros(m)
-        lp.a_matrix_.format_ = hb.MatrixFormat.kRowwise
+        lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
         lp.a_matrix_.start_ = matrix.indptr.astype(np.int64)
         lp.a_matrix_.index_ = matrix.indices.astype(np.int64)
         lp.a_matrix_.value_ = matrix.data.astype(float)
-        model = hb.Highs()
+        model = highs._Highs()
         model.setOptionValue("output_flag", False)
         model.setOptionValue("threads", 1)
         model.passModel(lp)
-        self._bindings = hb
         self._model = model
 
     def _solve(self, y: np.ndarray) -> np.ndarray:
         if self._model is None:
             self._build_model()
-        hb, model = self._bindings, self._model
+        model = self._model
         for i, value in enumerate(np.asarray(y, dtype=float)):
             model.changeRowBounds(i, float(value), float(value))
         model.run()
         self.solves += 1
         status = model.getModelStatus()
-        if status != hb.HighsModelStatus.kOptimal:
+        if status != highs.HighsModelStatus.kOptimal:
             raise TomographyError(
                 "l1 estimator LP did not reach optimality: "
                 f"{model.modelStatusToString(status)}"

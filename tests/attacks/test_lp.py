@@ -150,8 +150,23 @@ class TestSolveLp:
             solve_manipulation_lp(operator, x, [0], 23, bands, cap=-5.0)
 
 
+def _assert_same_optimum(reference, warm, operator, x, bands):
+    """The warm path reaches the reference's optimum within its bands.
+
+    Where optima are non-unique the two solvers may return different
+    vertices, so the vectors are checked against the bands rather than
+    against each other.
+    """
+    assert warm.feasible == reference.feasible
+    if reference.feasible:
+        assert warm.damage == pytest.approx(reference.damage, rel=1e-9, abs=1e-9)
+        estimate = x + operator @ warm.manipulation
+        assert np.all(estimate >= bands.lower - 1e-6)
+        assert np.all(estimate <= bands.upper + 1e-6)
+
+
 class TestIncrementalLpSolver:
-    """Incremental band edits must be indistinguishable from re-assembly."""
+    """Incremental band edits must reach the optimum of a re-assembly."""
 
     @staticmethod
     def _base_bands(x):
@@ -165,8 +180,7 @@ class TestIncrementalLpSolver:
         _, operator, x = fig1_system
         support = list(range(0, 23, 2))
         solver = IncrementalLpSolver(
-            operator, x, support, 23, self._base_bands(x), cap=2000.0,
-            engine="scipy",
+            operator, x, support, 23, self._base_bands(x), cap=2000.0
         )
         for j in (5, 8, 9):
             scratch = self._base_bands(x)
@@ -175,18 +189,14 @@ class TestIncrementalLpSolver:
                 operator, x, support, 23, scratch, cap=2000.0
             )
             incremental = solver.solve({j: (801.0, math.inf)})
-            assert incremental.feasible == reference.feasible
-            if reference.feasible:
-                assert np.array_equal(incremental.manipulation, reference.manipulation)
-                assert incremental.damage == reference.damage
+            _assert_same_optimum(reference, incremental, operator, x, scratch)
 
     def test_override_replaces_existing_band_rows(self, fig1_system):
         """Overriding a link that already has base rows swaps them out."""
         _, operator, x = fig1_system
         support = list(range(23))
         solver = IncrementalLpSolver(
-            operator, x, support, 23, self._base_bands(x), cap=2000.0,
-            engine="scipy",
+            operator, x, support, 23, self._base_bands(x), cap=2000.0
         )
         scratch = BandConstraints.unbounded(10)
         for j in range(5):
@@ -196,9 +206,7 @@ class TestIncrementalLpSolver:
         scratch.lower[2], scratch.upper[2] = 801.0, math.inf
         reference = solve_manipulation_lp(operator, x, support, 23, scratch, cap=2000.0)
         incremental = solver.solve({2: (801.0, math.inf)})
-        assert incremental.feasible == reference.feasible
-        if reference.feasible:
-            assert np.array_equal(incremental.manipulation, reference.manipulation)
+        _assert_same_optimum(reference, incremental, operator, x, scratch)
 
     def test_no_overrides_matches_base(self, fig1_system):
         _, operator, x = fig1_system
@@ -207,7 +215,7 @@ class TestIncrementalLpSolver:
         solver = IncrementalLpSolver(operator, x, support, 23, bands, cap=500.0)
         reference = solve_manipulation_lp(operator, x, support, 23, bands, cap=500.0)
         incremental = solver.solve()
-        assert np.array_equal(incremental.manipulation, reference.manipulation)
+        _assert_same_optimum(reference, incremental, operator, x, bands)
 
     def test_unbounding_override_removes_rows(self, fig1_system):
         """Overriding to an unbounded band deletes the link's base rows."""
@@ -220,7 +228,7 @@ class TestIncrementalLpSolver:
         scratch.lower[0], scratch.upper[0] = -math.inf, math.inf
         reference = solve_manipulation_lp(operator, x, support, 23, scratch, cap=100.0)
         incremental = solver.solve({0: (-math.inf, math.inf)})
-        assert np.array_equal(incremental.manipulation, reference.manipulation)
+        _assert_same_optimum(reference, incremental, operator, x, scratch)
 
     def test_consistency_matrix_applied(self, fig1_system):
         matrix, operator, x = fig1_system

@@ -1,12 +1,12 @@
-"""LP engine: dispatch, warm-start parity, presolve pruning, fast path.
+"""LP engine: the warm path, its parity with the reference, presolve, fast path.
 
-The contract this suite enforces end-to-end: every engine and shortcut
-(warm-started persistent HiGHS model, batched ``solve_many``, Theorem-1
-analytic fast path, Constraint-1 presolve pruner) must agree with the
-cold scipy path on *feasibility* and (for true LP-equivalent paths) on
-*optimal damage* to 1e-9 — across all three strategies and both
-tomography backends.  The scipy default itself must remain byte-identical
-to the historical path (the golden fixtures pin that separately).
+Every production manipulation LP is solved on the persistent warm-started
+HiGHS model.  The contract this suite enforces end-to-end: the warm path
+and every shortcut (batched ``solve_many``, Theorem-1 analytic fast path,
+Constraint-1 presolve pruner) must agree with the cold ``linprog``
+reference (``solve_manipulation_lp``) on *feasibility* and (for true
+LP-equivalent paths) on *optimal damage* to 1e-9 — across every strategy
+and both tomography backends.
 """
 
 import json
@@ -14,11 +14,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attacks import lp_engine
+from repro.attacks import lp
 from repro.attacks.chosen_victim import ChosenVictimAttack, build_chosen_victim_bands
+from repro.attacks.hybrid import FrameAndBlurAttack
 from repro.attacks.lp import (
     PRESOLVE_STATUS_PREFIX,
     BandConstraints,
@@ -27,24 +29,13 @@ from repro.attacks.lp import (
     solve_manipulation_lp,
     theorem1_fast_path,
 )
-from repro.attacks.lp_engine import (
-    ENGINE_ENV_VAR,
-    PersistentLpSolver,
-    highs_bindings,
-    prune_capacities,
-    resolve_engine_name,
-)
+from repro.attacks.lp_engine import PersistentLpSolver, prune_capacities
 from repro.attacks.max_damage import MaxDamageAttack
 from repro.attacks.obfuscation import ObfuscationAttack
 from repro.exceptions import ValidationError
 from repro.obs import core as obs
+from repro.sweep.cache import FactorizationCache
 from repro.tomography.linear_system import LinearSystem
-
-HAVE_HIGHS = highs_bindings() is not None
-
-needs_highs = pytest.mark.skipif(
-    not HAVE_HIGHS, reason="no HiGHS bindings (highspy or scipy-vendored)"
-)
 
 
 def _context(fig1_scenario, backend: str):
@@ -55,43 +46,54 @@ def _context(fig1_scenario, backend: str):
     )
 
 
-class TestEngineResolution:
-    def test_default_is_scipy(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        assert resolve_engine_name() == "scipy"
+def _strategies(context, **kwargs):
+    """One instance of every LP-backed strategy on ``context``."""
+    return {
+        "chosen-victim": ChosenVictimAttack(context, [0], **kwargs),
+        "max-damage": MaxDamageAttack(context, **kwargs),
+        "obfuscation": ObfuscationAttack(context, min_victims=1, **kwargs),
+        "frame-and-blur": FrameAndBlurAttack(context, [0], **kwargs),
+    }
 
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "scipy")
-        if HAVE_HIGHS:
-            assert resolve_engine_name("highs") == "highs"
-        assert resolve_engine_name("scipy") == "scipy"
 
-    @needs_highs
-    def test_env_variable_selects_engine(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "highs")
-        assert resolve_engine_name() == "highs"
-        monkeypatch.setenv(ENGINE_ENV_VAR, "auto")
-        assert resolve_engine_name() == "highs"
+class TestOneLpPath:
+    """The warm HiGHS model is the only engine; there is nothing to pick."""
 
-    def test_unknown_name_rejected(self, monkeypatch):
-        with pytest.raises(ValidationError, match="LP engine"):
-            resolve_engine_name("glpk")
-        monkeypatch.setenv(ENGINE_ENV_VAR, "nonsense")
-        with pytest.raises(ValidationError, match=ENGINE_ENV_VAR):
-            resolve_engine_name()
+    def test_every_strategy_solves_on_the_warm_model(self, fig1_scenario, monkeypatch):
+        from repro.perf.instrumentation import PerfRecorder, recording
 
-    def test_highs_without_bindings_is_an_error(self, monkeypatch):
-        # Simulate an environment with no bindings: the memo is primed to
-        # "probed and absent" so highs_bindings() reports None.
-        monkeypatch.setattr(lp_engine, "_BINDINGS", False)
-        with pytest.raises(ValidationError, match="highs"):
-            resolve_engine_name("highs")
-        # "auto" must degrade silently, never raise.
-        assert resolve_engine_name("auto") == "scipy"
+        def no_cold_solves(*args, **kwargs):
+            raise AssertionError("production code called the cold linprog reference")
 
-    @needs_highs
-    def test_auto_prefers_highs_when_available(self):
-        assert resolve_engine_name("auto") == "highs"
+        monkeypatch.setattr(lp, "linprog", no_cold_solves)
+        context = _context(fig1_scenario, "dense")
+        for name, attack in _strategies(context).items():
+            with recording(PerfRecorder()) as recorder:
+                outcome = attack.run()
+            assert outcome.feasible, name
+            assert recorder.counters["lp_model_build"] >= 1, name
+            assert recorder.counters["lp_solve"] >= 1, name
+
+    def test_engine_keyword_is_gone(self, fig1_context):
+        bands = BandConstraints.unbounded(fig1_context.num_links)
+        for build in (
+            lambda: ChosenVictimAttack(fig1_context, [0], engine="highs"),
+            lambda: MaxDamageAttack(fig1_context, engine="highs"),
+            lambda: ObfuscationAttack(fig1_context, engine="highs"),
+            lambda: IncrementalLpSolver(
+                fig1_context.operator,
+                fig1_context.baseline_estimate,
+                fig1_context.support,
+                fig1_context.num_paths,
+                bands,
+                engine="highs",
+            ),
+            lambda: FactorizationCache(store=None).solver_for(
+                fig1_context, engine="highs"
+            ),
+        ):
+            with pytest.raises(TypeError, match="engine"):
+                build()
 
 
 class TestPruneCapacities:
@@ -102,7 +104,6 @@ class TestPruneCapacities:
         assert np.allclose(neg, [2.0, 0.0])
 
 
-@needs_highs
 class TestPersistentLpSolver:
     @staticmethod
     def _solver(context):
@@ -162,47 +163,76 @@ class TestPersistentLpSolver:
         records = [json.loads(line) for line in path.read_text().splitlines()]
         events = [r for r in records if r.get("name") == "lp_warm_start"]
         assert events and events[0]["optimal"]
-        assert events[0]["engine"] == solver.engine_source
+        assert events[0]["rows_changed"] == 0
+
+    def test_sparse_stealth_block_accepted(self, fig1_context):
+        """The stealth block may arrive dense or CSR; HiGHS sees one problem."""
+        context = fig1_context
+        bands = build_chosen_victim_bands(context, (0,), "paper")
+        x = context.baseline_estimate
+        columns = context.residual_projector_support()
+        keep = np.linalg.norm(columns, axis=1) > 1e-12
+        dense, sparse = (
+            PersistentLpSolver(
+                context.support_operator,
+                np.asarray(bands.lower) - x,
+                np.asarray(bands.upper) - x,
+                eq_rows=rows,
+                var_upper=context.cap,
+            ).solve()
+            for rows in (columns[keep], scipy.sparse.csr_matrix(columns[keep]))
+        )
+        assert dense.optimal and sparse.optimal
+        np.testing.assert_allclose(sparse.values, dense.values, rtol=1e-9, atol=1e-9)
 
 
-@needs_highs
 class TestEngineParity:
-    """Warm-started solves match the cold scipy path across strategies.
+    """The production warm path against the cold ``linprog`` reference.
 
-    Damage must agree within 1e-9 (absolute + relative) and the
-    feasible/unbounded flags must be identical — on both tomography
-    backends.  The vertex itself may differ when optima are non-unique,
-    so parity is on the optimum value, not the argmax.
+    Each strategy runs as shipped and again inside ``cold_lp_reference()``,
+    where every solve is answered by ``solve_manipulation_lp``.  The
+    feasible/unbounded flags and the chosen victims must be identical and
+    damage must agree within 1e-9 (absolute + relative), on both
+    tomography backends.  The optimal vertex may differ where optima are
+    non-unique, so the manipulation vectors are not compared entry by
+    entry — each is checked against its own bands instead.
     """
 
     BACKENDS = ("dense", "sparse")
 
     @staticmethod
-    def _assert_damage_parity(cold, warm):
+    def _assert_parity(cold, warm):
         assert warm.feasible == cold.feasible
+        assert warm.victim_links == cold.victim_links
         if cold.feasible:
             assert warm.damage == pytest.approx(cold.damage, rel=1e-9, abs=1e-9)
+            assert warm.extras["unbounded"] == cold.extras["unbounded"]
+
+    def _run_both(self, cold_lp_reference, make):
+        warm = make().run()
+        with cold_lp_reference():
+            cold = make().run()
+        self._assert_parity(cold, warm)
+        return cold, warm
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_chosen_victim_parity(self, fig1_scenario, backend):
+    def test_chosen_victim_parity(self, fig1_scenario, cold_lp_reference, backend):
         context = _context(fig1_scenario, backend)
-        cold = ChosenVictimAttack(context, [0], engine="scipy").run()
-        warm = ChosenVictimAttack(context, [0], engine="highs").run()
-        self._assert_damage_parity(cold, warm)
-        assert warm.extras["unbounded"] == cold.extras["unbounded"]
+        for victim in range(context.num_links):
+            if victim in context.controlled_links:
+                continue
+            self._run_both(
+                cold_lp_reference, lambda: ChosenVictimAttack(context, [victim])
+            )
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_max_damage_parity(self, fig1_scenario, backend):
+    def test_max_damage_parity(self, fig1_scenario, cold_lp_reference, backend):
         context = _context(fig1_scenario, backend)
-        cold = MaxDamageAttack(context, engine="scipy").run()
-        warm = MaxDamageAttack(context, engine="highs").run()
-        self._assert_damage_parity(cold, warm)
-        assert warm.victim_links == cold.victim_links
-        assert warm.extras["unbounded"] == cold.extras["unbounded"]
-        assert warm.extras["engine"] == "highs"
-        # The per-candidate damage map must agree point by point.
-        cold_map = MaxDamageAttack(context, engine="scipy").damage_by_victim()
-        warm_map = MaxDamageAttack(context, engine="highs").damage_by_victim()
+        self._run_both(cold_lp_reference, lambda: MaxDamageAttack(context))
+        # The Fig. 5 scan: the per-candidate damage map agrees point by point.
+        warm_map = MaxDamageAttack(context).damage_by_victim()
+        with cold_lp_reference():
+            cold_map = MaxDamageAttack(context).damage_by_victim()
         assert set(cold_map) == set(warm_map)
         for j, damage in cold_map.items():
             if math.isnan(damage):
@@ -211,51 +241,52 @@ class TestEngineParity:
                 assert warm_map[j] == pytest.approx(damage, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_obfuscation_parity(self, fig1_scenario, backend):
+    def test_obfuscation_parity(self, fig1_scenario, cold_lp_reference, backend):
         context = _context(fig1_scenario, backend)
-        cold = ObfuscationAttack(context, min_victims=1, engine="scipy").run()
-        warm = ObfuscationAttack(context, min_victims=1, engine="highs").run()
-        self._assert_damage_parity(cold, warm)
-        assert warm.victim_links == cold.victim_links
-        assert warm.extras["unbounded"] == cold.extras["unbounded"]
+        self._run_both(
+            cold_lp_reference, lambda: ObfuscationAttack(context, min_victims=1)
+        )
 
-    def test_stealthy_parity(self, fig1_scenario):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_frame_and_blur_parity(self, fig1_scenario, cold_lp_reference, backend):
+        context = _context(fig1_scenario, backend)
+        self._run_both(cold_lp_reference, lambda: FrameAndBlurAttack(context, [0]))
+
+    def test_stealthy_parity(self, fig1_scenario, cold_lp_reference):
         context = _context(fig1_scenario, "dense")
-        cold = MaxDamageAttack(context, engine="scipy", stealthy=True).run()
-        warm = MaxDamageAttack(context, engine="highs", stealthy=True).run()
-        self._assert_damage_parity(cold, warm)
-        if warm.feasible:
-            residual = context.residual_projector() @ warm.manipulation
-            assert np.abs(residual).max() < 1e-6
+        for name in _strategies(context):
+            cold, warm = self._run_both(
+                cold_lp_reference,
+                lambda: _strategies(context, stealthy=True)[name],
+            )
+            if warm.feasible:
+                residual = context.residual_projector() @ warm.manipulation
+                assert np.abs(residual).max() < 1e-6, name
 
     def test_unbounded_flag_parity(self, fig1_system_operator):
         operator, x = fig1_system_operator
         bands = BandConstraints.unbounded(10)
-        cold = IncrementalLpSolver(
-            operator, x, [0, 1], 23, bands, cap=None, engine="scipy"
-        ).solve()
-        warm = IncrementalLpSolver(
-            operator, x, [0, 1], 23, bands, cap=None, engine="highs"
-        ).solve()
+        cold = solve_manipulation_lp(operator, x, [0, 1], 23, bands, cap=None)
+        warm = IncrementalLpSolver(operator, x, [0, 1], 23, bands, cap=None).solve()
         assert cold.unbounded and warm.unbounded
         assert math.isfinite(warm.damage)
+        assert warm.damage == pytest.approx(cold.damage, rel=1e-9, abs=1e-9)
         assert warm.damage == pytest.approx(
             float(np.abs(warm.manipulation).sum())
         )
 
     def test_incremental_override_parity(self, fig1_system_operator):
         operator, x = fig1_system_operator
-        bands = BandConstraints.unbounded(10)
+        base = BandConstraints.unbounded(10)
         for j in range(5):
-            bands.require_at_most(j, 99.0)
-        cold = IncrementalLpSolver(
-            operator, x, list(range(0, 23, 2)), 23, bands, cap=2000.0, engine="scipy"
-        )
-        warm = IncrementalLpSolver(
-            operator, x, list(range(0, 23, 2)), 23, bands, cap=2000.0, engine="highs"
-        )
+            base.require_at_most(j, 99.0)
+        support = list(range(0, 23, 2))
+        warm = IncrementalLpSolver(operator, x, support, 23, base, cap=2000.0)
         for overrides in ({}, {8: (801.0, math.inf)}, {2: (801.0, math.inf)}):
-            a = cold.solve(overrides)
+            bands = BandConstraints(base.lower.copy(), base.upper.copy())
+            for j, (lower, upper) in overrides.items():
+                bands.lower[j], bands.upper[j] = lower, upper
+            a = solve_manipulation_lp(operator, x, support, 23, bands, cap=2000.0)
             b = warm.solve(overrides)
             assert b.feasible == a.feasible
             if a.feasible:
@@ -396,9 +427,13 @@ class TestPresolvePruner:
         )
         reason = pruning.presolve_prune_reason(override)
         if reason is not None:
-            reference = IncrementalLpSolver(
-                operator, x, support, num_paths, bands, cap=cap, presolve=False
-            ).solve(override)
+            # The cold reference decides feasibility independently of the
+            # warm model the pruner sits in front of.
+            (lower, upper), = override.values()
+            bands.lower[j], bands.upper[j] = lower, upper
+            reference = solve_manipulation_lp(
+                operator, x, support, num_paths, bands, cap=cap
+            )
             assert not reference.feasible
 
 
@@ -593,39 +628,6 @@ class TestTheorem1FastPath:
         assert outcome.damage == pytest.approx(reference.damage)
 
 
-class TestSparsityCaching:
-    def test_rows_for_overrides_reports_nnz(self, fig1_system_operator):
-        operator, x = fig1_system_operator
-        bands = BandConstraints.unbounded(10)
-        for j in range(5):
-            bands.require_at_most(j, 99.0)
-        solver = IncrementalLpSolver(operator, x, [0, 1, 2], 23, bands, cap=500.0)
-        a_ub, _, nnz = solver._rows_for_overrides({})
-        assert a_ub is solver._base_a  # unchanged base: no copy, no recount
-        assert nnz == int(np.count_nonzero(solver._base_a))
-        a_ub2, _, nnz2 = solver._rows_for_overrides({7: (801.0, math.inf)})
-        assert nnz2 == int(np.count_nonzero(a_ub2))
-
-    def test_maybe_sparse_uses_nnz_hint(self):
-        from repro.attacks.lp import _SPARSE_BLOCK_SIZE, _maybe_sparse
-        import scipy.sparse
-
-        side = int(math.isqrt(_SPARSE_BLOCK_SIZE)) + 1
-        block = np.ones((side, side))  # fully dense: would stay dense
-        # A (deliberately wrong) nnz hint of 0 must be believed — proof the
-        # hint short-circuits the recount.
-        assert scipy.sparse.issparse(_maybe_sparse(block, 0))
-        assert _maybe_sparse(block, block.size) is block
-
-    def test_maybe_sparse_passes_sparse_through(self):
-        import scipy.sparse
-
-        from repro.attacks.lp import _maybe_sparse
-
-        block = scipy.sparse.eye(300, format="csr")
-        assert _maybe_sparse(block) is block
-
-
 class TestRebase:
     """Bound-only churn epochs reuse the warm model via changeRowBounds."""
 
@@ -658,7 +660,7 @@ class TestRebase:
         from repro.perf.instrumentation import PerfRecorder, recording
 
         operator, x = fig1_system_operator
-        solver = self._solver(fig1_system_operator, engine="highs")
+        solver = self._solver(fig1_system_operator)
         solver.solve({})  # builds the persistent model
         persistent = solver._persistent
         assert persistent is not None
@@ -680,7 +682,7 @@ class TestRebase:
         from repro.perf.instrumentation import PerfRecorder, recording
 
         operator, x = fig1_system_operator
-        solver = self._solver(fig1_system_operator, engine="highs")
+        solver = self._solver(fig1_system_operator)
         new_x = x + 1.0
         solver.rebase(new_x, BandConstraints.unbounded(10))
         with recording(PerfRecorder()) as recorder:

@@ -5,8 +5,10 @@ import math
 import pytest
 
 from repro.attacks.chosen_victim import ChosenVictimAttack
-from repro.attacks.max_damage import MaxDamageAttack
+from repro.attacks.max_damage import DAMAGE_TIE_RTOL, MaxDamageAttack
 from repro.exceptions import ValidationError
+from repro.scenarios.scenario import Scenario
+from repro.topology.generators.simple import ladder_topology
 
 
 class TestSearch:
@@ -96,3 +98,32 @@ class TestDamageByVictim:
         outcome = attack.run()
         finite = {k: v for k, v in damage_map.items() if not math.isnan(v)}
         assert outcome.damage == pytest.approx(max(finite.values()))
+
+
+class TestTieBreak:
+    """Candidates tied at the best damage go to the first one enumerated.
+
+    On this 4-rung ladder an attacker at ``("top", 2)`` can frame links
+    1, 2 and 3 for exactly the same optimal damage.  Without the
+    tolerance, the solvers' last bits chose the winner: the warm path
+    reported link 1 and the cold reference link 3.
+    """
+
+    @pytest.fixture(scope="class")
+    def tied_context(self):
+        scenario = Scenario.build(ladder_topology(4), rng=2, name="ladder4-tie")
+        return scenario.attack_context([("top", 2)])
+
+    def test_candidates_tie_at_the_best_damage(self, tied_context):
+        damages = MaxDamageAttack(tied_context).damage_by_victim()
+        best = max(d for d in damages.values() if not math.isnan(d))
+        tied = [j for j, d in damages.items() if d >= best * (1 - DAMAGE_TIE_RTOL)]
+        assert tied == [1, 2, 3]
+        assert max(damages[j] for j in tied) - min(damages[j] for j in tied) <= 1e-12 * best
+
+    def test_earliest_victim_wins_on_the_warm_path(self, tied_context):
+        assert MaxDamageAttack(tied_context).run().victim_links == (1,)
+
+    def test_earliest_victim_wins_on_the_reference(self, tied_context, cold_lp_reference):
+        with cold_lp_reference():
+            assert MaxDamageAttack(tied_context).run().victim_links == (1,)

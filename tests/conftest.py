@@ -7,10 +7,13 @@ build their own instances.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from repro.analysis.contracts import disable_contracts, enable_contracts
+from repro.attacks.lp import BandConstraints, IncrementalLpSolver, solve_manipulation_lp
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.simple_network import paper_fig1_scenario
 from repro.topology.generators.isp import synthetic_rocketfuel
@@ -86,3 +89,62 @@ def ladder_scenario():
 def grid():
     """A fresh 3x3 grid topology."""
     return grid_topology(3, 3)
+
+
+@contextmanager
+def _cold_lp_reference():
+    """Within the block, every ``IncrementalLpSolver`` solve is answered by
+    the cold ``linprog`` reference, ``solve_manipulation_lp``.
+
+    The solver still validates its inputs as in production; each solve
+    then rebuilds the candidate's bands from scratch (base bands with the
+    overridden links replaced) and hands them to the reference.  The
+    presolve pruner is bypassed, so every candidate really reaches an LP.
+    """
+    original_init = IncrementalLpSolver.__init__
+
+    def init(self, estimator_operator, true_metrics, support, num_paths, base_bands, **kwargs):
+        original_init(
+            self, estimator_operator, true_metrics, support, num_paths, base_bands, **kwargs
+        )
+        self._reference = (
+            estimator_operator,
+            np.array(true_metrics, dtype=float),
+            list(support),
+            BandConstraints(np.array(base_bands.lower), np.array(base_bands.upper)),
+            {
+                key: kwargs[key]
+                for key in (
+                    "cap",
+                    "consistency_matrix",
+                    "sub_operator",
+                    "consistency_columns",
+                    "resolve_cap",
+                )
+                if key in kwargs
+            },
+        )
+
+    def solve(self, overrides=None):
+        operator, x_true, support, base, kwargs = self._reference
+        bands = BandConstraints(base.lower.copy(), base.upper.copy())
+        for j, (lower, upper) in dict(overrides or {}).items():
+            bands.lower[j], bands.upper[j] = lower, upper
+        return solve_manipulation_lp(
+            operator, x_true, support, self.num_paths, bands, **kwargs
+        )
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(IncrementalLpSolver, "__init__", init)
+        patch.setattr(IncrementalLpSolver, "solve", solve)
+        yield
+
+
+@pytest.fixture()
+def cold_lp_reference():
+    """Context-manager factory that swaps the warm LP path for the reference.
+
+    Parity tests run a strategy as shipped, then again inside
+    ``with cold_lp_reference():`` and compare the two outcomes.
+    """
+    return _cold_lp_reference

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from repro.attacks.max_damage import MaxDamageAttack
 from repro.exceptions import SerializationError
+from repro.perf.instrumentation import PerfRecorder, recording
 from repro.sweep import SweepSpec, aggregate_rows, load_results, run_grid_point, run_sweep
+from repro.sweep.cache import FactorizationCache
 from repro.sweep.runner import _chunk_points, read_checkpoint
 
 
@@ -160,6 +163,24 @@ class TestMaxVictims:
             monkeypatch, {"min_victims": 1, "max_victims": 3}
         )
         assert seen["min_victims"] == 1 and seen["max_victims"] == 3
+
+
+class TestSharedSolver:
+    def test_solver_for_hands_one_warm_model_to_every_scan(self, fig1_scenario):
+        cache = FactorizationCache(store=None)
+        context = cache.context_for(fig1_scenario, ("B", "C"))
+        alone = MaxDamageAttack(context).run()
+        first = MaxDamageAttack(context, shared_solver=cache.solver_for(context)).run()
+        with recording(PerfRecorder()) as recorder:
+            second = MaxDamageAttack(
+                context, shared_solver=cache.solver_for(context)
+            ).run()
+        assert (cache.stats["solver_miss"], cache.stats["solver_hit"]) == (1, 1)
+        # The second scan re-solved on the first scan's model: no rebuild.
+        assert recorder.counters.get("lp_model_build", 0) == 0
+        for outcome in (first, second):
+            assert outcome.victim_links == alone.victim_links
+            assert outcome.damage == pytest.approx(alone.damage, rel=1e-9)
 
 
 class TestCheckpointIntegrity:

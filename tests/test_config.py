@@ -16,7 +16,6 @@ KNOWN_KNOBS = {
     "REPRO_CONTRACTS",
     "REPRO_BACKEND",
     "REPRO_ESTIMATOR",
-    "REPRO_LP_ENGINE",
     "REPRO_LP_RESOLVE_CAP",
     "REPRO_CACHE_DIR",
 }
@@ -88,10 +87,10 @@ class TestTypedAccessors:
             config.get_str("REPRO_LP_RESOLVE_CAP")
 
     def test_raw_returns_unparsed_value(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LP_ENGINE", raising=False)
-        assert config.raw("REPRO_LP_ENGINE") is None
-        monkeypatch.setenv("REPRO_LP_ENGINE", "highs")
-        assert config.raw("REPRO_LP_ENGINE") == "highs"
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        assert config.raw("REPRO_BACKEND") is None
+        monkeypatch.setenv("REPRO_BACKEND", " Sparse ")
+        assert config.raw("REPRO_BACKEND") == " Sparse "
 
     def test_reads_happen_at_call_time(self, monkeypatch):
         """Monkeypatching after import must take effect — no import-time
