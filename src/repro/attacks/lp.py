@@ -504,6 +504,11 @@ class IncrementalLpSolver:
     starts with :data:`PRESOLVE_STATUS_PREFIX` and are counted in
     :attr:`presolve_pruned` (and as ``lp_presolve_prune`` obs events).
 
+    :meth:`damage_bound` answers the scan-wide upper bound a max-damage
+    scan stops at: the optimum with a set of rows freed, solved on a
+    throwaway model so the warm model's basis never sees it, and
+    memoised per freed set so scans sharing this solver pay for it once.
+
     Parameters mirror :func:`solve_manipulation_lp`; ``base_bands`` is the
     constraint state shared by every candidate.
     """
@@ -560,6 +565,7 @@ class IncrementalLpSolver:
             )
         self._persistent: PersistentLpSolver | None = None
         self._persistent_cap: float | None = None
+        self._damage_bounds: dict[frozenset[int], float] = {}
 
     def presolve_prune_reason(
         self, overrides: Mapping[int, tuple[float, float]]
@@ -613,14 +619,14 @@ class IncrementalLpSolver:
                         )
         return None
 
+    def _var_upper(self) -> float:
+        """The finite per-variable cap of every model this solver builds."""
+        return self.cap if self.cap is not None else resolve_unbounded_cap(self.resolve_cap)
+
     def _warm_solver(self) -> PersistentLpSolver:
         """The persistent HiGHS model (built once per solver instance)."""
         if self._persistent is None:
-            self._persistent_cap = (
-                self.cap
-                if self.cap is not None
-                else resolve_unbounded_cap(self.resolve_cap)
-            )
+            self._persistent_cap = self._var_upper()
             self._persistent = PersistentLpSolver(
                 self._sub_operator,
                 self._base_lower - self._x_true,
@@ -661,6 +667,7 @@ class IncrementalLpSolver:
         self._x_true = x_true
         self._base_lower = lower
         self._base_upper = upper
+        self._damage_bounds.clear()
         if self._persistent is not None:
             self._persistent.update_base_bounds(lower - x_true, upper - x_true)
 
@@ -723,6 +730,46 @@ class IncrementalLpSolver:
         return LpSolution(
             feasible=True, manipulation=m, damage=damage, status=raw.status
         )
+
+    def damage_bound(self, free_links: Iterable[int]) -> float:
+        """Optimal damage with every link in ``free_links`` left unbanded.
+
+        An override replaces a link's band, and any band is a subset of
+        ``(-inf, inf)``, so this optimum bounds the damage of every
+        :meth:`solve` whose overrides touch only these links.  The LP
+        runs on a throwaway model built from the already-sliced arrays,
+        so the warm model and its basis are untouched; only the float is
+        kept, memoised per freed set until :meth:`rebase`.  ``math.inf``
+        when that LP is not optimal (no bound).
+        """
+        key = frozenset(int(j) for j in free_links)
+        bound = self._damage_bounds.get(key)
+        if bound is not None:
+            return bound
+        for j in key:
+            if not 0 <= j < self.num_links:
+                raise AttackError(f"free link {j} out of range [0, {self.num_links})")
+        if not self._support:
+            bound = 0.0  # every solve returns m = 0
+        else:
+            rows = sorted(key)
+            lower = self._base_lower.copy()
+            upper = self._base_upper.copy()
+            lower[rows], upper[rows] = -math.inf, math.inf
+            raw = PersistentLpSolver(
+                self._sub_operator,
+                lower - self._x_true,
+                upper - self._x_true,
+                eq_rows=self._a_eq,
+                var_upper=self._var_upper(),
+            ).solve()
+            bound = (
+                float(np.maximum(raw.values, 0.0).sum())
+                if raw.optimal and raw.values is not None
+                else math.inf
+            )
+        self._damage_bounds[key] = bound
+        return bound
 
     def solve_many(
         self, overrides_iter: Iterable[Mapping[int, tuple[float, float]]]

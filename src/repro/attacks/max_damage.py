@@ -22,6 +22,16 @@ its damage is larger by more than :data:`DAMAGE_TIE_RTOL` (relative), so
 ties go to the first candidate in enumeration order whatever the solver's
 last bits say (docs/THEORY.md, "Max-damage ties").
 
+The scan stops early once no later candidate could clear that rule.  The
+LP with every candidate link's row freed bounds every candidate's damage
+from above (:meth:`IncrementalLpSolver.damage_bound`, solved off the
+scan's warm model); when the incumbent reaches it within
+:data:`BOUND_SLACK`, the remaining candidates are skipped and the full
+scan's winner is returned unchanged (docs/THEORY.md, "Max-damage early
+stop").  ``extras["damage_bound"]`` and ``extras["candidates_skipped"]``
+record the stop; :meth:`MaxDamageAttack.damage_by_victim` still solves
+every candidate.
+
 Note the distinction the paper's Fig. 5 illustrates: the *required* victim
 set may be a single link, yet the damage-maximising manipulation typically
 drives several other free links above the abnormal threshold as a side
@@ -39,14 +49,20 @@ from repro.attacks.base import AttackContext, AttackOutcome
 from repro.attacks.chosen_victim import analytic_witness, build_chosen_victim_bands
 from repro.attacks.lp import IncrementalLpSolver
 from repro.exceptions import ValidationError
+from repro.obs import core as obs
 
-__all__ = ["DAMAGE_TIE_RTOL", "MaxDamageAttack"]
+__all__ = ["BOUND_SLACK", "DAMAGE_TIE_RTOL", "MaxDamageAttack"]
 
 #: Relative damage margin a later candidate must clear to displace the
 #: incumbent.  Tied optima agree to ~1e-13 and the warm and cold solves of
 #: one candidate to ~1e-12, while distinct optima differ by >= ~7e-8; see
 #: docs/THEORY.md, "Max-damage ties".
 DAMAGE_TIE_RTOL = 1e-9
+
+#: Relative allowance for a candidate's computed damage to exceed the
+#: scan's upper bound through solver round-off.  Measured overshoot is at
+#: most 2.7e-13; see docs/THEORY.md, "Max-damage early stop".
+BOUND_SLACK = 1e-10
 
 
 class MaxDamageAttack:
@@ -90,7 +106,8 @@ class MaxDamageAttack:
         mode / confined combination (what :meth:`_candidate_solver` would
         build), e.g. from
         :meth:`repro.sweep.cache.FactorizationCache.solver_for`, so
-        several scans over one context share one warm model.  The
+        several scans over one context share one warm model and one
+        memoised damage bound.  The
         caller is responsible for the base block matching; a mismatched
         solver silently changes the constraints.
     """
@@ -191,6 +208,7 @@ class MaxDamageAttack:
         pruned_before = solver.presolve_pruned
         best_solution = None
         best_victims: tuple[int, ...] = ()
+        bound: float | None = None
         trace: list[dict] = []
         solved = 0
         solutions = solver.solve_many(
@@ -211,7 +229,25 @@ class MaxDamageAttack:
             ):
                 best_solution = solution
                 best_victims = subset
-                if self.stop_at_first_feasible:
+                if self.stop_at_first_feasible or solved == len(pending):
+                    break
+                # No later candidate can clear the tie rule once the
+                # incumbent reaches the bound (docs/THEORY.md).
+                if bound is None:
+                    bound = solver.damage_bound(
+                        {j for candidate in pending for j in candidate}
+                    )
+                if best_solution.damage * (1 + DAMAGE_TIE_RTOL) >= bound * (
+                    1 + BOUND_SLACK
+                ):
+                    if obs.is_enabled():
+                        obs.event(
+                            "max_damage_early_stop",
+                            bound=bound,
+                            damage=best_solution.damage,
+                            candidates_tried=solved,
+                            candidates_skipped=len(pending) - solved,
+                        )
                     break
         if best_solution is None or best_solution.manipulation is None:
             return AttackOutcome.infeasible(
@@ -229,6 +265,8 @@ class MaxDamageAttack:
                 "stealthy": self.stealthy,
                 "search_trace": trace,
                 "candidates_tried": solved,
+                "candidates_skipped": len(pending) - solved,
+                "damage_bound": bound,
                 "subsets_examined": enumerated,
                 "skipped_controlled": skipped_controlled,
                 "unbounded": best_solution.unbounded,
@@ -300,6 +338,8 @@ class MaxDamageAttack:
                             }
                         ],
                         "candidates_tried": 0,
+                        "candidates_skipped": len(pending),
+                        "damage_bound": None,
                         "subsets_examined": enumerated,
                         "skipped_controlled": skipped_controlled,
                         "unbounded": witness.unbounded,

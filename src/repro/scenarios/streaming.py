@@ -241,6 +241,10 @@ class StreamingCampaign:
             alpha,
             estimator=estimator,
         )
+        # Base-path index of each detector row, in row order.  It lives as
+        # long as the detector's evolved system, so a second :meth:`run`
+        # continues from where the first one left the paths.
+        self._live = list(range(self._base_matrix.shape[0]))
         self._base_support = (
             frozenset(manipulable_paths(scenario.path_set, self.attacker_nodes))
             if self.attacker_nodes
@@ -318,7 +322,6 @@ class StreamingCampaign:
                     f"active epoch {out_of_range[0]} outside [0, {num_epochs})"
                 )
 
-        live = list(range(self._base_matrix.shape[0]))
         plan: dict[int, float] = {}
         planned_support: frozenset | None = None
         epochs: list[EpochResult] = []
@@ -326,10 +329,11 @@ class StreamingCampaign:
         for epoch, event in enumerate(schedule):
             incremental: bool | None = None
             if event.churns:
-                live = self._apply_churn(live, event)
+                self._live = self._apply_churn(self._live, event)
                 incremental = self.detector.system.evolved_incrementally
             else:
                 self.detector.advance()
+            live = self._live
 
             attacked = epoch in active
             replanned = False

@@ -167,23 +167,27 @@ def _certified_rank(
 class DenseBackend:
     """The historical dense kernel: one SVD, dense derived operators.
 
-    ``owner`` is the :class:`~repro.tomography.linear_system.LinearSystem`
-    this backend serves; it provides the dense matrix and the rank
-    tolerance.  Every quantity here is assembled from the one shared
-    :func:`compact_svd` factorisation, exactly as before the backend
-    split — existing results are bit-identical.
+    ``matrix`` is the dense ``R`` (|P| x |L|) and ``rank_tol`` the
+    rank cutoff of the :class:`~repro.tomography.linear_system.LinearSystem`
+    this backend serves.  The backend holds no reference back to that
+    system, so a dropped system and its factors are freed by reference
+    counting, not left for the cycle collector.  Every quantity here is
+    assembled from the one shared :func:`compact_svd` factorisation,
+    exactly as before the backend split — existing results are
+    bit-identical.
     """
 
     name = "dense"
 
-    def __init__(self, owner) -> None:
-        self._owner = owner
+    def __init__(self, matrix: np.ndarray, rank_tol: float) -> None:
+        self.matrix = matrix
+        self.rank_tol = rank_tol
         self._column_memo: dict[tuple, np.ndarray] = {}
 
     @cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """``(u, s, vt, rank)`` — the one factorisation everything shares."""
-        return compact_svd(self._owner.matrix, rank_tol=self._owner.rank_tol)
+        return compact_svd(self.matrix, rank_tol=self.rank_tol)
 
     @property
     def rank(self) -> int:
@@ -205,12 +209,12 @@ class DenseBackend:
 
     @cached_property
     def residual_projector(self) -> np.ndarray:
-        return np.eye(self._owner.num_paths) - self.column_space_projector
+        return np.eye(self.matrix.shape[0]) - self.column_space_projector
 
     @cached_property
     def nullspace(self) -> np.ndarray:
-        if self._owner.matrix.size == 0:
-            return np.eye(self._owner.num_links)
+        if self.matrix.size == 0:
+            return np.eye(self.matrix.shape[1])
         _, _, vt, rank = self.factors
         return vt[rank:].T.copy()
 
@@ -239,10 +243,10 @@ class DenseBackend:
         return vt[:k].T @ scaled
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self._owner.matrix @ x
+        return self.matrix @ x
 
     def predict_many(self, xs: np.ndarray) -> np.ndarray:
-        return self._owner.matrix @ xs
+        return self.matrix @ xs
 
     def residual(self, y: np.ndarray) -> np.ndarray:
         return self.column_space_projector @ y - y
@@ -302,7 +306,7 @@ class DenseBackend:
         if not remove_indices and not add_rows:
             target.factors = self.factors
             return True
-        if self._owner.num_links == 0:
+        if self.matrix.shape[1] == 0:
             return False
         state = self.factors[:3]
         for index in sorted(remove_indices, reverse=True):
@@ -313,7 +317,7 @@ class DenseBackend:
             state = self.update_path(row, state=state)
         u, s, vt = state
         rank = _certified_rank(
-            s, (u.shape[0], vt.shape[1]), self._owner.rank_tol
+            s, (u.shape[0], vt.shape[1]), self.rank_tol
         )
         if rank is None or not self._certify_factors(target, u, s, vt):
             return False
@@ -339,7 +343,7 @@ class DenseBackend:
         chain accumulated.  Any failure routes the target to a cold
         factorization.
         """
-        matrix = target._owner.matrix
+        matrix = target.matrix
         m, k = u.shape
         n = vt.shape[1]
         grid = np.arange(n, dtype=float)
@@ -401,7 +405,7 @@ class SparseBackend:
     @cached_property
     def _dense_fallback(self) -> DenseBackend:
         """Dense twin used for irreducibly dense quantities."""
-        return DenseBackend(self._owner)
+        return DenseBackend(self._owner.matrix, self._owner.rank_tol)
 
     # -- small-side Gram factorisation ------------------------------------
 

@@ -101,7 +101,9 @@ class LinearSystem:
             sparse_input=sparse_input,
         )
         self._backend = (
-            SparseBackend(self) if name == "sparse" else DenseBackend(self)
+            SparseBackend(self)
+            if name == "sparse"
+            else DenseBackend(self.matrix, self._rank_tol)
         )
 
     # -- backend plumbing --------------------------------------------------

@@ -267,6 +267,51 @@ class TestIncrementalLpSolver:
             solver.solve({99: (0.0, 1.0)})
 
 
+class TestDamageBound:
+    """``damage_bound``: the optimum with rows freed, off the warm model."""
+
+    @staticmethod
+    def _solver(fig1_system, support=tuple(range(0, 23, 2))):
+        _, operator, x = fig1_system
+        return IncrementalLpSolver(
+            operator, x, list(support), 23, TestIncrementalLpSolver._base_bands(x), cap=2000.0
+        )
+
+    def test_bounds_every_override_of_the_freed_links(self, fig1_system):
+        solver = self._solver(fig1_system)
+        free = (0, 5, 8, 9)
+        bound = solver.damage_bound(free)
+        _, operator, x = fig1_system
+        scratch = TestIncrementalLpSolver._base_bands(x)
+        for j in free:
+            scratch.lower[j], scratch.upper[j] = -math.inf, math.inf
+        reference = solve_manipulation_lp(operator, x, list(range(0, 23, 2)), 23, scratch)
+        assert bound == pytest.approx(reference.damage, rel=1e-9)
+        for j in free:
+            solution = solver.solve({j: (801.0, math.inf)})
+            if solution.feasible:
+                assert solution.damage <= bound * (1 + 1e-10)
+
+    def test_memoised_until_rebase(self, fig1_system):
+        from repro.perf.instrumentation import PerfRecorder, recording
+
+        solver = self._solver(fig1_system)
+        bound = solver.damage_bound([9, 8])
+        with recording(PerfRecorder()) as recorder:
+            assert solver.damage_bound([8, 9]) == bound
+        assert recorder.counters.get("lp_solve", 0) == 0
+        _, _, x = fig1_system
+        solver.rebase(x + 1.0, TestIncrementalLpSolver._base_bands(x))
+        assert solver.damage_bound([8, 9]) != bound
+
+    def test_empty_support_bound_is_zero(self, fig1_system):
+        assert self._solver(fig1_system, support=()).damage_bound([9]) == 0.0
+
+    def test_out_of_range_link_rejected(self, fig1_system):
+        with pytest.raises(AttackError, match="out of range"):
+            self._solver(fig1_system).damage_bound([99])
+
+
 class TestUnboundedResolve:
     def test_cap_none_single_assembly(self, fig1_system):
         """The unbounded re-solve path must reuse assembled constraints:

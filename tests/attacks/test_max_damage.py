@@ -1,14 +1,25 @@
 """Tests for maximum-damage scapegoating."""
 
+import dataclasses
+import json
 import math
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attacks.chosen_victim import ChosenVictimAttack
-from repro.attacks.max_damage import DAMAGE_TIE_RTOL, MaxDamageAttack
+from repro.attacks.cuts import perfectly_cut_links
+from repro.attacks.lp import IncrementalLpSolver
+from repro.attacks.max_damage import BOUND_SLACK, DAMAGE_TIE_RTOL, MaxDamageAttack
 from repro.exceptions import ValidationError
+from repro.obs import core as obs
+from repro.perf import recording
+from repro.perf.instrumentation import PerfRecorder
 from repro.scenarios.scenario import Scenario
-from repro.topology.generators.simple import ladder_topology
+from repro.tomography.linear_system import LinearSystem
+from repro.topology.generators.simple import grid_topology, ladder_topology
 
 
 class TestSearch:
@@ -127,3 +138,158 @@ class TestTieBreak:
     def test_earliest_victim_wins_on_the_reference(self, tied_context, cold_lp_reference):
         with cold_lp_reference():
             assert MaxDamageAttack(tied_context).run().victim_links == (1,)
+
+
+def _full_scan_winner(damages):
+    """The tie rule over a full damage map, in enumeration order.
+
+    ``damages`` maps each candidate to its damage (nan when infeasible);
+    a later candidate displaces the incumbent only when it is better by
+    more than ``DAMAGE_TIE_RTOL``.
+    """
+    best = None
+    for candidate, damage in damages.items():
+        if math.isnan(damage):
+            continue
+        if best is None or damage > damages[best] * (1 + DAMAGE_TIE_RTOL):
+            best = candidate
+    return best
+
+
+def _perfect_cut_context(kind, size, seed, hub_index, spoke_index, extra, backend):
+    """A small identifiable scenario with a perfectly cut victim.
+
+    One node of degree >= 3 (the hub) is not a monitor; every other
+    node is, and R has full column rank.  A path through a hub link
+    (hub, v) never ends at the hub, so it also crosses another
+    neighbour of the hub.  Making every such neighbour an attacker
+    perfectly cuts the victim (hub, v), and Theorem 1 then makes it
+    feasible in every constraint mode: a feasible candidate exists by
+    construction.  ``extra`` optionally adds one more attacker that is
+    not an endpoint of the victim.
+    """
+    topology = grid_topology(3, size) if kind == "grid" else ladder_topology(size)
+    hubs = [n for n in topology.nodes() if topology.degree(n) >= 3]
+    hub = hubs[hub_index % len(hubs)]
+    monitors = [n for n in topology.nodes() if n != hub]
+    scenario = Scenario.build(topology, monitors=monitors, rng=seed)
+    spokes = topology.incident_links(hub)
+    victim = spokes[spoke_index % len(spokes)]
+    attackers = [link.other(hub) for link in spokes if link is not victim]
+    if extra is not None:
+        others = [n for n in topology.nodes() if n not in (victim.u, victim.v)]
+        attackers.append(others[extra % len(others)])
+    system = LinearSystem(scenario.path_set.routing_matrix(), backend=backend)
+    assert system.rank == topology.num_links
+    assert victim.index in perfectly_cut_links(scenario.path_set, attackers)
+    return scenario.attack_context(attackers, system=system), victim.index
+
+
+class TestEarlyStop:
+    """The scan stops at the bound and still returns the full scan's winner."""
+
+    @pytest.fixture(scope="class")
+    def tied_context(self):
+        scenario = Scenario.build(ladder_topology(4), rng=2, name="ladder4-tie")
+        return scenario.attack_context([("top", 2)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["grid", "ladder"]),
+        size=st.integers(3, 4),
+        seed=st.integers(0, 10_000),
+        hub_index=st.integers(0, 100),
+        spoke_index=st.integers(0, 100),
+        extra=st.none() | st.integers(0, 100),
+        mode=st.sampled_from(["paper", "exclusive"]),
+        confined=st.booleans(),
+        stealthy=st.booleans(),
+        backend=st.sampled_from(["dense", "sparse"]),
+    )
+    def test_returns_the_full_scan_winner(
+        self, kind, size, seed, hub_index, spoke_index, extra, mode, confined, stealthy, backend
+    ):
+        context, victim = _perfect_cut_context(
+            kind, size, seed, hub_index, spoke_index, extra, backend
+        )
+
+        def attack():
+            return MaxDamageAttack(context, mode=mode, confined=confined, stealthy=stealthy)
+
+        damages = attack().damage_by_victim()
+        assert not math.isnan(damages[victim])
+        winner = _full_scan_winner(damages)
+        outcome = attack().run()
+        assert outcome.victim_links == (winner,)
+        assert outcome.damage == pytest.approx(damages[winner], rel=1e-12)
+        extras = outcome.extras
+        assert extras["candidates_tried"] + extras["candidates_skipped"] == len(damages)
+        bound = extras["damage_bound"]
+        if bound is not None:
+            assert max(d for d in damages.values() if not math.isnan(d)) <= bound * (
+                1 + BOUND_SLACK
+            )
+        if extras["candidates_skipped"]:
+            assert outcome.damage * (1 + DAMAGE_TIE_RTOL) >= bound * (1 + BOUND_SLACK)
+
+    def test_victim_pairs_return_the_full_scan_winner(self, tied_context):
+        attack = MaxDamageAttack(tied_context, victim_set_size=2)
+        outcome = attack.run()
+        damages = {}
+        for pair in combinations(attack.candidates, 2):
+            single = ChosenVictimAttack(tied_context, list(pair), mode="paper").run()
+            damages[pair] = single.damage if single.feasible else math.nan
+        winner = _full_scan_winner(damages)
+        assert outcome.extras["candidates_skipped"] > 0
+        assert outcome.victim_links == winner
+        assert outcome.damage == pytest.approx(damages[winner], rel=1e-9)
+
+    def test_tied_scan_stops_after_the_first_tied_candidate(self, tied_context):
+        outcome = MaxDamageAttack(tied_context).run()
+        trace = outcome.extras["search_trace"]
+        assert trace[-1]["victims"] == (1,)
+        assert outcome.extras["candidates_tried"] == len(trace) == 2
+        assert outcome.extras["candidates_skipped"] == 5
+        assert outcome.damage == pytest.approx(outcome.extras["damage_bound"], rel=1e-12)
+
+    def test_bound_is_solved_off_the_scan_model(self, tied_context):
+        attack = MaxDamageAttack(tied_context, presolve=False)
+        outcome = attack.run()
+        assert outcome.extras["damage_bound"] is not None
+        assert attack._solver._persistent.solves == outcome.extras["candidates_tried"]
+
+    def test_shared_solver_reuses_the_memoised_bound(self, tied_context):
+        first = MaxDamageAttack(tied_context, presolve=False)
+        bound = first.run().extras["damage_bound"]
+        with recording(PerfRecorder()) as recorder:
+            second = MaxDamageAttack(tied_context, shared_solver=first._solver).run()
+        assert second.extras["damage_bound"] == bound
+        assert recorder.counters.get("lp_model_build", 0) == 0
+        assert recorder.counters["lp_solve"] == second.extras["candidates_tried"]
+
+    def test_stop_event_carries_the_provenance(self, tied_context, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with obs.enabled(path):
+            outcome = MaxDamageAttack(tied_context).run()
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        (event,) = [r for r in records if r.get("name") == "max_damage_early_stop"]
+        assert event["bound"] == outcome.extras["damage_bound"]
+        assert event["damage"] == outcome.damage
+        assert event["candidates_tried"] == 2
+        assert event["candidates_skipped"] == 5
+
+    def test_no_bound_without_a_pending_candidate(self, fig1_context):
+        outcome = MaxDamageAttack(fig1_context, candidate_links=[9]).run()
+        assert outcome.extras["damage_bound"] is None
+        assert outcome.extras["candidates_skipped"] == 0
+
+    def test_infeasible_scan_computes_no_bound(self, fig1_scenario, monkeypatch):
+        def refuse(self, free_links):
+            raise AssertionError("no incumbent, so no bound is needed")
+
+        monkeypatch.setattr(IncrementalLpSolver, "damage_bound", refuse)
+        # A 1 ms cap is far too little delay to frame anyone.
+        scenario = dataclasses.replace(fig1_scenario, cap=1.0)
+        outcome = MaxDamageAttack(scenario.attack_context(["B", "C"])).run()
+        assert not outcome.feasible
+        assert outcome.status == "no feasible victim set among 3 candidates"

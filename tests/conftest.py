@@ -7,6 +7,7 @@ build their own instances.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -100,6 +101,8 @@ def _cold_lp_reference():
     then rebuilds the candidate's bands from scratch (base bands with the
     overridden links replaced) and hands them to the reference.  The
     presolve pruner is bypassed, so every candidate really reaches an LP.
+    The max-damage bound is answered the same way (freed links unbanded,
+    no memo), so a reference scan is cold end to end.
     """
     original_init = IncrementalLpSolver.__init__
 
@@ -134,9 +137,14 @@ def _cold_lp_reference():
             operator, x_true, support, self.num_paths, bands, **kwargs
         )
 
+    def damage_bound(self, free_links):
+        solution = solve(self, {j: (-math.inf, math.inf) for j in free_links})
+        return solution.damage if solution.feasible else math.inf
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(IncrementalLpSolver, "__init__", init)
         patch.setattr(IncrementalLpSolver, "solve", solve)
+        patch.setattr(IncrementalLpSolver, "damage_bound", damage_bound)
         yield
 
 

@@ -9,6 +9,7 @@ from repro.scenarios.streaming import (
     StreamingCampaign,
     random_churn_schedule,
 )
+from repro.tomography.linear_system import LinearSystem
 
 
 class TestChurnEvent:
@@ -153,6 +154,26 @@ class TestChurnBookkeeping:
         campaign = StreamingCampaign(fig1_scenario)
         with pytest.raises(ValidationError, match="at least one epoch"):
             campaign.run([], rng=0)
+
+    def test_second_run_continues_from_the_evolved_system(self, fig1_scenario):
+        """A second ``run`` starts from the paths the first one left live."""
+        campaign = StreamingCampaign(fig1_scenario, attacker_nodes=["B", "C"])
+        first = campaign.run([ChurnEvent(fail=(0,)), ChurnEvent(fail=(1,))], rng=0)
+        second = campaign.run(
+            [
+                ChurnEvent(fail=(3,)),
+                ChurnEvent(recover=(0,)),
+                ChurnEvent(fail=(0,), recover=(1,)),
+            ],
+            rng=1,
+        )
+        for epoch in first.epochs + second.epochs:
+            assert epoch.detection.per_path_residual.shape == (len(epoch.live_paths),)
+        last = second.epochs[-1]
+        assert last.live_paths == (2, *range(4, fig1_scenario.path_set.num_paths), 1)
+        matrix = fig1_scenario.path_set.routing_matrix()[list(last.live_paths)]
+        cold = LinearSystem(matrix).estimate(last.observed)
+        np.testing.assert_allclose(last.detection.estimate, cold, rtol=0, atol=1e-8)
 
     def test_noise_model_applied(self, fig1_scenario):
         spikes = lambda rng, size: np.full(size, 1000.0)  # noqa: E731

@@ -8,6 +8,9 @@ contract.  Dispatch (argument > environment > heuristic) is pinned down
 separately.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -190,6 +193,30 @@ class TestDispatch:
             LinearSystem(np.eye(3), backend="cursed")
         with pytest.raises(ValidationError):
             resolve_backend_name("cursed", shape=(3, 3), density=1.0)
+
+
+class TestReferenceCounting:
+    """A dropped system frees its factors without the cycle collector."""
+
+    def test_factorized_dense_system_dies_on_del(self):
+        system = LinearSystem(_incidence(12, 8, 3, seed=5), backend="dense")
+        assert system.rank > 0  # factorize
+        assert system.estimator.shape == (8, 12)
+        ref = weakref.ref(system)
+        gc.disable()
+        try:
+            del system
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_sparse_dense_fallback_still_answers_nullspace(self):
+        matrix = _incidence(6, 9, 3, seed=11)
+        sparse = LinearSystem(matrix, backend="sparse")
+        dense = LinearSystem(matrix, backend="dense")
+        basis = sparse.nullspace
+        assert basis.shape == dense.nullspace.shape
+        np.testing.assert_allclose(matrix @ basis, 0.0, atol=PARITY_TOL)
 
 
 class TestSparseEndToEnd:
