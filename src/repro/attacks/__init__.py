@@ -37,7 +37,6 @@ from repro.attacks.lp import (
     LpSolution,
     resolve_unbounded_cap,
     solve_manipulation_lp,
-    theorem1_fast_path,
     theorem1_manipulation,
 )
 from repro.attacks.lp_engine import PersistentLpSolver
@@ -68,7 +67,6 @@ __all__ = [
     "PersistentLpSolver",
     "resolve_unbounded_cap",
     "solve_manipulation_lp",
-    "theorem1_fast_path",
     "theorem1_manipulation",
     "ChosenVictimAttack",
     "MaxDamageAttack",

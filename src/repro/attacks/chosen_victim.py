@@ -21,69 +21,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.analysis.contracts import ContractViolation, contracts_enabled
 from repro.attacks.base import AttackContext, AttackOutcome
-from repro.attacks.lp import (
-    BandConstraints,
-    IncrementalLpSolver,
-    LpSolution,
-    solve_manipulation_lp,
-    theorem1_fast_path,
-)
+from repro.attacks.lp import BandConstraints, IncrementalLpSolver
 from repro.exceptions import AttackConstraintError, ValidationError
 
 __all__ = ["ChosenVictimAttack", "build_chosen_victim_bands"]
 
 _MODES = ("paper", "exclusive")
-
-
-def analytic_witness(
-    context: AttackContext,
-    bands: BandConstraints,
-    target_links: tuple[int, ...],
-    *,
-    stealthy: bool = False,
-) -> LpSolution | None:
-    """Try Theorem 1's solver-free witness for these bands and targets.
-
-    Returns a feasible :class:`LpSolution` when the perfect-cut fast path
-    applies (see :func:`repro.attacks.lp.theorem1_fast_path`), else None.
-    Under active contracts (``REPRO_CONTRACTS=1`` or pytest) every witness
-    is re-verified against the LP: the LP must agree the bands are
-    feasible — a witness without LP agreement is a
-    :class:`ContractViolation`, not a silent wrong answer.
-    """
-    witness = theorem1_fast_path(
-        context.routing_matrix,
-        context.baseline_estimate,
-        context.support,
-        bands,
-        target_links,
-        cap=context.cap,
-        rank=context.system.rank,
-    )
-    if witness is None:
-        return None
-    if contracts_enabled():
-        reference = solve_manipulation_lp(
-            None,
-            context.baseline_estimate,
-            context.support,
-            context.num_paths,
-            bands,
-            cap=context.cap,
-            sub_operator=context.support_operator,
-            consistency_columns=(
-                context.residual_projector_support() if stealthy else None
-            ),
-        )
-        if not reference.feasible:
-            raise ContractViolation(
-                "theorem1 fast path produced a witness for an LP-infeasible "
-                f"problem (targets {tuple(target_links)}; LP status: "
-                f"{reference.status})"
-            )
-    return witness
 
 
 def build_chosen_victim_bands(
@@ -132,11 +76,7 @@ class ChosenVictimAttack:
     """Plan a chosen-victim scapegoating attack.
 
     The LP is solved on the warm HiGHS path
-    (:class:`~repro.attacks.lp.IncrementalLpSolver`).  ``analytic``
-    tries Theorem 1's solver-free perfect-cut witness before any LP —
-    when it applies the outcome is a *feasibility certificate with
-    minimal forged shift*, not the damage-maximising optimum
-    (``extras["analytic"]`` marks such outcomes).
+    (:class:`~repro.attacks.lp.IncrementalLpSolver`).
 
     >>> # doctest-style sketch; see examples/quickstart.py for a full run
     >>> # attack = ChosenVictimAttack(context, victim_links=[9])
@@ -153,7 +93,6 @@ class ChosenVictimAttack:
         mode: str = "paper",
         stealthy: bool = False,
         confined: bool = False,
-        analytic: bool = False,
     ) -> None:
         if mode not in _MODES:
             raise ValidationError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -161,7 +100,6 @@ class ChosenVictimAttack:
         self.mode = mode
         self.stealthy = stealthy
         self.confined = confined
-        self.analytic = bool(analytic)
         victims = tuple(sorted(set(int(v) for v in victim_links)))
         if not victims:
             raise AttackConstraintError("victim link set must not be empty (eq. 11)")
@@ -187,29 +125,21 @@ class ChosenVictimAttack:
             return AttackOutcome.infeasible(
                 self.strategy_name, f"contradictory bands: {exc}", self.victim_links
             )
-        analytic_used = False
-        solution = None
-        if self.analytic:
-            solution = analytic_witness(
-                self.context, bands, self.victim_links, stealthy=self.stealthy
-            )
-            analytic_used = solution is not None
-        if solution is None:
-            solution = IncrementalLpSolver(
-                None,
-                self.context.baseline_estimate,
-                self.context.support,
-                self.context.num_paths,
-                bands,
-                cap=self.context.cap,
-                sub_operator=self.context.support_operator,
-                consistency_columns=(
-                    self.context.residual_projector_support()
-                    if self.stealthy
-                    else None
-                ),
-                presolve=False,
-            ).solve()
+        solution = IncrementalLpSolver(
+            None,
+            self.context.baseline_estimate,
+            self.context.support,
+            self.context.num_paths,
+            bands,
+            cap=self.context.cap,
+            sub_operator=self.context.support_operator,
+            consistency_columns=(
+                self.context.residual_projector_support()
+                if self.stealthy
+                else None
+            ),
+            presolve=False,
+        ).solve()
         if not solution.feasible or solution.manipulation is None:
             return AttackOutcome.infeasible(
                 self.strategy_name, solution.status, self.victim_links
@@ -225,6 +155,5 @@ class ChosenVictimAttack:
                 "unbounded": solution.unbounded,
                 "stealthy": self.stealthy,
                 "confined": self.confined,
-                "analytic": analytic_used,
             },
         )

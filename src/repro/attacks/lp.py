@@ -9,9 +9,8 @@ estimator is linear, the estimate under manipulation is affine in ``m``:
 so "link j must look normal/abnormal/uncertain" becomes a pair of linear
 inequalities in ``m``, and each strategy is one LP (proof of Theorem 1
 writes the same thing from the ``Δx_hat`` side; :func:`theorem1_manipulation`
-implements that constructive direction for perfect cuts, and
-:func:`theorem1_fast_path` turns it into a solver-free feasibility
-witness when a perfect cut is detected).
+implements that constructive direction for perfect cuts, and the tests
+use its witness as an oracle for the LP).
 
 Every production solve runs on one engine:
 :class:`IncrementalLpSolver` validates the problem and slices the
@@ -24,9 +23,8 @@ through it.
 
 :func:`solve_manipulation_lp` is the cold reference: vectorised band-row
 assembly plus one :func:`scipy.optimize.linprog` call.  It exists so
-tests and the Theorem-1 witness contract
-(:func:`repro.attacks.chosen_victim.analytic_witness`) can check the
-warm path against an independent solve; no other library code calls it.
+tests can check the warm path against an independent solve; no library
+code calls it.
 Both agree on feasibility, unboundedness and optimal damage (parity
 tests hold damage to 1e-9 relative); the optimal vertex may differ when
 optima are non-unique.
@@ -66,7 +64,6 @@ __all__ = [
     "RESOLVE_CAP_ENV_VAR",
     "resolve_unbounded_cap",
     "solve_manipulation_lp",
-    "theorem1_fast_path",
     "theorem1_manipulation",
 ]
 
@@ -442,10 +439,9 @@ def solve_manipulation_lp(
         :func:`resolve_unbounded_cap`.
 
     This one-shot entry point is the cold reference — one
-    :func:`scipy.optimize.linprog` call per solve.  Tests and the
-    Theorem-1 witness contract compare the warm production path
-    (:class:`IncrementalLpSolver`) against it; library code solves
-    through :class:`IncrementalLpSolver`.
+    :func:`scipy.optimize.linprog` call per solve.  Tests compare the
+    warm production path (:class:`IncrementalLpSolver`) against it;
+    library code solves through :class:`IncrementalLpSolver`.
     """
     x_true = check_finite_vector(true_metrics, "true_metrics")
     bands.validate()
@@ -799,98 +795,12 @@ def theorem1_manipulation(
     asserts precisely this.  ``Δx_hat*`` must be non-negative where the
     corresponding rows of ``R`` touch it, or the resulting ``m`` may go
     negative; callers keep Δ >= 0 (attacks only inflate estimates).
+
+    The forged estimate is exactly ``x* + Δx_hat*`` when ``R`` has full
+    column rank (identifiability), because then ``R⁺ R = I``.  ``m*`` lies
+    in the column space of ``R``, so its measurement residual is zero and
+    the detector cannot see it (Theorem 3).
     """
     matrix = np.asarray(routing_matrix, dtype=float)
     delta = check_finite_vector(delta_estimate, "delta_estimate", length=matrix.shape[1])
     return matrix @ delta
-
-
-def theorem1_fast_path(
-    routing_matrix: np.ndarray,
-    baseline: np.ndarray,
-    support: Sequence[int],
-    bands: BandConstraints,
-    target_links: Sequence[int],
-    *,
-    cap: float | None,
-    rank: int,
-    tol: float = 1e-9,
-) -> LpSolution | None:
-    """Solver-free feasibility witness for the perfect-cut case.
-
-    Theorem 1's constructive direction: under a perfect cut, the attacker
-    can forge *any* estimate shift ``Δ`` supported on the cut links via
-    ``m = R Δ`` — no LP needed to decide feasibility.  This routine
-    builds the minimal such shift (each target link raised exactly to its
-    lower band edge, everything else untouched) and checks the theorem's
-    applicability conditions numerically:
-
-    - ``R`` has full column rank (``rank == num_links``), so the forged
-      estimate is exactly ``baseline + Δ``;
-    - the baseline already satisfies the bands on every non-target link,
-      and no target link needs *lowering* (attacks only add delay);
-    - every path crossing a raised link lies in the Constraint-1 support
-      — the perfect-cut condition, read off the routing matrix directly;
-    - the resulting ``m = R Δ`` respects the per-path cap.
-
-    Returns the witness as a feasible :class:`LpSolution` (status
-    ``"theorem1 fast path (perfect cut)"``), or None when any condition
-    fails — in which case callers fall back to the LP.  The witness is a
-    *feasibility certificate with minimal forged shift*, not the
-    damage-maximising optimum; existence queries (success-probability
-    scans, ``stop_at_first_feasible`` searches) are its intended
-    consumers.  Because ``m = R Δ`` lies in the column space of ``R`` it
-    has exactly zero measurement residual, so the witness remains valid
-    when the LP would carry the residual-projector stealth block
-    (Theorem 3); arbitrary other consistency constraints are *not*
-    checked here.
-    """
-    matrix = np.asarray(routing_matrix, dtype=float)
-    num_paths, num_links = matrix.shape
-    if int(rank) != num_links:
-        return None
-    x = check_finite_vector(baseline, "baseline", length=num_links)
-    bands.validate()
-    targets = sorted(set(int(j) for j in target_links))
-    for j in targets:
-        if not 0 <= j < num_links:
-            raise AttackError(f"target link {j} out of range [0, {num_links})")
-    target_mask = np.zeros(num_links, dtype=bool)
-    target_mask[targets] = True
-
-    # Baseline must already sit inside the bands off the target set —
-    # the minimal shift leaves those estimates untouched.
-    off = ~target_mask
-    if np.any(x[off] < bands.lower[off] - tol) or np.any(
-        x[off] > bands.upper[off] + tol
-    ):
-        return None
-
-    delta = np.zeros(num_links)
-    for j in targets:
-        lower, upper = bands.lower[j], bands.upper[j]
-        if x[j] > upper + tol:
-            return None  # would need lowering; Δ >= 0 only
-        if np.isfinite(lower) and x[j] < lower:
-            need = float(lower - x[j])
-            if np.isfinite(upper) and x[j] + need > upper + tol:
-                return None
-            delta[j] = need
-
-    # Perfect cut: every path crossing a raised link must be manipulable.
-    raised = delta > 0
-    if np.any(raised):
-        touching = np.nonzero(matrix[:, raised].sum(axis=1) > 0)[0]
-        support_set = set(int(s) for s in support)
-        if not set(int(r) for r in touching) <= support_set:
-            return None
-
-    m = matrix @ delta
-    if cap is not None and m.size and float(m.max()) > cap + tol * max(cap, 1.0):
-        return None
-    return LpSolution(
-        feasible=True,
-        manipulation=m,
-        damage=float(m.sum()),
-        status="theorem1 fast path (perfect cut)",
-    )

@@ -46,7 +46,7 @@ from collections.abc import Iterable
 from itertools import combinations
 
 from repro.attacks.base import AttackContext, AttackOutcome
-from repro.attacks.chosen_victim import analytic_witness, build_chosen_victim_bands
+from repro.attacks.chosen_victim import build_chosen_victim_bands
 from repro.attacks.lp import IncrementalLpSolver
 from repro.exceptions import ValidationError
 from repro.obs import core as obs
@@ -93,13 +93,6 @@ class MaxDamageAttack:
         Enable the Constraint-1 presolve pruner on the candidate scan
         (default True); pruned candidates are counted in
         ``extras["presolve_pruned"]`` without any LP being solved.
-    analytic:
-        With ``stop_at_first_feasible``, try Theorem 1's solver-free
-        perfect-cut witness per candidate before falling back to the LP
-        scan.  Existence-only queries on perfectly cut victims then never
-        touch a solver.  The witness is not damage-optimal, so the flag
-        is ignored (the full LP scan runs) when the best victim set is
-        wanted.
     shared_solver:
         Optional pre-assembled :class:`IncrementalLpSolver` whose base
         block is the empty-victim chosen-victim bands of this context /
@@ -127,7 +120,6 @@ class MaxDamageAttack:
         confined: bool = False,
         shared_solver: IncrementalLpSolver | None = None,
         presolve: bool = True,
-        analytic: bool = False,
     ) -> None:
         if victim_set_size < 1:
             raise ValidationError(f"victim_set_size must be >= 1, got {victim_set_size}")
@@ -141,7 +133,6 @@ class MaxDamageAttack:
         self.stealthy = stealthy
         self.confined = confined
         self.presolve = bool(presolve)
-        self.analytic = bool(analytic)
         if candidate_links is None:
             mask = context.manipulable_link_mask()
             self.candidates = tuple(
@@ -200,10 +191,6 @@ class MaxDamageAttack:
                 self.strategy_name, "no manipulable victim candidates"
             )
         pending, enumerated, skipped_controlled = self._enumerate_subsets()
-        if self.analytic and self.stop_at_first_feasible:
-            outcome = self._analytic_scan(pending, enumerated, skipped_controlled)
-            if outcome is not None:
-                return outcome
         solver = self._candidate_solver()
         pruned_before = solver.presolve_pruned
         best_solution = None
@@ -295,58 +282,6 @@ class MaxDamageAttack:
                 continue
             pending.append(subset)
         return pending, enumerated, skipped_controlled
-
-    def _analytic_scan(
-        self,
-        pending: list[tuple[int, ...]],
-        enumerated: int,
-        skipped_controlled: int,
-    ) -> AttackOutcome | None:
-        """Existence pre-pass: first candidate with a Theorem-1 witness.
-
-        Only consulted for ``stop_at_first_feasible`` searches — the
-        witness certifies feasibility with a *minimal* forged shift, not
-        maximal damage.  Returns None when no candidate admits the fast
-        path; the caller falls back to the LP scan.
-        """
-        for subset in pending:
-            bands = build_chosen_victim_bands(
-                self.context, subset, self.mode, confined=self.confined
-            )
-            try:
-                bands.validate()
-            except ValidationError:
-                continue
-            witness = analytic_witness(
-                self.context, bands, subset, stealthy=self.stealthy
-            )
-            if witness is not None and witness.manipulation is not None:
-                return AttackOutcome.from_manipulation(
-                    self.strategy_name,
-                    self.context,
-                    witness.manipulation,
-                    subset,
-                    witness.status,
-                    extras={
-                        "mode": self.mode,
-                        "stealthy": self.stealthy,
-                        "search_trace": [
-                            {
-                                "victims": subset,
-                                "feasible": True,
-                                "damage": witness.damage,
-                            }
-                        ],
-                        "candidates_tried": 0,
-                        "candidates_skipped": len(pending),
-                        "damage_bound": None,
-                        "subsets_examined": enumerated,
-                        "skipped_controlled": skipped_controlled,
-                        "unbounded": witness.unbounded,
-                        "analytic": True,
-                    },
-                )
-        return None
 
     def damage_by_victim(self) -> dict[int, float]:
         """Damage achievable per single victim link (nan when infeasible).

@@ -113,15 +113,6 @@ REGISTRY: dict[str, Knob] = {
             default=1e7,
             doc="finite variable cap used to re-solve an unbounded manipulation LP",
         ),
-        Knob(
-            name="REPRO_CACHE_DIR",
-            kind="str",
-            default="",
-            doc=(
-                "directory of the cross-process factorization store "
-                "(empty = store disabled, caches stay process-local)"
-            ),
-        ),
     )
 }
 

@@ -142,13 +142,3 @@ class DetectionError(ReproError):
 
 class SerializationError(ReproError):
     """A topology or scenario could not be serialized or parsed."""
-
-
-class StoreCorruptError(SerializationError):
-    """A persistent-store entry exists but cannot be trusted.
-
-    Raised by the sweep factorization store when a blob is truncated,
-    unreadable, or inconsistent with its own metadata (wrong digest or
-    shape).  A *version* mismatch is deliberately not corruption — old
-    entries written by another format revision are treated as misses.
-    """

@@ -1,15 +1,11 @@
-"""Performance layer: instrumentation and benchmark harness.
+"""Performance layer: event and stage instrumentation.
 
 ``repro.perf.instrumentation`` is the lightweight event/stage recorder the
 hot paths report into (SVD count, LP count, per-stage wall time); it is a
 no-op unless a recorder is activated, so the library pays nothing in
-normal use.  ``repro.perf.bench`` turns recordings into machine-readable
-``BENCH_*.json`` files and backs the ``repro bench`` CLI subcommand.
-
-Only the instrumentation names are imported eagerly: the bench harness
-pulls in scenario/attack modules which themselves report into the
-instrumentation, so loading it here would create an import cycle.  The
-bench entry points are re-exported lazily instead.
+normal use.  Timing the paper's evaluation pipelines end to end is the
+job of the repository benchmark (``perfbench/``), which reads these
+counters through :func:`recording`.
 """
 
 from repro.perf.instrumentation import (
@@ -26,25 +22,4 @@ __all__ = [
     "record_event",
     "recording",
     "stage",
-    "backends_benchmark",
-    "fig1_pipeline_benchmark",
-    "fig5_assembly_benchmark",
-    "full_perf_benchmark",
-    "write_bench_json",
 ]
-
-_BENCH_EXPORTS = {
-    "backends_benchmark",
-    "fig1_pipeline_benchmark",
-    "fig5_assembly_benchmark",
-    "full_perf_benchmark",
-    "write_bench_json",
-}
-
-
-def __getattr__(name: str):
-    if name in _BENCH_EXPORTS:
-        from repro.perf import bench
-
-        return getattr(bench, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

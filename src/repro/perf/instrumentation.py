@@ -4,17 +4,17 @@ The library's expensive primitives (SVD factorisations, LP assembly, LP
 solves, Monte-Carlo trials) report events and stage timings here.  When
 neither a recorder nor an observability run log is active — the normal
 case — every hook is two global loads plus ``None`` checks, so
-instrumentation costs nothing in production use.  The bench harness
-activates a :class:`PerfRecorder` around a workload and reads the
-aggregated counters/timings back out.
+instrumentation costs nothing in production use.  Tests and the
+repository benchmark activate a :class:`PerfRecorder` around a workload
+and read the aggregated counters/timings back out.
 
 Since the :mod:`repro.obs` layer landed, ``stage`` and ``record_event``
 are thin shims over it as well: when a structured run log is active
 (``REPRO_OBS=1`` or :func:`repro.obs.enabled`), every stage becomes a
 nested span and every event a counter record in the JSONL log — all
 pre-existing instrumentation points flow into run logs with no caller
-changes.  ``PerfRecorder`` keeps its aggregate-snapshot role for the
-bench harness.
+changes.  ``PerfRecorder`` keeps aggregating counters and stage times
+for those readers.
 
 Only stdlib and the (equally stdlib-only) :mod:`repro.obs.core` are
 used; this module must stay import-free of the rest of ``repro`` so that
@@ -72,19 +72,6 @@ class PerfRecorder:
             self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + elapsed
             self.stage_calls[name] += 1
 
-    def snapshot(self) -> dict:
-        """A JSON-ready copy of everything recorded so far."""
-        return {
-            "counters": dict(self.counters),
-            "stages": {
-                name: {
-                    "seconds": self.stage_seconds[name],
-                    "calls": int(self.stage_calls[name]),
-                }
-                for name in sorted(self.stage_seconds)
-            },
-        }
-
 
 #: The currently active recorder (None = instrumentation disabled).
 _ACTIVE: PerfRecorder | None = None
@@ -134,7 +121,7 @@ def recording(recorder: PerfRecorder | None = None):
 
     Nesting replaces the active recorder for the inner block and restores
     the outer one afterwards — inner workloads are attributed to the
-    innermost recorder only, keeping bench sections independent.
+    innermost recorder only, keeping measured sections independent.
     """
     global _ACTIVE
     rec = recorder if recorder is not None else PerfRecorder()

@@ -8,9 +8,6 @@ x attacker count — from a single JSON spec:
 - :mod:`repro.sweep.cache` — shared-work caches (one ``LinearSystem``
   factorisation per distinct routing matrix, reusable LP base blocks,
   shared auditors);
-- :mod:`repro.sweep.store` — cross-process persistent factorization
-  store (``REPRO_CACHE_DIR``): dense SVD factors spilled to disk keyed
-  by matrix digest, shared by sharded workers and repeated runs;
 - :mod:`repro.sweep.runner` — sharded, resumable execution with
   append-only JSONL checkpoints;
 - :mod:`repro.sweep.aggregate` — folding results into report tables.
@@ -22,16 +19,13 @@ from repro.sweep.aggregate import aggregate_rows, load_results
 from repro.sweep.cache import FactorizationCache
 from repro.sweep.runner import run_grid_point, run_sweep
 from repro.sweep.spec import GridPoint, SweepSpec, build_topology
-from repro.sweep.store import FactorizationStore, default_store
 
 __all__ = [
     "FactorizationCache",
-    "FactorizationStore",
     "GridPoint",
     "SweepSpec",
     "aggregate_rows",
     "build_topology",
-    "default_store",
     "load_results",
     "run_grid_point",
     "run_sweep",

@@ -24,11 +24,6 @@ stat counts exactly how many hashes happened, which white-box tests pin).
 The in-memory layers are process-local by design: worker processes each
 hold their own (the sweep runner shards grid points so points sharing a
 topology land in the same worker), and nothing here is thread-safe.
-Underneath, an optional :class:`~repro.sweep.store.FactorizationStore`
-(``store=`` argument, or the ``REPRO_CACHE_DIR`` environment knob)
-shares the *factorizations* across processes: a fresh worker or a
-repeated CLI invocation imports the dense SVD factors from disk instead
-of recomputing them, and first-time factorizations are spilled back.
 Hits and misses are counted on the instance and reported as
 ``sweep_cache`` obs events when a run log is active.
 """
@@ -48,13 +43,9 @@ from repro.obs import core as obs
 from repro.obs.manifest import config_digest, matrix_digest
 from repro.tomography.estimator_zoo import resolve_estimator
 from repro.scenarios.scenario import Scenario
-from repro.sweep.store import FactorizationStore, default_store
 from repro.tomography.linear_system import LinearSystem
 
 __all__ = ["FactorizationCache"]
-
-#: Sentinel distinguishing "no store" from "resolve from the environment".
-_FROM_ENV = object()
 
 
 class FactorizationCache:
@@ -62,13 +53,16 @@ class FactorizationCache:
 
     All lookups are by value-digest of the routing matrix, never by object
     identity, so two scenarios that happen to produce equal matrices share
-    one kernel.  ``store`` wires in a cross-process
-    :class:`~repro.sweep.store.FactorizationStore`; by default it resolves
-    from the ``REPRO_CACHE_DIR`` environment knob (unset = in-memory
-    only), and ``store=None`` disables it explicitly.
+    one kernel.  Factorisations live in memory only; ``store`` is kept
+    as a keyword for existing callers and accepts nothing but ``None``.
     """
 
-    def __init__(self, store: FactorizationStore | None | object = _FROM_ENV) -> None:
+    def __init__(self, *, store: None = None) -> None:
+        if store is not None:
+            raise ValidationError(
+                "FactorizationCache keeps factorizations in memory only; "
+                f"store must be None, got {type(store).__name__}"
+            )
         self._systems: dict[str, LinearSystem] = {}
         self._solvers: dict[tuple, IncrementalLpSolver] = {}
         self._auditors: dict[tuple, TomographyAuditor] = {}
@@ -83,11 +77,7 @@ class FactorizationCache:
         self._scenario_systems: dict[
             int, tuple[Scenario, int, np.ndarray, LinearSystem]
         ] = {}
-        self.store: FactorizationStore | None = (
-            default_store() if store is _FROM_ENV else store  # type: ignore[assignment]
-        )
         self.stats: Counter[str] = Counter()
-        self._store_failed: set[str] = set()
 
     def _count(self, kind: str, hit: bool, **fields: object) -> None:
         self.stats[f"{kind}_{'hit' if hit else 'miss'}"] += 1
@@ -102,40 +92,6 @@ class FactorizationCache:
         self.stats["digest_compute"] += 1
         return matrix_digest(routing_matrix)
 
-    def _new_system(self, routing_matrix: np.ndarray, digest: str) -> LinearSystem:
-        """Build the shared kernel for a cache miss, store-assisted.
-
-        The already-computed digest is seeded into the system (its
-        ``digest`` cached property never re-hashes), the cross-process
-        store is consulted for warm factors, and a first-time dense
-        factorisation is spilled back.  Store corruption degrades to a
-        plain compute — the sweep must not die because a cache blob was
-        truncated — but the entry is refused, never clobbered, and the
-        failure is remembered so one bad blob costs one warning.
-        """
-        from repro.exceptions import StoreCorruptError
-
-        system = LinearSystem(routing_matrix)
-        system.__dict__["digest"] = digest  # pre-seed the cached_property
-        if self.store is None or digest in self._store_failed:
-            return system
-        shape = (system.num_paths, system.num_links)
-        try:
-            payload = self.store.load(digest, shape=shape)
-        except StoreCorruptError as exc:
-            self._store_failed.add(digest)
-            self.stats["store_corrupt"] += 1
-            if obs.is_enabled():
-                obs.event("sweep_store_corrupt", digest=digest, error=str(exc))
-            return system
-        if payload is not None and system.import_factors(payload):
-            self.stats["store_import"] += 1
-            return system
-        factors = system.export_factors()
-        if factors is not None:
-            self.store.save(digest, factors, shape=shape)
-        return system
-
     # ------------------------------------------------------------------
     # the three cache layers
     # ------------------------------------------------------------------
@@ -144,7 +100,8 @@ class FactorizationCache:
         key = self._digest(routing_matrix)
         system = self._systems.get(key)
         if system is None:
-            system = self._new_system(routing_matrix, key)
+            system = LinearSystem(routing_matrix)
+            system.__dict__["digest"] = key  # pre-seed the cached_property
             self._systems[key] = system
             self._count("system", False, digest=key)
         else:
@@ -168,13 +125,13 @@ class FactorizationCache:
             # The path set churned underneath the memo: the memoised
             # matrix (and the digest-keyed factorization behind it) is
             # pre-churn state.  Evict and rebuild — the fresh matrix
-            # hashes to a new digest, so the store can never serve the
-            # stale entry for this scenario again.
+            # hashes to a new digest, so the scenario can never be served
+            # the stale factorization again.
             del self._scenario_systems[id(scenario)]
             self.stats["scenario_stale_evict"] += 1
             if obs.is_enabled():
                 obs.event(
-                    "sweep_store_stale_evict",
+                    "sweep_cache_stale_evict",
                     stale_digest=memo[3].digest,
                     stale_version=memo[1],
                     version=version,

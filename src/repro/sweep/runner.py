@@ -88,9 +88,9 @@ def build_scenarios(
 
     Returns the per-topology-index dict :func:`run_grid_point` accepts as
     its ``scenarios`` memo.  Scenario construction is matrix-independent
-    and often dominates cold wall time; building up front lets harnesses
-    (the perf bench, white-box tests) time the factorization work on its
-    own.
+    and often dominates cold wall time; building up front lets callers
+    (the repository benchmark, white-box tests) time the factorization
+    work on its own.
     """
     points = spec.expand() if points is None else points
     return {
@@ -283,10 +283,7 @@ def _run_point_chunk(spec: SweepSpec, chunk: list[GridPoint]) -> list[dict]:
     in parallel runs too.  The chunk ships the :class:`GridPoint` payloads
     themselves — workers never re-expand the grid, so a sweep of ``c``
     chunks costs one expansion total instead of ``c`` (each of which was
-    O(points) digest hashing).  When ``REPRO_CACHE_DIR`` names a
-    cross-process store, the chunk-local cache warm-starts factorizations
-    from it, so even chunks split off the same topology (or a whole
-    re-invocation of the sweep) share one SVD.
+    O(points) digest hashing).
     """
     obs.detach_inherited_log()
     cache = FactorizationCache()

@@ -160,66 +160,6 @@ class LinearSystem:
 
         return matrix_digest(self.matrix)
 
-    # -- factor export / import -------------------------------------------
-
-    def export_factors(self) -> dict[str, np.ndarray] | None:
-        """The dense SVD factors as a JSON-free array payload, or ``None``.
-
-        Returns ``{"u", "s", "vt", "rank"}`` — exactly what
-        :func:`repro.utils.linalg.compact_svd` produced — forcing the
-        factorisation if it has not run yet.  Only the dense backend
-        exports: the sparse backend's Gram/LSMR state is cheap to rebuild
-        and exporting it would force the dense SVD it exists to avoid, so
-        it returns ``None`` (callers skip persisting).  The payload is
-        what :meth:`import_factors` and the sweep engine's cross-process
-        factorization store consume.
-        """
-        if self.backend_name != "dense":
-            return None
-        u, s, vt, rank = self._factorized.factors
-        return {
-            "u": u,
-            "s": s,
-            "vt": vt,
-            "rank": np.asarray(rank, dtype=np.int64),
-        }
-
-    def import_factors(self, payload: dict[str, np.ndarray]) -> bool:
-        """Seed the dense backend with previously exported factors.
-
-        Validates the factor shapes against this system's matrix and, on
-        success, installs them as the backend's factorisation — the SVD
-        never runs.  Returns ``False`` (imports nothing) when this system
-        runs the sparse backend, when the factorisation already happened,
-        or when the shapes do not belong to a matrix of this size; it
-        never trusts the payload blindly.  Numerical *content* is the
-        caller's contract — the sweep store keys payloads by the matrix
-        digest, so a shape-compatible payload under the right digest is
-        the right factorisation.
-        """
-        if self.backend_name != "dense" or "factors" in self._backend.__dict__:
-            return False
-        try:
-            u = np.asarray(payload["u"], dtype=float)
-            s = np.asarray(payload["s"], dtype=float)
-            vt = np.asarray(payload["vt"], dtype=float)
-            rank = int(np.asarray(payload["rank"]))
-        except (KeyError, TypeError, ValueError):
-            return False
-        m, n = self._raw.shape
-        k = min(m, n)
-        # compact_svd shapes: economy ``u`` (m x k), but ``vt`` is always
-        # the complete n x n right basis (its trailing rows span the
-        # nullspace, which the economy form would truncate for m < n).
-        if u.shape != (m, k) or s.shape != (k,) or vt.shape != (n, n):
-            return False
-        if not (0 <= rank <= k):
-            return False
-        # ``factors`` is a cached_property (non-data descriptor): writing
-        # the instance attribute is exactly how it memoises itself.
-        self._backend.factors = (u, s, vt, rank)
-        return True
-
     # -- incremental evolution --------------------------------------------
 
     #: Whether the latest :meth:`evolve` seeded this system incrementally

@@ -164,7 +164,7 @@ class TestPathExemptions:
             return time.perf_counter()
         """
         assert (
-            _lint_snippet(tmp_path, source, select=["RP003"], rel_path="perf/bench.py")
+            _lint_snippet(tmp_path, source, select=["RP003"], rel_path="perf/instrumentation.py")
             == []
         )
         assert _lint_snippet(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.attacks.chosen_victim import build_chosen_victim_bands
 from repro.attacks.lp import (
     BandConstraints,
     IncrementalLpSolver,
@@ -348,3 +349,29 @@ class TestTheorem1Construction:
             if row not in support:
                 assert m[row] == 0.0
         assert np.all(m >= 0.0)
+
+    def test_perfect_cut_witness(self, fig1_context):
+        """Theorem 1: m = R*delta forges a chosen victim, undetectably.
+
+        B and C perfectly cut link 0 and R has full column rank, so
+        raising link 0 exactly to its chosen-victim lower band gives a
+        Constraint-1 manipulation that meets every band and leaves no
+        measurement residual.
+        """
+        context = fig1_context
+        assert context.system.rank == context.num_links == 10
+        bands = build_chosen_victim_bands(context, (0,), "paper")
+        delta = np.zeros(context.num_links)
+        delta[0] = bands.lower[0] - context.baseline_estimate[0]
+        assert delta[0] > 0.0
+        m = theorem1_manipulation(context.routing_matrix, delta)
+        # Constraint 1: non-negative, supported on attacker paths only.
+        assert np.all(m >= 0.0)
+        off = sorted(set(range(context.num_paths)) - set(context.support))
+        assert np.all(m[off] == 0.0)
+        # The forged estimate satisfies every band.
+        estimate = context.predicted_estimate(m)
+        assert np.all(estimate >= bands.lower - 1e-6)
+        assert np.all(estimate <= bands.upper + 1e-6)
+        # Zero residual: the witness is undetectable (Theorem 3).
+        assert np.abs(context.residual_projector() @ m).max() < 1e-6

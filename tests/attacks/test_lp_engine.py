@@ -1,12 +1,11 @@
-"""LP engine: the warm path, its parity with the reference, presolve, fast path.
+"""LP engine: the warm path, its parity with the reference, presolve.
 
 Every production manipulation LP is solved on the persistent warm-started
 HiGHS model.  The contract this suite enforces end-to-end: the warm path
-and every shortcut (batched ``solve_many``, Theorem-1 analytic fast path,
-Constraint-1 presolve pruner) must agree with the cold ``linprog``
-reference (``solve_manipulation_lp``) on *feasibility* and (for true
-LP-equivalent paths) on *optimal damage* to 1e-9 — across every strategy
-and both tomography backends.
+and every shortcut (batched ``solve_many``, Constraint-1 presolve pruner)
+must agree with the cold ``linprog`` reference (``solve_manipulation_lp``)
+on *feasibility* and (for true LP-equivalent paths) on *optimal damage*
+to 1e-9 — across every strategy and both tomography backends.
 """
 
 import json
@@ -27,7 +26,6 @@ from repro.attacks.lp import (
     IncrementalLpSolver,
     resolve_unbounded_cap,
     solve_manipulation_lp,
-    theorem1_fast_path,
 )
 from repro.attacks.lp_engine import PersistentLpSolver, prune_capacities
 from repro.attacks.max_damage import MaxDamageAttack
@@ -482,150 +480,6 @@ class TestResolveCapConfig:
             IncrementalLpSolver(
                 operator, x, [0], 23, bands, cap=None, resolve_cap=0.0
             )
-
-
-class TestTheorem1FastPath:
-    """The analytic witness: applicable exactly under Theorem 1's hypotheses."""
-
-    def test_perfect_cut_witness(self, fig1_context):
-        context = fig1_context
-        bands = build_chosen_victim_bands(context, (0,), "paper")
-        witness = theorem1_fast_path(
-            context.routing_matrix,
-            context.baseline_estimate,
-            context.support,
-            bands,
-            (0,),
-            cap=context.cap,
-            rank=context.system.rank,
-        )
-        assert witness is not None and witness.feasible
-        assert "theorem1" in witness.status
-        # Constraint 1: non-negative, supported on attacker paths only.
-        m = witness.manipulation
-        assert np.all(m >= 0.0)
-        off = [i for i in range(context.num_paths) if i not in set(context.support)]
-        assert np.all(m[off] == 0.0)
-        # The forged estimate satisfies every band.
-        estimate = context.predicted_estimate(m)
-        assert np.all(estimate >= bands.lower - 1e-6)
-        assert np.all(estimate <= bands.upper + 1e-6)
-        # Zero residual: the witness is automatically stealthy (Theorem 3).
-        residual = context.residual_projector() @ m
-        assert np.abs(residual).max() < 1e-6
-        assert witness.damage == pytest.approx(float(m.sum()))
-
-    def test_witness_agrees_with_lp_feasibility(self, fig1_context):
-        """The contracts hook inside analytic_witness cross-checks the LP."""
-        from repro.attacks.chosen_victim import analytic_witness
-
-        context = fig1_context
-        bands = build_chosen_victim_bands(context, (0,), "paper")
-        witness = analytic_witness(context, bands, (0,))
-        # Contracts are active under pytest, so reaching here means the LP
-        # agreed; assert the witness is also band-feasible on its own.
-        assert witness is not None and witness.feasible
-
-    def test_rank_deficient_declines(self, fig1_context):
-        context = fig1_context
-        bands = build_chosen_victim_bands(context, (0,), "paper")
-        assert (
-            theorem1_fast_path(
-                context.routing_matrix,
-                context.baseline_estimate,
-                context.support,
-                bands,
-                (0,),
-                cap=context.cap,
-                rank=context.system.rank - 1,
-            )
-            is None
-        )
-
-    def test_imperfect_cut_declines(self, fig1_context):
-        context = fig1_context
-        # Link 9 is not perfectly cut by B,C: some path through it has no
-        # attacker, so the constructive m = R delta violates Constraint 1.
-        bands = build_chosen_victim_bands(context, (9,), "paper")
-        assert (
-            theorem1_fast_path(
-                context.routing_matrix,
-                context.baseline_estimate,
-                context.support,
-                bands,
-                (9,),
-                cap=context.cap,
-                rank=context.system.rank,
-            )
-            is None
-        )
-
-    def test_cap_violation_declines(self, fig1_context):
-        context = fig1_context
-        bands = build_chosen_victim_bands(context, (0,), "paper")
-        assert (
-            theorem1_fast_path(
-                context.routing_matrix,
-                context.baseline_estimate,
-                context.support,
-                bands,
-                (0,),
-                cap=1.0,  # the needed raise is hundreds of ms per path
-                rank=context.system.rank,
-            )
-            is None
-        )
-
-    def test_lowering_demand_declines(self, fig1_context):
-        context = fig1_context
-        bands = BandConstraints.unbounded(context.num_links)
-        baseline = context.baseline_estimate
-        # Demand link 0's estimate be *below* its baseline: needs a
-        # negative delta, which attacks (pure delay addition) cannot do.
-        bands.require_at_most(0, float(baseline[0]) - 50.0)
-        assert (
-            theorem1_fast_path(
-                context.routing_matrix,
-                baseline,
-                context.support,
-                bands,
-                (0,),
-                cap=context.cap,
-                rank=context.system.rank,
-            )
-            is None
-        )
-
-    def test_chosen_victim_analytic_outcome(self, fig1_context):
-        outcome = ChosenVictimAttack(fig1_context, [0], analytic=True).run()
-        assert outcome.feasible
-        assert outcome.extras["analytic"] is True
-        assert "theorem1" in outcome.status
-        assert 0 in outcome.diagnosis.abnormal
-
-    def test_chosen_victim_analytic_falls_back(self, fig1_context):
-        # Victim 9 is not perfectly cut; the LP path must take over.
-        outcome = ChosenVictimAttack(fig1_context, [9], analytic=True).run()
-        assert outcome.extras["analytic"] is False
-        assert "theorem1" not in outcome.status
-
-    def test_max_damage_existence_uses_fast_path(self, fig1_context):
-        attack = MaxDamageAttack(
-            fig1_context, stop_at_first_feasible=True, analytic=True
-        )
-        outcome = attack.run()
-        assert outcome.feasible
-        assert outcome.extras.get("analytic") is True
-        # Existence only: no LP was solved for the returned candidate.
-        assert outcome.extras["candidates_tried"] == 0
-
-    def test_max_damage_full_search_ignores_analytic(self, fig1_context):
-        """Without stop_at_first_feasible the witness (non-optimal) must
-        not displace the damage-maximising LP scan."""
-        reference = MaxDamageAttack(fig1_context).run()
-        outcome = MaxDamageAttack(fig1_context, analytic=True).run()
-        assert outcome.extras.get("analytic") is not True
-        assert outcome.damage == pytest.approx(reference.damage)
 
 
 class TestRebase:

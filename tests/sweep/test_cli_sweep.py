@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro import config
 from repro.cli import main
 
 
@@ -103,55 +102,3 @@ class TestErrorPaths:
         other = write_spec(tmp_path / "other.json", seed=6)
         assert main(["sweep", str(other), "--out", str(out), "--resume"]) == 1
         assert "different sweep spec" in capsys.readouterr().err
-
-
-class TestCacheReuse:
-    @pytest.mark.skipif(
-        config.get_str("REPRO_BACKEND").lower() == "sparse",
-        reason="REPRO_BACKEND=sparse: no dense factors to persist",
-    )
-    def test_second_run_warm_starts_from_store_byte_identical(
-        self, spec_file, tmp_path, monkeypatch
-    ):
-        """Two CLI invocations share factorizations via REPRO_CACHE_DIR."""
-        from repro.obs import core as obs
-        from repro.obs.summary import read_events
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        first = tmp_path / "first.jsonl"
-        second = tmp_path / "second.jsonl"
-        assert main(["sweep", str(spec_file), "--out", str(first)]) == 0
-        assert list((tmp_path / "cache").rglob("*.npz"))  # store populated
-
-        log_path = tmp_path / "run.jsonl"
-        with obs.enabled(log_path):
-            assert main(["sweep", str(spec_file), "--out", str(second)]) == 0
-        hits = [
-            r
-            for r in read_events(log_path)
-            if r.get("name") == "sweep_store" and r.get("op") == "load" and r.get("hit")
-        ]
-        assert hits  # the second run warm-started from the first run's store
-
-        # results are byte-identical with and without the warm start
-        assert second.read_bytes() == first.read_bytes()
-        monkeypatch.delenv("REPRO_CACHE_DIR")
-        cold = tmp_path / "cold.jsonl"
-        assert main(["sweep", str(spec_file), "--out", str(cold)]) == 0
-        assert cold.read_bytes() == first.read_bytes()
-
-
-class TestBenchTarget:
-    @pytest.mark.slow
-    def test_bench_sweep_writes_payload(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert main(["bench", "sweep", "--repeat", "1", "--out", str(out)]) == 0
-        text = capsys.readouterr().out
-        assert "sweep_cache" in text
-        payload = json.loads(out.read_text())
-        bench = payload["benchmarks"]["sweep_cache"]
-        assert bench["points"] == 6
-        assert bench["cold_s"] > 0 and bench["cached_s"] > 0
-        assert bench["cache_stats"]["system_hit"] > 0
-        assert bench["identical"] == {"cached_vs_cold": True, "store_vs_cold": True}
-        assert bench["store_phase"]["warm_store_stats"]["hit"] >= 1

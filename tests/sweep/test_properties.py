@@ -13,11 +13,8 @@ Three families, per the paper's constraints:
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-
-from repro import config
 
 from repro.attacks.chosen_victim import ChosenVictimAttack
 from repro.attacks.max_damage import MaxDamageAttack
@@ -125,43 +122,3 @@ class TestCacheTransparency:
         assert warm_cache.stats["system_hit"] > 0
         # dict equality is exact: floats must match bit for bit
         assert warm == cold
-
-    @pytest.mark.skipif(
-        config.get_str("REPRO_BACKEND").lower() == "sparse",
-        reason="REPRO_BACKEND=sparse: no dense factors to persist",
-    )
-    @common
-    @given(
-        seed=st.integers(min_value=0, max_value=50),
-        num_attackers=st.integers(min_value=1, max_value=3),
-        strategy=st.sampled_from(
-            ["chosen-victim", "max-damage", "obfuscation", "naive"]
-        ),
-    )
-    def test_store_backed_run_bit_identical_to_cold(
-        self, tmp_path_factory, seed, num_attackers, strategy
-    ):
-        """Disk-store warm starts are as invisible as in-memory hits."""
-        from repro.sweep import FactorizationStore
-
-        spec = SweepSpec.from_dict(
-            {
-                "format": "repro-sweep",
-                "version": 1,
-                "name": "prop-store",
-                "seed": seed,
-                "strategies": [strategy],
-                "topologies": [{"kind": "fig1"}],
-                "attacker_counts": [num_attackers],
-            }
-        )
-        (point,) = spec.expand()
-        cold = run_grid_point(spec, point, cache=FactorizationCache(store=None))
-        root = tmp_path_factory.mktemp("store")
-        seeding = FactorizationCache(store=FactorizationStore(root))
-        seeded = run_grid_point(spec, point, cache=seeding, scenarios={})
-        # a second "process": fresh cache, fresh store handle, same root
-        warm = FactorizationCache(store=FactorizationStore(root))
-        imported = run_grid_point(spec, point, cache=warm, scenarios={})
-        assert warm.stats["store_import"] == 1
-        assert seeded == cold and imported == cold

@@ -17,7 +17,6 @@ KNOWN_KNOBS = {
     "REPRO_BACKEND",
     "REPRO_ESTIMATOR",
     "REPRO_LP_RESOLVE_CAP",
-    "REPRO_CACHE_DIR",
 }
 
 
