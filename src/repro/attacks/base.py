@@ -55,10 +55,11 @@ class AttackContext:
         strict inequalities; the LP needs closed ones).
     system:
         Optional pre-factorised :class:`LinearSystem` over this path set's
-        routing matrix.  Grid sweeps pass the same kernel into every
-        context sharing a topology so the SVD runs once per distinct
-        routing matrix; the matrix must be value-equal to the path set's
-        own, or a :class:`ValidationError` is raised.
+        routing matrix.  Scenarios and grid sweeps pass one kernel into
+        every context sharing a path set, so the SVD runs once per
+        distinct routing matrix.  The system must be built over the path
+        set's own matrix (checked by identity, then by value), or a
+        :class:`ValidationError` is raised.
     estimator:
         The *defender's* inversion family — a zoo name, a built
         :class:`~repro.tomography.estimator_zoo.Estimator`, or None for
@@ -105,21 +106,25 @@ class AttackContext:
             check_routing_matrix(self.routing_matrix, "routing_matrix")
         #: Shared SVD kernel: one factorisation of ``R`` backs the
         #: estimator operator, the residual projector, and any rank query.
+        #: An injected one is checked by identity first: the scenario's and
+        #: the sweep cache's systems hold the path set's shared matrix.
+        matrix = self.routing_matrix
         if system is not None:
-            if not np.array_equal(system.matrix, self.routing_matrix):
+            if system.matrix is not matrix and not np.array_equal(system.matrix, matrix):
                 raise ValidationError(
                     "injected LinearSystem does not match this path set's "
                     "routing matrix"
                 )
             self.system = system
         else:
-            self.system = LinearSystem(self.routing_matrix)
+            self.system = LinearSystem(matrix)
         if estimator is None or isinstance(estimator, str):
             self.estimator = resolve_estimator(estimator, system=self.system)
         else:
             est_system = getattr(estimator, "system", None)
-            if est_system is None or not np.array_equal(
-                est_system.matrix, self.routing_matrix
+            if est_system is None or (
+                est_system.matrix is not matrix
+                and not np.array_equal(est_system.matrix, matrix)
             ):
                 raise ValidationError(
                     "injected estimator is not built over this path set's "

@@ -1,11 +1,12 @@
 """Streaming consistency detection over an evolving measurement system.
 
 The batch :class:`~repro.detection.consistency.ConsistencyDetector` is
-built once over a fixed ``R`` and revalidates an injected system by full
-matrix comparison (``O(m n)``) — the right contract for one-shot audits,
-and exactly the wrong one for a measurement stream where paths fail and
-recover every epoch.  :class:`OnlineConsistencyDetector` instead *owns*
-an evolving :class:`~repro.tomography.linear_system.LinearSystem`:
+built once over a fixed ``R`` and validates an injected system against it
+(by identity, else by an ``O(m n)`` matrix comparison) — the right
+contract for one-shot audits, and exactly the wrong one for a
+measurement stream where paths fail and recover every epoch.
+:class:`OnlineConsistencyDetector` instead *owns* an evolving
+:class:`~repro.tomography.linear_system.LinearSystem`:
 
 - :meth:`advance` applies one epoch of path churn through
   :meth:`LinearSystem.evolve`, so the shared factorization is patched by

@@ -135,15 +135,29 @@ class PathSet:
     The order is significant: path *i* is row *i* of the routing matrix and
     entry *i* of measurement vectors.  The class offers the membership
     queries that attack and detection code needs (which paths cross a node
-    set, which paths cross a link set).
+    set, which paths cross a link set).  Those queries answer from
+    inverted link/node indices, and :meth:`routing_matrix` from a shared
+    array; each is built on first use, and again on the first use after
+    an :meth:`append`/:meth:`remove`.
     """
 
     def __init__(self, topology: Topology, paths: Iterable[MeasurementPath] = ()) -> None:
         self.topology = topology
         self._paths: list[MeasurementPath] = []
         self._version = 0
+        # Derived state (routing matrix, inverted indices): name ->
+        # (version it was built at, value).  Stale entries are rebuilt on
+        # the first read after a mutation.
+        self._derived: dict[str, tuple[int, object]] = {}
         for path in paths:
             self.append(path)
+
+    def __getstate__(self) -> dict:
+        # Derived state is rebuilt on first use, so pickles (worker
+        # chunks, saved scenarios) carry only the paths.
+        state = self.__dict__.copy()
+        state["_derived"] = {}
+        return state
 
     @classmethod
     def from_node_sequences(
@@ -176,9 +190,10 @@ class PathSet:
     def version(self) -> int:
         """Mutation counter: bumps on every append/remove.
 
-        Caches keyed by object identity (the sweep engine's per-scenario
-        memo) compare this to detect that a path set churned underneath
-        them and their memoised routing matrix went stale.
+        The path set's own derived state, the scenario's shared system
+        and the sweep engine's per-scenario memo compare this to detect
+        that the paths churned underneath them and what they hold went
+        stale.
         """
         return self._version
 
@@ -198,22 +213,40 @@ class PathSet:
         return self._paths[index]
 
     def paths_containing_node(self, node: NodeId) -> list[int]:
-        """Row indices of paths passing through ``node``."""
-        return [i for i, path in enumerate(self._paths) if path.contains_node(node)]
+        """Row indices of paths passing through ``node`` (ascending, fresh list)."""
+        return list(self._node_rows().get(node, ()))
 
     def paths_containing_any_node(self, nodes: Iterable[NodeId]) -> list[int]:
         """Row indices of paths passing through any node in ``nodes``."""
-        node_set = set(nodes)
-        return [i for i, path in enumerate(self._paths) if path.contains_any_node(node_set)]
+        index = self._node_rows()
+        return sorted(set().union(*(index.get(node, ()) for node in set(nodes))))
 
     def paths_containing_link(self, link_index: int) -> list[int]:
-        """Row indices of paths traversing the given link."""
-        return [i for i, path in enumerate(self._paths) if path.contains_link(link_index)]
+        """Row indices of paths traversing the given link (ascending, fresh list)."""
+        return list(self._link_rows().get(link_index, ()))
 
     def paths_containing_any_link(self, link_indices: Iterable[int]) -> list[int]:
         """Row indices of paths traversing any of the given links."""
-        link_set = set(link_indices)
-        return [i for i, path in enumerate(self._paths) if path.contains_any_link(link_set)]
+        index = self._link_rows()
+        return sorted(set().union(*(index.get(link, ()) for link in set(link_indices))))
+
+    def _cached(self, name: str, build):
+        """``build()`` memoised for the current :attr:`version`."""
+        entry = self._derived.get(name)
+        if entry is None or entry[0] != self._version:
+            entry = (self._version, build())
+            self._derived[name] = entry
+        return entry[1]
+
+    def _link_rows(self) -> dict[int, list[int]]:
+        """Inverted index link -> ascending rows of the paths traversing it."""
+        return self._cached(
+            "link_rows", lambda: _inverted(p.link_indices for p in self._paths)
+        )
+
+    def _node_rows(self) -> dict[NodeId, list[int]]:
+        """Inverted index node -> ascending rows of the paths visiting it."""
+        return self._cached("node_rows", lambda: _inverted(p.nodes for p in self._paths))
 
     def monitor_pairs(self) -> set[frozenset]:
         """The set of unordered endpoint pairs covered by the paths."""
@@ -224,11 +257,16 @@ class PathSet:
 
         ``R[i, j] = 1`` iff path ``i`` traverses link ``j`` — eq. (1) of the
         paper.  Float dtype because the matrix immediately enters numerical
-        linear algebra.
+        linear algebra.  Built once per :attr:`version` and shared by every
+        caller, so the array is read-only: copy it before writing.
         """
+        return self._cached("routing_matrix", self._build_routing_matrix)
+
+    def _build_routing_matrix(self) -> np.ndarray:
         rows, cols = self._incidence_indices()
         matrix = np.zeros((len(self._paths), self.topology.num_links), dtype=float)
         matrix[rows, cols] = 1.0
+        matrix.flags.writeable = False
         return matrix
 
     def sparse_routing_matrix(self) -> "scipy.sparse.csr_matrix":
@@ -279,3 +317,12 @@ class PathSet:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<PathSet: {len(self._paths)} paths over {self.topology!r}>"
+
+
+def _inverted(members: Iterable[Iterable]) -> dict:
+    """``key -> ascending rows`` over per-row member sequences."""
+    index: dict = {}
+    for row, keys in enumerate(members):
+        for key in set(keys):
+            index.setdefault(key, []).append(row)
+    return index

@@ -38,7 +38,6 @@ from repro.obs import core as obs
 from repro.scenarios.montecarlo import run_batched_trials, run_trials, success_rate
 from repro.scenarios.scenario import Scenario
 from repro.tomography.estimator_zoo import calibrated_alpha, resolve_estimator
-from repro.tomography.linear_system import LinearSystem
 
 __all__ = [
     "ablation_estimator_zoo",
@@ -125,7 +124,9 @@ def detection_ratio_experiment(
         )
     confined = attacker_model == "confined"
     stealth_first = attacker_model in ("confined", "unconfined")
-    detector = ConsistencyDetector(scenario.path_set.routing_matrix(), alpha=alpha)
+    detector = ConsistencyDetector(
+        scenario.path_set.routing_matrix(), alpha=alpha, system=scenario.system
+    )
 
     def trial(rng: np.random.Generator) -> dict | None:
         nodes = scenario.topology.nodes()
@@ -243,9 +244,9 @@ def ablation_estimator_zoo(
             f"estimator_params for families not being ablated: {sorted(unknown)}"
         )
     # One factorisation serves every family: each estimator is resolved
-    # over the same shared kernel (the RP001 discipline this ablation
-    # stress-tests).
-    system = LinearSystem(scenario.path_set.routing_matrix())
+    # over the scenario's shared kernel (the RP001 discipline this
+    # ablation stress-tests).
+    system = scenario.system
     honest = scenario.honest_measurements()
     rows = []
     with obs.span(
@@ -273,9 +274,7 @@ def ablation_estimator_zoo(
                 size = int(rng.choice(list(attacker_sizes)))
                 picks = rng.choice(len(nodes), size=min(size, len(nodes)), replace=False)
                 attackers = [nodes[int(i)] for i in picks]
-                context = scenario.attack_context(
-                    attackers, system=system, estimator=estimator
-                )
+                context = scenario.attack_context(attackers, estimator=estimator)
                 perfect, imperfect = _victim_pools(
                     scenario, attackers, set(context.controlled_links)
                 )
@@ -403,7 +402,9 @@ def false_alarm_experiment(
     no alarms fire; passing a noise model measures how ``alpha`` absorbs
     real measurement randomness (ablation bench).
     """
-    detector = ConsistencyDetector(scenario.path_set.routing_matrix(), alpha=alpha)
+    detector = ConsistencyDetector(
+        scenario.path_set.routing_matrix(), alpha=alpha, system=scenario.system
+    )
     engine = scenario.engine(noise_model)
 
     def draw(rng: np.random.Generator) -> np.ndarray:

@@ -30,6 +30,7 @@ from repro.topology.generators.geometric import random_geometric_topology
 from repro.topology.generators.isp import synthetic_rocketfuel
 
 __all__ = [
+    "sample_victim",
     "standard_wireline_scenario",
     "standard_wireless_scenario",
     "success_probability_sweep",
@@ -61,8 +62,13 @@ def _sample_attackers(scenario: Scenario, rng: np.random.Generator, sizes) -> li
     return [nodes[int(i)] for i in picks]
 
 
-def _sample_victim(scenario: Scenario, rng: np.random.Generator, forbidden: set) -> int | None:
-    """Draw a measured victim link whose endpoints are not attackers."""
+def sample_victim(scenario: Scenario, rng: np.random.Generator, forbidden: set) -> int | None:
+    """Draw a measured victim link whose endpoints are not attackers.
+
+    Candidates are taken in link order and one ``rng.integers`` draw picks
+    among them, so the Fig. 7 trials and the sweep grid's chosen-victim
+    points consume their streams identically.
+    """
     measured = [
         link.index
         for link in scenario.topology.links()
@@ -107,7 +113,7 @@ def success_probability_sweep(
 
     def trial(rng: np.random.Generator) -> dict | None:
         attackers = _sample_attackers(scenario, rng, attacker_sizes)
-        victim = _sample_victim(scenario, rng, set(attackers))
+        victim = sample_victim(scenario, rng, set(attackers))
         if victim is None:
             return None
         ratio = attack_presence_ratio(scenario.path_set, attackers, [victim])

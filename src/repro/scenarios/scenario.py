@@ -23,6 +23,7 @@ from repro.metrics.states import StateThresholds
 from repro.monitors.placement import random_monitor_placement
 from repro.routing.paths import PathSet
 from repro.routing.selection import select_identifiable_paths
+from repro.tomography.linear_system import LinearSystem
 from repro.topology.graph import NodeId, Topology
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_finite_vector
@@ -64,6 +65,32 @@ class Scenario:
             self.true_metrics, "true_metrics", length=self.topology.num_links
         )
         self.monitors = tuple(self.monitors)
+        # (path set, its version, system) of the last ``system`` build.
+        self._system_memo: tuple[PathSet, int, LinearSystem] | None = None
+
+    def __getstate__(self) -> dict:
+        # Factors stay behind: a pickled scenario (a worker chunk of
+        # ``run_trials(workers=N)``) refactorizes on first use instead of
+        # shipping them.
+        state = self.__dict__.copy()
+        state["_system_memo"] = None
+        return state
+
+    @property
+    def system(self) -> LinearSystem:
+        """The one :class:`LinearSystem` over ``path_set.routing_matrix()``.
+
+        Every :meth:`attack_context` and :meth:`auditor` shares it, so the
+        factorization runs once per path set, not once per trial.  Built
+        on first use (the backend is resolved then) and rebuilt when the
+        path set's :attr:`~repro.routing.paths.PathSet.version` moves.
+        """
+        path_set = self.path_set
+        memo = self._system_memo
+        if memo is None or memo[0] is not path_set or memo[1] != path_set.version:
+            memo = (path_set, path_set.version, LinearSystem(path_set.routing_matrix()))
+            self._system_memo = memo
+        return memo[2]
 
     # ------------------------------------------------------------------
     # builders
@@ -152,10 +179,11 @@ class Scenario:
     ) -> AttackContext:
         """An :class:`AttackContext` for the given attacker set.
 
-        ``system`` optionally injects a pre-factorised
+        The context runs on :attr:`system` unless ``system`` injects
+        another pre-factorised
         :class:`~repro.tomography.linear_system.LinearSystem` over this
-        scenario's routing matrix (see the sweep engine's factorization
-        cache); omitted, the context factorises its own.  ``estimator``
+        scenario's routing matrix (the sweep engine's factorization cache
+        does; one built with ``backend=`` pins the kernel).  ``estimator``
         selects the defender's inversion family (zoo name, built
         estimator, or None = the ``REPRO_ESTIMATOR`` knob).
         """
@@ -166,7 +194,7 @@ class Scenario:
             thresholds=self.thresholds,
             cap=self.cap,
             margin=self.margin,
-            system=system,
+            system=self.system if system is None else system,
             estimator=estimator,
         )
 
@@ -185,16 +213,16 @@ class Scenario:
     ) -> TomographyAuditor:
         """The operator's audited-tomography pipeline.
 
-        ``system`` optionally shares a pre-factorised kernel with the
-        detector (same contract as :meth:`attack_context`); ``estimator``
-        selects the inversion family the audit runs (zoo name, built
-        estimator, or None = the ``REPRO_ESTIMATOR`` knob).
+        The detector runs on :attr:`system` unless ``system`` injects
+        another kernel (same contract as :meth:`attack_context`);
+        ``estimator`` selects the inversion family the audit runs (zoo
+        name, built estimator, or None = the ``REPRO_ESTIMATOR`` knob).
         """
         return TomographyAuditor(
             self.path_set,
             thresholds=self.thresholds,
             alpha=alpha,
-            system=system,
+            system=self.system if system is None else system,
             estimator=estimator,
         )
 

@@ -27,7 +27,6 @@ from repro.metrics.states import LinkState
 from repro.scenarios.montecarlo import run_trials
 from repro.scenarios.scenario import Scenario
 from repro.tomography.diagnosis import diagnose
-from repro.tomography.linear_system import estimator_operator
 
 __all__ = ["knowledge_sensitivity_experiment"]
 
@@ -62,9 +61,9 @@ def knowledge_sensitivity_experiment(
     """
     planning_margin = scenario.margin if margin is None else float(margin)
     victims = tuple(sorted(set(int(v) for v in victim_links)))
-    matrix = scenario.path_set.routing_matrix()
-    operator = estimator_operator(matrix)
-    honest = matrix @ scenario.true_metrics
+    system = scenario.system
+    operator = system.estimator
+    honest = scenario.honest_measurements()
     rows = []
     for sigma in knowledge_sigmas:
         if sigma < 0:
@@ -82,6 +81,7 @@ def knowledge_sensitivity_experiment(
                 thresholds=scenario.thresholds,
                 cap=scenario.cap,
                 margin=planning_margin,
+                system=system,
             )
             outcome = ChosenVictimAttack(context, victims, mode=mode).run()
             if not outcome.feasible:

@@ -37,6 +37,7 @@ from repro.exceptions import ReproError, SerializationError
 from repro.metrics.states import StateThresholds
 from repro.obs import core as obs
 from repro.perf import instrumentation as perf
+from repro.scenarios.experiments import sample_victim
 from repro.scenarios.montecarlo import iter_map_chunks
 from repro.scenarios.scenario import Scenario
 from repro.sweep.cache import FactorizationCache
@@ -106,20 +107,6 @@ def _sample_attackers(scenario: Scenario, rng: np.random.Generator, count: int) 
     return [nodes[int(i)] for i in picks]
 
 
-def _sample_victim(scenario: Scenario, rng: np.random.Generator, forbidden: set) -> int | None:
-    """Draw a measured victim link whose endpoints are not attackers."""
-    measured = [
-        link.index
-        for link in scenario.topology.links()
-        if link.u not in forbidden
-        and link.v not in forbidden
-        and scenario.path_set.paths_containing_link(link.index)
-    ]
-    if not measured:
-        return None
-    return int(measured[int(rng.integers(len(measured)))])
-
-
 # ----------------------------------------------------------------------
 # one grid point
 # ----------------------------------------------------------------------
@@ -183,7 +170,7 @@ def run_grid_point(
             if point.strategy == "chosen-victim":
                 from repro.attacks.chosen_victim import ChosenVictimAttack
 
-                victim = _sample_victim(scenario, rng, set(attackers))
+                victim = sample_victim(scenario, rng, set(attackers))
                 if victim is None:
                     record.update(_infeasible_fields("no victim candidate"))
                 else:

@@ -83,26 +83,6 @@ _REFINE_STEPS = 2
 _REFINE_ATOL = 64.0 * np.finfo(float).eps
 
 
-def _memoised_columns(memo, kind, cols, build):
-    """Column-slice memo shared by both backends.
-
-    Every warm LP model of an attack context consumes the same
-    ``Q[:, support]`` / ``C[:, support]`` blocks; one sweep grid point
-    may ask for them several times (per-strategy contexts on a shared
-    kernel).  On the sparse
-    backend each build is a batched matrix-free solve, so repeats are
-    worth remembering.  Keys are the requested column tuple — distinct
-    support sets coexist — and the cached block is returned as-is; the
-    LP layer never mutates these blocks.
-    """
-    key = (kind, tuple(int(c) for c in np.asarray(cols, dtype=int)))
-    block = memo.get(key)
-    if block is None:
-        block = build(np.asarray(cols, dtype=int))
-        memo[key] = block
-    return block
-
-
 def resolve_backend_name(
     requested: str | None,
     *,
@@ -182,7 +162,6 @@ class DenseBackend:
     def __init__(self, matrix: np.ndarray, rank_tol: float) -> None:
         self.matrix = matrix
         self.rank_tol = rank_tol
-        self._column_memo: dict[tuple, np.ndarray] = {}
 
     @cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -255,17 +234,10 @@ class DenseBackend:
         return self.column_space_projector @ ys - ys
 
     def estimator_columns(self, cols: np.ndarray) -> np.ndarray:
-        return _memoised_columns(
-            self._column_memo, "estimator", cols, lambda c: self.estimator[:, c]
-        )
+        return self.estimator[:, cols]
 
     def residual_projector_columns(self, cols: np.ndarray) -> np.ndarray:
-        return _memoised_columns(
-            self._column_memo,
-            "residual",
-            cols,
-            lambda c: self.residual_projector[:, c],
-        )
+        return self.residual_projector[:, cols]
 
     # -- incremental evolution (LinearSystem.evolve seam) ------------------
 
@@ -384,7 +356,6 @@ class SparseBackend:
 
     def __init__(self, owner) -> None:
         self._owner = owner
-        self._column_memo: dict[tuple, np.ndarray] = {}
         self._regularized_factors: dict[float, tuple] = {}
 
     # -- storage ----------------------------------------------------------
@@ -648,15 +619,8 @@ class SparseBackend:
 
         ``R⁺[:, j] = R⁺ e_j``, so the requested columns are one
         :meth:`estimate_many` over the corresponding identity columns —
-        the full dense pseudo-inverse is never formed.  Memoised per
-        column set: repeat requests (shared solvers, warm engines) reuse
-        the solved block.
+        the full dense pseudo-inverse is never formed.
         """
-        return _memoised_columns(
-            self._column_memo, "estimator", cols, self._estimator_columns_uncached
-        )
-
-    def _estimator_columns_uncached(self, cols: np.ndarray) -> np.ndarray:
         m = self._owner.num_paths
         if cols.size == 0:
             return np.zeros((self._owner.num_links, 0))
@@ -666,11 +630,6 @@ class SparseBackend:
 
     def residual_projector_columns(self, cols: np.ndarray) -> np.ndarray:
         """Selected columns of ``I - R R⁺`` without the dense projector."""
-        return _memoised_columns(
-            self._column_memo, "residual", cols, self._residual_columns_uncached
-        )
-
-    def _residual_columns_uncached(self, cols: np.ndarray) -> np.ndarray:
         m = self._owner.num_paths
         if cols.size == 0:
             return np.zeros((m, 0))

@@ -56,12 +56,24 @@ class TestConstruction:
 
 
 class TestCheck:
-    def test_honest_measurements_stay_quiet(self, detector):
+    def test_honest_measurements_stay_quiet(self):
+        # The exact-zero residual of honest data is a least-squares
+        # property, so the estimator is pinned; biased families leave a
+        # small residual (next test).
+        detector = OnlineConsistencyDetector(
+            _incidence(10, 6, 3, 2), alpha=5.0, estimator="ls"
+        )
         x = np.full(detector.system.num_links, 10.0)
         result = detector.check(detector.system.predict(x))
         assert not result.detected
         assert result.residual_l1 < 1e-8
         assert detector.checks == 1
+
+    def test_honest_measurements_stay_quiet_under_resolved_estimator(self, detector):
+        x = np.full(detector.system.num_links, 10.0)
+        result = detector.check(detector.system.predict(x))
+        assert not result.detected
+        assert result.residual_l1 <= detector.alpha
 
     def test_inconsistent_measurements_detected(self, detector):
         x = np.full(detector.system.num_links, 10.0)

@@ -1,11 +1,17 @@
 """Tests for MeasurementPath and PathSet."""
 
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import InvalidPathError, LinkNotFoundError, ValidationError
 from repro.routing.paths import MeasurementPath, PathSet
-from repro.topology.generators.simple import paper_example_network
+from repro.routing.selection import select_identifiable_paths
+from repro.scenarios.simple_network import paper_fig1_scenario
+from repro.topology.generators.simple import grid_topology, paper_example_network
 
 
 @pytest.fixture()
@@ -125,3 +131,99 @@ class TestPathSet:
     def test_empty_routing_matrix_shape(self, topo):
         ps = PathSet(topo)
         assert ps.routing_matrix().shape == (0, 10)
+
+
+@cache
+def _path_pool(name: str) -> tuple:
+    """(topology, paths) to draw churn from: the Fig. 1 set or a 4x4 grid."""
+    if name == "fig1":
+        path_set = paper_fig1_scenario().path_set
+    else:
+        topology = grid_topology(4, 4)
+        monitors = [n for n in topology.nodes() if topology.degree(n) <= 3]
+        path_set = select_identifiable_paths(topology, monitors, rng=0)
+    return path_set.topology, tuple(path_set.paths())
+
+
+def _scan(path_set: PathSet, predicate) -> list[int]:
+    """The linear-scan reference every indexed query must reproduce."""
+    return [row for row, path in enumerate(path_set) if predicate(path)]
+
+
+def _assert_queries_match_scan(path_set: PathSet, probes: list[int]) -> None:
+    topology = path_set.topology
+    nodes = topology.nodes()
+    # One link and one node past the topology: no path contains them.
+    for link in range(topology.num_links + 1):
+        assert path_set.paths_containing_link(link) == _scan(
+            path_set, lambda p: p.contains_link(link)
+        )
+    for node in [*nodes, "nowhere"]:
+        assert path_set.paths_containing_node(node) == _scan(
+            path_set, lambda p: p.contains_node(node)
+        )
+    links = {probe % (topology.num_links + 1) for probe in probes}
+    some_nodes = {nodes[probe % len(nodes)] for probe in probes}
+    assert path_set.paths_containing_any_link(links) == _scan(
+        path_set, lambda p: p.contains_any_link(links)
+    )
+    assert path_set.paths_containing_any_node(some_nodes) == _scan(
+        path_set, lambda p: p.contains_any_node(some_nodes)
+    )
+
+
+class TestDerivedState:
+    """Indexed queries and the shared R follow every append/remove."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pool=st.sampled_from(["fig1", "grid"]),
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 10_000)), min_size=1, max_size=12
+        ),
+        probes=st.lists(st.integers(0, 10_000), max_size=5),
+    )
+    def test_queries_match_linear_scan_under_churn(self, pool, ops, probes):
+        topology, paths = _path_pool(pool)
+        path_set = PathSet(topology, paths[: len(paths) // 2])
+        _assert_queries_match_scan(path_set, probes)
+        for append, pick in ops:
+            if append or not len(path_set):
+                path_set.append(paths[pick % len(paths)])
+            else:
+                path_set.remove(pick % len(path_set))
+            _assert_queries_match_scan(path_set, probes)
+
+    def test_returned_rows_are_fresh_lists(self):
+        topology, paths = _path_pool("fig1")
+        path_set = PathSet(topology, paths)
+        link, node = paths[0].link_indices[0], paths[0].nodes[0]
+        expected_link = path_set.paths_containing_link(link)
+        expected_node = path_set.paths_containing_node(node)
+        path_set.paths_containing_link(link).append(999)
+        path_set.paths_containing_node(node).clear()
+        path_set.paths_containing_any_link([link]).append(999)
+        assert path_set.paths_containing_link(link) == expected_link
+        assert path_set.paths_containing_node(node) == expected_node
+
+    def test_routing_matrix_is_read_only(self):
+        topology, paths = _path_pool("fig1")
+        matrix = PathSet(topology, paths).routing_matrix()
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 5.0
+
+    def test_routing_matrix_shared_until_mutation(self):
+        topology, paths = _path_pool("grid")
+        path_set = PathSet(topology, paths[:-1])
+        first = path_set.routing_matrix()
+        assert path_set.routing_matrix() is first
+        path_set.append(paths[-1])
+        grown = path_set.routing_matrix()
+        assert grown is not first
+        assert grown.shape[0] == first.shape[0] + 1
+        assert path_set.routing_matrix() is grown
+        path_set.remove(0)
+        shrunk = path_set.routing_matrix()
+        assert shrunk is not grown
+        assert np.array_equal(shrunk, grown[1:])

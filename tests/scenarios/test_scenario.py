@@ -1,11 +1,17 @@
 """Tests for the Scenario bundle."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
 from repro.measurement.noise import GaussianNoise
+from repro.perf import recording
 from repro.scenarios.scenario import Scenario
+from repro.scenarios.simple_network import paper_fig1_scenario
+from repro.tomography.backends import BACKEND_ENV_VAR
+from repro.tomography.linear_system import LinearSystem
 from repro.topology.generators.simple import (
     grid_topology,
     paper_example_network,
@@ -97,3 +103,69 @@ class TestDerived:
         assert desc["paths"] == 23
         assert desc["monitors"] == 3
         assert desc["thresholds"] == (100.0, 800.0)
+
+
+class TestSharedSystem:
+    """One factorization per path set, shared by every context and audit."""
+
+    @pytest.mark.parametrize(
+        ("backend", "factorization"), [("dense", "svd"), ("sparse", "gram_cholesky")]
+    )
+    def test_contexts_and_auditor_share_one_factorization(
+        self, monkeypatch, backend, factorization
+    ):
+        scenario = paper_fig1_scenario()
+        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+        attacker_sets = (["B"], ["C"], ["B", "C"], ["A", "D"], ["D"])
+        with recording() as recorder:
+            for attackers in attacker_sets:
+                context = scenario.attack_context(attackers)
+                assert context.system is scenario.system
+                context.support_operator  # noqa: B018 - touches the factors
+                context.baseline_estimate  # noqa: B018
+            # Pinned to LS: a regularized family adds its own shifted Gram
+            # factorization on the sparse backend.
+            auditor = scenario.auditor(alpha=50.0, estimator="ls")
+            auditor.audit(scenario.honest_measurements())
+        assert scenario.system.backend_name == backend
+        assert recorder.counters[factorization] == 1
+        assert recorder.counters["svd"] + recorder.counters["gram_cholesky"] == 1
+
+    def test_churn_rebuilds_the_system(self):
+        scenario = paper_fig1_scenario()
+        before = scenario.system
+        assert scenario.system is before
+        scenario.path_set.remove(0)
+        after = scenario.system
+        assert after is not before
+        assert after.num_paths == before.num_paths - 1
+        cold = LinearSystem(scenario.path_set.routing_matrix().copy())
+        honest = scenario.honest_measurements()
+        np.testing.assert_allclose(
+            after.estimate(honest), cold.estimate(honest), rtol=0, atol=1e-9
+        )
+        context = scenario.attack_context(["B", "C"])
+        assert context.system is after
+        assert context.num_paths == after.num_paths
+
+    def test_pickle_drops_the_factorization(self):
+        scenario = paper_fig1_scenario()
+        cold_bytes = pickle.dumps(scenario)
+        honest = scenario.honest_measurements()
+        expected = scenario.system.estimate(honest)
+        assert scenario.system.rank > 0  # factorized
+        warm_bytes = pickle.dumps(scenario)
+        assert len(warm_bytes) <= len(cold_bytes)
+        clone = pickle.loads(warm_bytes)
+        assert np.array_equal(
+            clone.path_set.routing_matrix(), scenario.path_set.routing_matrix()
+        )
+        np.testing.assert_allclose(
+            clone.system.estimate(honest), expected, rtol=0, atol=1e-9
+        )
+
+    def test_injected_system_pins_the_backend(self, fig1_scenario):
+        pinned = LinearSystem(fig1_scenario.path_set.routing_matrix(), backend="sparse")
+        context = fig1_scenario.attack_context(["B", "C"], system=pinned)
+        assert context.system is pinned
+        assert fig1_scenario.auditor(system=pinned).detector.estimator.system is pinned

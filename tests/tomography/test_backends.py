@@ -219,6 +219,40 @@ class TestReferenceCounting:
         np.testing.assert_allclose(matrix @ basis, 0.0, atol=PARITY_TOL)
 
 
+class TestColumnBlocks:
+    """Column blocks are computed per request; the kernel keeps none."""
+
+    @staticmethod
+    def _state(obj) -> dict:
+        return {
+            name: len(value) if isinstance(value, (dict, list)) else id(value)
+            for name, value in vars(obj).items()
+        }
+
+    def test_dense_system_keeps_no_state_per_support(self):
+        matrix = _incidence(40, 20, 4, seed=8)
+        system = LinearSystem(matrix, backend="dense")
+        estimator = system.estimator
+        projector = system.residual_projector
+        system.estimator_columns(np.array([0]))
+        system.residual_projector_columns(np.array([0]))
+        before = (self._state(system), self._state(system._backend))
+        rng = np.random.default_rng(9)
+        supports: set[tuple[int, ...]] = set()
+        while len(supports) < 200:
+            size = int(rng.integers(1, 7))
+            supports.add(tuple(sorted(rng.choice(40, size=size, replace=False))))
+        for support in sorted(supports):
+            cols = np.asarray(support, dtype=int)
+            np.testing.assert_array_equal(
+                system.estimator_columns(cols), estimator[:, cols]
+            )
+            np.testing.assert_array_equal(
+                system.residual_projector_columns(cols), projector[:, cols]
+            )
+        assert (self._state(system), self._state(system._backend)) == before
+
+
 class TestSparseEndToEnd:
     def test_fig1_attack_damage_matches_dense(self, monkeypatch):
         """The full chosen-victim pipeline agrees across backends."""
