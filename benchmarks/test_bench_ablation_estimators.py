@@ -9,17 +9,12 @@ bench quantifies this: all three estimators blame the scapegoat and give
 the attacker links a clean bill.
 """
 
-import numpy as np
-
 from repro.attacks.chosen_victim import ChosenVictimAttack
 from repro.metrics.states import LinkState
 from repro.reporting.tables import format_table
 from repro.tomography.diagnosis import diagnose
-from repro.tomography.estimators import (
-    LeastSquaresEstimator,
-    NonNegativeEstimator,
-    RidgeEstimator,
-)
+from repro.tomography.estimator_zoo import resolve_estimator
+from repro.tomography.estimators import LeastSquaresEstimator
 
 
 def test_ablation_estimators_vs_stealthy_attack(benchmark, fig1_scenario, record):
@@ -30,8 +25,10 @@ def test_ablation_estimators_vs_stealthy_attack(benchmark, fig1_scenario, record
         matrix = fig1_scenario.path_set.routing_matrix()
         estimators = {
             "least-squares (paper eq. 2)": LeastSquaresEstimator(matrix),
-            "non-negative LS": NonNegativeEstimator(matrix),
-            "ridge (lam=1e-3)": RidgeEstimator(matrix, lam=1e-3),
+            "non-negative LS": resolve_estimator("nnls", routing_matrix=matrix),
+            "ridge (lam=1e-3)": resolve_estimator(
+                "ridge", routing_matrix=matrix, lam=1e-3
+            ),
         }
         rows = []
         for label, estimator in estimators.items():

@@ -1,19 +1,19 @@
-"""Extension — scapegoating over a multi-round measurement campaign.
+"""Extension — scapegoating over a multi-epoch measurement campaign.
 
 An operator running tomography periodically acts on *persistent*
-anomalies.  This bench runs a 20-round campaign against the Fig. 1
-scenario for three attacker profiles and reports what the operator's
-logbook shows: the stealthy perfect-cut attacker frames link 1 in every
-round and is never detected; the imperfect-cut attacker is caught from
-its first active round; an intermittent attacker is caught exactly in its
-active rounds.
+anomalies.  This bench runs a 20-epoch campaign (no path churn) against
+the Fig. 1 scenario for three attacker profiles and reports what the
+operator's logbook shows: the stealthy perfect-cut attacker frames link 1
+(index 0) in every epoch and is never detected; the imperfect-cut attacker
+is caught from its first active epoch; an intermittent attacker is caught
+exactly in its active epochs.
 """
 
 from repro.attacks.chosen_victim import ChosenVictimAttack
 from repro.reporting.tables import format_table
-from repro.scenarios.timeseries import MeasurementCampaign
+from repro.scenarios.streaming import ChurnEvent, StreamingCampaign
 
-ROUNDS = 20
+EPOCHS = 20
 
 
 def test_ext_campaign_timeline(benchmark, fig1_scenario, record):
@@ -21,15 +21,20 @@ def test_ext_campaign_timeline(benchmark, fig1_scenario, record):
         context = fig1_scenario.attack_context(["B", "C"])
         stealthy = ChosenVictimAttack(context, [0], stealthy=True).run()
         loud = ChosenVictimAttack(context, [9], mode="exclusive").run()
-        campaign = MeasurementCampaign(fig1_scenario)
+
+        def campaign(outcome):
+            return StreamingCampaign(
+                fig1_scenario,
+                attacker_nodes=["B", "C"],
+                attack_factory=lambda _context: outcome,
+            )
+
+        schedule = [ChurnEvent()] * EPOCHS
         return {
-            "stealthy": campaign.run(ROUNDS, manipulation=stealthy.manipulation, rng=0),
-            "persistent": campaign.run(ROUNDS, manipulation=loud.manipulation, rng=0),
-            "intermittent": campaign.run(
-                ROUNDS,
-                manipulation=loud.manipulation,
-                active_rounds=[3, 7, 8, 15],
-                rng=0,
+            "stealthy": campaign(stealthy).run(schedule, rng=0),
+            "persistent": campaign(loud).run(schedule, rng=0),
+            "intermittent": campaign(loud).run(
+                schedule, active_epochs=[3, 7, 8, 15], rng=0
             ),
         }
 
@@ -40,23 +45,23 @@ def test_ext_campaign_timeline(benchmark, fig1_scenario, record):
         rows.append(
             [
                 label,
-                len(result.attacked_rounds),
-                len(result.detected_rounds),
+                len(result.attacked_epochs),
+                len(result.detected_epochs),
                 latency if latency is not None else "never",
                 result.most_blamed_link(),
                 max(result.blame_counts.values(), default=0),
             ]
         )
     text = (
-        f"Extension: {ROUNDS}-round measurement campaigns (Fig. 1 scenario)\n"
+        f"Extension: {EPOCHS}-epoch measurement campaigns (Fig. 1 scenario)\n"
         + format_table(
             [
                 "attacker",
-                "attacked rounds",
-                "detected rounds",
+                "attacked epochs",
+                "detected epochs",
                 "detection latency",
                 "most blamed link",
-                "blame rounds",
+                "blame epochs",
             ],
             rows,
         )
@@ -64,14 +69,14 @@ def test_ext_campaign_timeline(benchmark, fig1_scenario, record):
     record("ext_campaign", text)
 
     stealthy = results["stealthy"]
-    assert stealthy.detected_rounds == ()
+    assert stealthy.detected_epochs == ()
     assert stealthy.most_blamed_link() == 0
-    assert stealthy.blame_counts[0] == ROUNDS
+    assert stealthy.blame_counts[0] == EPOCHS
 
     persistent = results["persistent"]
     assert persistent.detection_latency() == 0
-    assert len(persistent.detected_rounds) == ROUNDS
+    assert len(persistent.detected_epochs) == EPOCHS
 
     intermittent = results["intermittent"]
-    assert set(intermittent.detected_rounds) == {3, 7, 8, 15}
-    assert intermittent.false_alarm_rounds == ()
+    assert set(intermittent.detected_epochs) == {3, 7, 8, 15}
+    assert intermittent.false_alarm_epochs == ()

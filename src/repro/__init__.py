@@ -75,8 +75,6 @@ from repro.measurement import (
 from repro.tomography import (
     LeastSquaresEstimator,
     LinearSystem,
-    NonNegativeEstimator,
-    RidgeEstimator,
     diagnose,
 )
 from repro.attacks import (
@@ -99,7 +97,7 @@ from repro.detection import (
     TomographyAuditor,
     TrimmedLeastSquares,
 )
-from repro.scenarios import MeasurementCampaign, Scenario
+from repro.scenarios import Scenario, StreamingCampaign
 
 __version__ = "1.0.0"
 
@@ -149,8 +147,6 @@ __all__ = [
     # tomography
     "LeastSquaresEstimator",
     "LinearSystem",
-    "NonNegativeEstimator",
-    "RidgeEstimator",
     "diagnose",
     # attacks
     "AttackContext",
@@ -171,6 +167,6 @@ __all__ = [
     "TomographyAuditor",
     "TrimmedLeastSquares",
     # scenarios
-    "MeasurementCampaign",
     "Scenario",
+    "StreamingCampaign",
 ]

@@ -9,7 +9,7 @@ than merely documented:
   factorisation flows through :class:`repro.tomography.linear_system.LinearSystem`
   / :mod:`repro.utils.linalg`, RNG state is threaded as explicit
   :class:`numpy.random.Generator` parameters, no wall-clock reads outside
-  ``perf/``, no ``assert`` for validation, no silent broad exception
+  ``obs/``, no ``assert`` for validation, no silent broad exception
   handlers.  Exposed on the CLI as ``repro lint``.
 - :mod:`repro.analysis.contracts` — lightweight runtime decorators that
   validate the ``y = R x`` algebra at public entry points (0/1 routing

@@ -10,19 +10,17 @@ fails the lint run instead of being skipped silently.
 Two entry points share this machinery:
 
 - :func:`lint_paths` — the per-file rules only, one module at a time.
-- :func:`analyze_paths` — the whole-program analyzer: per-file facts are
-  extracted once (through the SHA-256 content cache), the per-file rules
-  run on cache misses, and the project rules (RP006+) run over the
-  assembled :class:`~repro.analysis.project.ProjectModel`.  Results fold
-  into an :class:`AnalysisReport` carrying severities, baseline
-  suppression, and cache statistics.
+- :func:`analyze_paths` — the whole-program analyzer: each file is parsed
+  once, that one tree feeds both the per-file facts and the per-file
+  rules, and the project rules (RP006+) run over the assembled
+  :class:`~repro.analysis.project.ProjectModel`.  Results fold into an
+  :class:`AnalysisReport` carrying severities and baseline suppression.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-import hashlib
 import json
 import re
 from collections.abc import Iterable, Sequence
@@ -45,7 +43,6 @@ if TYPE_CHECKING:  # resolved lazily at runtime to keep lint importable alone
 
 __all__ = [
     "AnalysisReport",
-    "DEFAULT_CACHE_DIR",
     "PROFILES",
     "analyze_paths",
     "collect_python_files",
@@ -57,9 +54,6 @@ __all__ = [
     "noqa_rules_for_line",
     "write_baseline",
 ]
-
-#: Default location of the content-hash facts cache.
-DEFAULT_CACHE_DIR = ".repro-analysis-cache"
 
 #: Severity profiles: rules demoted to advisory per audience.  Library
 #: code answers for every rule; test/benchmark/example code may multiply
@@ -254,8 +248,6 @@ class AnalysisReport:
     suppressed: int = 0
     expired: list[dict[str, Any]] = field(default_factory=list)
     files: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     root_package: str = "repro"
     rules: list[str] = field(default_factory=list)
 
@@ -330,36 +322,6 @@ def _detect_root_package(facts_list: list[ModuleFacts]) -> str:
     return max(sorted(counts), key=lambda name: counts[name])
 
 
-def _violations_from_facts(facts: ModuleFacts, rule_ids: set[str]) -> list[Violation]:
-    """Reconstruct the cached per-file findings, noqa-filtered."""
-    found: list[Violation] = []
-    if facts.parse_error is not None:
-        found.append(
-            Violation(
-                rule="RP000",
-                path=facts.path,
-                line=facts.parse_error["lineno"],
-                col=facts.parse_error["col"],
-                message=f"syntax error: {facts.parse_error['message']}",
-            )
-        )
-        return found
-    for rule_id, entries in facts.violations.items():
-        if rule_id not in rule_ids:
-            continue
-        for entry in entries:
-            violation = Violation(
-                rule=entry["rule"],
-                path=entry["path"],
-                line=entry["line"],
-                col=entry["col"],
-                message=entry["message"],
-            )
-            if not _suppressed_by_noqa(violation, facts.noqa):
-                found.append(violation)
-    return found
-
-
 def _suppressed_by_noqa(
     violation: Violation, noqa: dict[int, list[str] | None]
 ) -> bool:
@@ -374,69 +336,57 @@ def analyze_paths(
     *,
     select: Iterable[str] | None = None,
     profile: str = "src",
-    use_cache: bool = True,
-    cache_dir: str | Path = DEFAULT_CACHE_DIR,
     layers_path: str | Path | None = None,
     root_package: str | None = None,
     baseline: str | Path | None = None,
 ) -> AnalysisReport:
     """Run the whole-program analyzer over ``paths``.
 
-    Per-file facts (and per-file rule findings) round-trip through the
-    content-hash cache; the project rules re-run every time over the
-    assembled model — they are cheap once extraction is amortised.
+    Per-file facts and per-file rule findings come from one parse per
+    file; the project rules then run over the assembled model.
     """
-    from repro.analysis.project import AnalysisCache, ProjectModel, extract_facts
+    from repro.analysis.project import ProjectModel, extract_facts
 
     path_list = [Path(p) for p in paths]
     rules = resolve_selection(select)
     file_rule_instances = [r for r in rules if not isinstance(r, ProjectRule)]
     project_rule_instances = [r for r in rules if isinstance(r, ProjectRule)]
-    file_rule_ids = {r.rule_id for r in file_rule_instances}
-    signature = ",".join(sorted(file_rule_ids))
-    cache = (
-        AnalysisCache(cache_dir, rules_signature=signature) if use_cache else None
-    )
     roots = [p if p.is_dir() else p.parent for p in path_list]
 
     facts_list: list[ModuleFacts] = []
+    violations: list[Violation] = []
     for file_path in collect_python_files(path_list):
         rel = _relative_to_root(file_path, roots)
         source = file_path.read_text(encoding="utf-8")
-        facts = None
-        if cache is not None:
-            sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
-            facts = cache.load(rel, sha)
-        if facts is None:
-            tree = None
-            try:
-                tree = ast.parse(source, filename=str(file_path))
-            except SyntaxError:
-                pass  # extract_facts records the parse error itself
-            facts = extract_facts(file_path, rel_path=rel, source=source, tree=tree)
-            if tree is not None and file_rule_instances:
-                module = ModuleSource(
-                    path=file_path,
-                    rel_path=rel,
-                    source=source,
-                    tree=tree,
-                    lines=source.splitlines(),
+        try:
+            tree = ast.parse(source, filename=str(file_path))
+        except SyntaxError as exc:
+            facts_list.append(extract_facts(file_path, rel_path=rel, source=source))
+            violations.append(
+                Violation(
+                    rule="RP000",
+                    path=str(file_path),
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 1) - 1,
+                    message=f"syntax error: {exc.msg}",
                 )
-                for rule in file_rule_instances:
-                    found = list(rule.check(module))
-                    if found:
-                        facts.violations[rule.rule_id] = [
-                            v.as_dict() for v in found
-                        ]
-            if cache is not None:
-                cache.store(facts)
+            )
+            continue
+        facts = extract_facts(file_path, rel_path=rel, source=source, tree=tree)
         facts_list.append(facts)
+        module = ModuleSource(
+            path=file_path,
+            rel_path=rel,
+            source=source,
+            tree=tree,
+            lines=source.splitlines(),
+        )
+        for rule in file_rule_instances:
+            violations.extend(
+                v for v in rule.check(module) if not _suppressed_by_noqa(v, facts.noqa)
+            )
 
-    violations: list[Violation] = []
-    facts_by_path: dict[str, ModuleFacts] = {}
-    for facts in facts_list:
-        facts_by_path[facts.path] = facts
-        violations.extend(_violations_from_facts(facts, file_rule_ids))
+    facts_by_path = {facts.path: facts for facts in facts_list}
 
     detected_root = root_package or _detect_root_package(facts_list)
     project = ProjectModel(
@@ -456,8 +406,6 @@ def analyze_paths(
 
     report = AnalysisReport(
         files=len(facts_list),
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
         root_package=detected_root,
         rules=sorted(r.rule_id for r in rules),
     )
@@ -482,11 +430,7 @@ def analyze_paths(
 
 
 def format_analysis(report: AnalysisReport, *, fmt: str = "text") -> str:
-    """Render an analysis report as ``text`` or deterministic ``json``.
-
-    The JSON payload deliberately excludes cache statistics so that a
-    cold and a warm run of the same tree produce byte-identical output.
-    """
+    """Render an analysis report as ``text`` or deterministic ``json``."""
     if fmt == "json":
         payload = {
             "root_package": report.root_package,
@@ -516,7 +460,5 @@ def format_analysis(report: AnalysisReport, *, fmt: str = "text") -> str:
     )
     if report.suppressed:
         summary += f", {report.suppressed} baseline-suppressed"
-    if report.cache_hits or report.cache_misses:
-        summary += f" [cache {report.cache_hits} hit / {report.cache_misses} miss]"
     lines.append(summary)
     return "\n".join(lines)

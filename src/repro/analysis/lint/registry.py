@@ -85,7 +85,7 @@ class ModuleSource:
     """One parsed module handed to every rule.
 
     ``rel_path`` uses forward slashes relative to the lint root so rules
-    can express path-based exemptions (``perf/``, the linalg kernel)
+    can express path-based exemptions (``obs/``, the linalg kernel)
     portably.
     """
 
@@ -100,7 +100,7 @@ class ModuleSource:
         return any(self.rel_path.endswith(suffix) for suffix in suffixes)
 
     def in_directory(self, name: str) -> bool:
-        """True when any path component equals ``name`` (e.g. ``perf``).
+        """True when any path component equals ``name`` (e.g. ``obs``).
 
         Checks both the root-relative path and the filesystem path: when a
         package directory is linted directly (``repro lint src/repro/obs``)

@@ -11,7 +11,7 @@ that nothing checked statically before:
   threaded as explicit :class:`numpy.random.Generator` parameters
   (coerced only by :mod:`repro.utils.rng`).
 - **RP003** — no wall-clock or stdlib-``random`` nondeterminism outside
-  ``perf/`` and ``obs/`` (protects ``run_trials(workers=N)`` bit-identity).
+  ``obs/`` (protects ``run_trials(workers=N)`` bit-identity).
 - **RP004** — no ``assert`` for validation in library code (stripped under
   ``python -O``); raise :mod:`repro.exceptions` types instead.
 - **RP005** — no silent broad ``except`` handler: catching ``Exception``
@@ -203,21 +203,21 @@ class _FunctionScopeIndex:
 
 @register_rule
 class NondeterminismRule(LintRule):
-    """RP003: no wall-clock or stdlib-``random`` reads outside ``perf/``/``obs/``.
+    """RP003: no wall-clock or stdlib-``random`` reads outside ``obs/``.
 
     Worker-pool trials are reassembled in trial order and must be
     bit-identical to serial runs; any wall-clock read or hidden stdlib RNG
     in library code makes outputs depend on scheduling.  Timing belongs in
-    :mod:`repro.perf` and :mod:`repro.obs` (the observability layer stamps
-    its own monotonic ``t``; instrumented modules read its clock, never
-    their own), randomness in threaded Generators.
+    :mod:`repro.obs` (the observability layer stamps its own monotonic
+    ``t``; instrumented modules open spans, never read a clock), randomness
+    in threaded Generators.
     """
 
     rule_id = "RP003"
-    summary = "wall-clock (time.*/datetime.now) or stdlib random outside perf//obs/"
+    summary = "wall-clock (time.*/datetime.now) or stdlib random outside obs/"
 
     def check(self, module: ModuleSource) -> Iterator[Violation]:
-        if module.in_directory("perf") or module.in_directory("obs"):
+        if module.in_directory("obs"):
             return
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Attribute):
@@ -229,7 +229,7 @@ class NondeterminismRule(LintRule):
                         module,
                         node,
                         f"wall-clock read {'.'.join(chain)}; timing belongs "
-                        "in repro.perf",
+                        "in repro.obs",
                     )
                 elif "datetime" in chain[:-1] and chain[-1] in _WALL_CLOCK_DATETIME:
                     yield self.violation(

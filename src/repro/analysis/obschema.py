@@ -299,7 +299,7 @@ def render_obs_catalog(project: ProjectModel) -> str:
         lines += [
             "## Instrumentation sites",
             "",
-            "Every named `obs`/`perf` emission call in the package.",
+            "Every named `obs` emission call in the package.",
             "",
             "| api | name | site |",
             "|-----|------|------|",

@@ -1,18 +1,11 @@
 """Shared project model for the whole-program analyzer.
 
 One pass over the tree parses every module once and distils it into
-JSON-serialisable :class:`ModuleFacts` — imports (with scope), function
-and class bodies (calls, global writes, mutations), ``REPRO_*``
-environment reads, obs-event emissions, pool dispatch sites, noqa and
-allowlist markers, and the per-file lint findings themselves.  The
-whole-program rules (RP006–RP010) consume only these facts, never raw
-ASTs, which buys two things:
-
-- **One parse per file.**  Nine rules share a single ``ast.parse``.
-- **A content-hash result cache.**  Facts are pure functions of the file
-  bytes (plus the extractor/rule version), so they round-trip through
-  ``.repro-analysis-cache/`` keyed by SHA-256 — a warm ``repro analyze``
-  never parses an unchanged file again.
+:class:`ModuleFacts` — imports (with scope), function and class bodies
+(calls, global writes, mutations), ``REPRO_*`` environment reads,
+obs-event emissions, pool dispatch sites, and noqa and allowlist
+markers.  The whole-program rules (RP006–RP010) consume only these
+facts, never raw ASTs, and the per-file rules share the same parse.
 
 Module identity is filesystem-derived: a file belongs to the dotted
 module spelled by its chain of ``__init__.py``-bearing parent
@@ -23,24 +16,17 @@ matter which root the analyzer was pointed at.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 __all__ = [
-    "FACTS_VERSION",
-    "AnalysisCache",
     "FunctionFacts",
     "ModuleFacts",
     "ProjectModel",
     "extract_facts",
     "module_name_of",
 ]
-
-#: Bump when the extracted-facts schema changes (invalidates the cache).
-FACTS_VERSION = 2
 
 #: Methods whose call on a name counts as mutating that object in place.
 _MUTATING_METHODS = frozenset(
@@ -65,7 +51,7 @@ _MUTATING_METHODS = frozenset(
 _DISPATCH_CALLEES = frozenset({"run_trials", "run_batched_trials", "iter_map_chunks"})
 
 #: obs emission APIs catalogued by the schema pass (literal first argument).
-_OBS_APIS = frozenset({"event", "counter", "gauge", "span", "stage"})
+_OBS_APIS = frozenset({"event", "counter", "gauge", "span"})
 
 
 def _attribute_chain(node: ast.AST) -> list[str] | None:
@@ -96,24 +82,6 @@ class FunctionFacts:
     partial_binds: dict[str, str] = field(default_factory=dict)
     nested_defs: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "lineno": self.lineno,
-            "params": list(self.params),
-            "calls": list(self.calls),
-            "global_writes": list(self.global_writes),
-            "module_mutations": list(self.module_mutations),
-            "param_mutations": list(self.param_mutations),
-            "partial_binds": dict(self.partial_binds),
-            "nested_defs": list(self.nested_defs),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> FunctionFacts:
-        return cls(**data)
-
 
 @dataclass
 class ModuleFacts:
@@ -122,7 +90,6 @@ class ModuleFacts:
     path: str
     rel_path: str
     module: str | None
-    sha256: str
     imports: list[dict[str, Any]] = field(default_factory=list)
     functions: list[FunctionFacts] = field(default_factory=list)
     classes: list[dict[str, Any]] = field(default_factory=list)
@@ -137,8 +104,6 @@ class ModuleFacts:
     dispatch_sites: list[dict[str, Any]] = field(default_factory=list)
     noqa: dict[int, list[str] | None] = field(default_factory=dict)
     markers: dict[int, list[str]] = field(default_factory=dict)
-    violations: dict[str, list[dict[str, Any]]] = field(default_factory=dict)
-    parse_error: dict[str, Any] | None = None
 
     def sub_module(self, root: str) -> str | None:
         """The dotted path under ``root`` ('' for the root package itself)."""
@@ -158,71 +123,6 @@ class ModuleFacts:
             for method in cls["methods"]:
                 index[method.qualname] = method
         return index
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "path": self.path,
-            "rel_path": self.rel_path,
-            "module": self.module,
-            "sha256": self.sha256,
-            "imports": list(self.imports),
-            "functions": [fn.to_dict() for fn in self.functions],
-            "classes": [
-                {
-                    "name": cls["name"],
-                    "bases": list(cls["bases"]),
-                    "lineno": cls["lineno"],
-                    "methods": [m.to_dict() for m in cls["methods"]],
-                }
-                for cls in self.classes
-            ],
-            "module_level_names": list(self.module_level_names),
-            "str_constants": dict(self.str_constants),
-            "all_exports": list(self.all_exports),
-            "public_defs": list(self.public_defs),
-            "name_refs": list(self.name_refs),
-            "env_reads": list(self.env_reads),
-            "config_reads": list(self.config_reads),
-            "obs_emits": list(self.obs_emits),
-            "dispatch_sites": list(self.dispatch_sites),
-            "noqa": [[line, codes] for line, codes in sorted(self.noqa.items())],
-            "markers": [[line, names] for line, names in sorted(self.markers.items())],
-            "violations": {k: list(v) for k, v in self.violations.items()},
-            "parse_error": self.parse_error,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> ModuleFacts:
-        return cls(
-            path=data["path"],
-            rel_path=data["rel_path"],
-            module=data["module"],
-            sha256=data["sha256"],
-            imports=list(data["imports"]),
-            functions=[FunctionFacts.from_dict(f) for f in data["functions"]],
-            classes=[
-                {
-                    "name": c["name"],
-                    "bases": list(c["bases"]),
-                    "lineno": c["lineno"],
-                    "methods": [FunctionFacts.from_dict(m) for m in c["methods"]],
-                }
-                for c in data["classes"]
-            ],
-            module_level_names=list(data["module_level_names"]),
-            str_constants=dict(data["str_constants"]),
-            all_exports=list(data["all_exports"]),
-            public_defs=list(data["public_defs"]),
-            name_refs=list(data["name_refs"]),
-            env_reads=list(data["env_reads"]),
-            config_reads=list(data["config_reads"]),
-            obs_emits=list(data["obs_emits"]),
-            dispatch_sites=list(data["dispatch_sites"]),
-            noqa={int(line): codes for line, codes in data["noqa"]},
-            markers={int(line): list(names) for line, names in data["markers"]},
-            violations={k: list(v) for k, v in data["violations"].items()},
-            parse_error=data.get("parse_error"),
-        )
 
 
 def module_name_of(path: Path) -> str | None:
@@ -575,7 +475,7 @@ class _Extractor(ast.NodeVisitor):
         if not chain or len(chain) < 2:
             return
         owner, api = chain[-2], chain[-1]
-        if api not in _OBS_APIS or owner not in ("obs", "log", "perf", "obs_core"):
+        if api not in _OBS_APIS or owner not in ("obs", "log", "obs_core"):
             return
         name = None
         if node.args and isinstance(node.args[0], ast.Constant):
@@ -664,23 +564,16 @@ def extract_facts(
     the redundant work.
     """
     text = source if source is not None else path.read_text(encoding="utf-8")
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     facts = ModuleFacts(
         path=str(path),
         rel_path=rel_path,
         module=module_name_of(path),
-        sha256=digest,
     )
     if tree is None:
         try:
             tree = ast.parse(text, filename=str(path))
-        except SyntaxError as exc:
-            facts.parse_error = {
-                "lineno": exc.lineno or 1,
-                "col": (exc.offset or 1) - 1,
-                "message": str(exc.msg),
-            }
-            return facts
+        except SyntaxError:
+            return facts  # an unparsable file contributes no facts
     # Pre-pass: module-level string constants must be known before call
     # arguments referencing them are resolved, regardless of file order.
     for node in tree.body:
@@ -727,46 +620,3 @@ class ProjectModel:
                 if source is not None:
                     return source.str_constants.get(imp["name"])
         return None
-
-
-class AnalysisCache:
-    """Content-hash cache of per-file facts under ``.repro-analysis-cache/``.
-
-    The key covers the relative path, the file's SHA-256, the facts
-    schema version, and the registered rule signature — any of those
-    changing is a miss.  The cache is strictly best-effort: unreadable or
-    unwritable entries degrade to a re-parse, never to an error.
-    """
-
-    def __init__(self, directory: str | Path, *, rules_signature: str) -> None:
-        self.directory = Path(directory)
-        self.rules_signature = rules_signature
-        self.hits = 0
-        self.misses = 0
-
-    def _key_path(self, rel_path: str, sha256: str) -> Path:
-        key = f"{rel_path}|{sha256}|v{FACTS_VERSION}|{self.rules_signature}"
-        return self.directory / (hashlib.sha256(key.encode("utf-8")).hexdigest() + ".json")
-
-    def load(self, rel_path: str, sha256: str) -> ModuleFacts | None:
-        entry = self._key_path(rel_path, sha256)
-        try:
-            payload = json.loads(entry.read_text(encoding="utf-8"))
-            facts = ModuleFacts.from_dict(payload)
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-        self.hits += 1
-        return facts
-
-    def store(self, facts: ModuleFacts) -> None:
-        self.misses += 1
-        entry = self._key_path(facts.rel_path, facts.sha256)
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            tmp = entry.with_suffix(".tmp")
-            tmp.write_text(json.dumps(facts.to_dict()), encoding="utf-8")
-            tmp.replace(entry)
-        except OSError:
-            # Read-only checkouts and racing writers lose the cache entry,
-            # never the analysis.
-            return

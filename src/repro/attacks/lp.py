@@ -53,7 +53,6 @@ from repro import config
 from repro.attacks.lp_engine import PersistentLpSolver, prune_capacities
 from repro.exceptions import AttackError, ValidationError
 from repro.obs import core as obs
-from repro.perf import instrumentation as perf
 from repro.utils.validation import check_finite_vector
 
 __all__ = [
@@ -311,8 +310,8 @@ def _solve_assembled(
     large_cap = resolve_unbounded_cap(resolve_cap) if cap is None else None
     var_cap = cap if large_cap is None else large_cap
     k = len(support_list)
-    perf.record_event("lp_solve")
-    with perf.stage("lp_solve"):
+    obs.counter("lp_solve")
+    with obs.span("lp_solve"):
         result = linprog(
             c=-np.ones(k),
             A_ub=a_ub,
@@ -457,7 +456,7 @@ def solve_manipulation_lp(
     if not support_list:
         return _empty_support_solution(bands.lower, bands.upper, x_true, num_paths)
 
-    with perf.stage("lp_assembly"):
+    with obs.span("lp_assembly"):
         sub = _resolve_sub_operator(
             estimator_operator, sub_operator, support_list, num_paths
         )
@@ -539,7 +538,7 @@ class IncrementalLpSolver:
         self._base_lower = np.array(base_bands.lower, dtype=float)
         self._base_upper = np.array(base_bands.upper, dtype=float)
         self._support = _checked_support(support, num_paths)
-        with perf.stage("lp_assembly"):
+        with obs.span("lp_assembly"):
             self._sub_operator = _resolve_sub_operator(
                 estimator_operator, sub_operator, self._support, num_paths
             )
@@ -659,7 +658,7 @@ class IncrementalLpSolver:
                 "rebase bands must have one bound per link "
                 f"({self.num_links}), got {lower.shape} / {upper.shape}"
             )
-        perf.record_event("lp_rebase")
+        obs.counter("lp_rebase")
         self._x_true = x_true
         self._base_lower = lower
         self._base_upper = upper
@@ -696,7 +695,7 @@ class IncrementalLpSolver:
             reason = self.presolve_prune_reason(overrides)
             if reason is not None:
                 self.presolve_pruned += 1
-                perf.record_event("lp_presolve_prune")
+                obs.counter("lp_presolve_prune")
                 if obs.is_enabled():
                     obs.event(
                         "lp_presolve_prune",

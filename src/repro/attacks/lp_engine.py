@@ -41,7 +41,6 @@ from scipy.optimize._highspy import _core as highs  # noqa: PLC2701
 
 from repro.exceptions import ValidationError
 from repro.obs import core as obs
-from repro.perf import instrumentation as perf
 
 __all__ = [
     "PersistentLpSolver",
@@ -165,7 +164,7 @@ class PersistentLpSolver:
         self._model.setOptionValue("output_flag", False)
         self._model.setOptionValue("threads", 1)
         self._model.passModel(lp)
-        perf.record_event("lp_model_build")
+        obs.counter("lp_model_build")
         self.solves = 0
 
     def _row_bounds(
@@ -230,9 +229,9 @@ class PersistentLpSolver:
                 float(lower) if np.isfinite(lower) else -_INF,
                 float(upper) if np.isfinite(upper) else _INF,
             )
-        perf.record_event("lp_solve")
+        obs.counter("lp_solve")
         try:
-            with perf.stage("lp_solve"):
+            with obs.span("lp_solve"):
                 self._model.run()
                 status = self._model.getModelStatus()
                 optimal = status == highs.HighsModelStatus.kOptimal

@@ -20,8 +20,8 @@ without writing any code:
   trees;
 - ``analyze`` — run the whole-program analyzer (per-file rules plus the
   cross-module passes RP006-RP010: layer contract, config registry,
-  worker-state discipline, obs schema, dead code) with a content-hash
-  result cache and baseline-file support;
+  worker-state discipline, obs schema, dead code) with baseline-file
+  support;
 - ``obs`` — inspect structured observability logs (``obs summarize``).
 
 All output is plain text on stdout; exit status 0 on success, 1 on
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="run the whole-program analyzer (RP001-RP010) with caching",
+        help="run the whole-program analyzer (RP001-RP010)",
     )
     analyze.add_argument(
         "paths",
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="fmt",
         choices=["text", "json"],
         default="text",
-        help="report format (json is deterministic across cache states)",
+        help="report format (json is deterministic)",
     )
     analyze.add_argument(
         "--select",
@@ -245,16 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="accept the current findings: write them as a baseline and exit 0",
-    )
-    analyze.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the content-hash facts cache",
-    )
-    analyze.add_argument(
-        "--cache-dir",
-        default=None,
-        help="facts cache directory (default: .repro-analysis-cache)",
     )
     analyze.add_argument(
         "--layers",
@@ -289,8 +279,7 @@ def _cmd_info() -> int:
         ("repro.attacks", "the scapegoating strategies and planning"),
         ("repro.detection", "consistency detector, robust estimation"),
         ("repro.scenarios", "case studies and Monte-Carlo experiments"),
-        ("repro.perf", "event counters and stage timers"),
-        ("repro.obs", "structured run logs, manifests, summaries"),
+        ("repro.obs", "instrumentation: run logs, counters, manifests"),
         ("repro.analysis", "lint rules and runtime algebra contracts"),
     ]
     for name, what in inventory:
@@ -732,7 +721,6 @@ def _cmd_lint(args) -> int:
 
 def _cmd_analyze(args) -> int:
     from repro.analysis.lint.engine import (
-        DEFAULT_CACHE_DIR,
         analyze_paths,
         format_analysis,
         write_baseline,
@@ -746,8 +734,6 @@ def _cmd_analyze(args) -> int:
             args.paths,
             select=_parse_select(args.select),
             profile=args.profile,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir or DEFAULT_CACHE_DIR,
             layers_path=args.layers,
             baseline=args.baseline,
         )

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.exceptions import DetectionError
 from repro.obs import core as obs
-from repro.perf import instrumentation as perf
 from repro.detection.consistency import DetectionResult
 from repro.tomography.estimator_zoo import resolve_estimator
 from repro.tomography.linear_system import LinearSystem
@@ -155,7 +154,7 @@ class OnlineConsistencyDetector:
             )
         if not np.all(np.isfinite(y)):
             raise DetectionError("observed measurements must be finite")
-        perf.record_event("online_check")
+        obs.counter("online_check")
         estimate = self._estimator.estimate(y)
         residual = self._system.predict(estimate) - y
         residual_l1 = float(np.abs(residual).sum())

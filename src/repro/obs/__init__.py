@@ -1,15 +1,17 @@
 """Structured observability: JSONL run logs, manifests, and summaries.
 
-``repro.obs`` generalises the :mod:`repro.perf` stage timers into a
-first-class run log.  When a log is active, every instrumented hot path
+``repro.obs`` is the library's one instrumentation API: hot paths call
+``obs.span``, ``obs.counter``, ``obs.event`` and ``obs.gauge``, and
+nothing else.  When a log is active, every instrumented hot path
 (SVD factorisations, LP assembly and solves, Monte-Carlo chunks,
 detection sweeps, the CLI itself) appends one JSON object per event to a
 ``.jsonl`` file — nested spans with durations, monotonically aggregated
 counters, and gauge samples — and a *run manifest* (seed, config digest,
 package version, topology summary, wall/CPU time) is written next to it.
 
-The layer is **off by default** and costs one global load plus a ``None``
-check per hook when disabled.  Enable it either programmatically::
+The layer is **off by default** and costs a global load plus a ``None``
+check per hook when disabled (two for ``counter``).  Enable it either
+programmatically::
 
     from repro import obs
 
@@ -25,15 +27,17 @@ Environment variables: ``REPRO_OBS`` (truthy enables), ``REPRO_OBS_PATH``
 (exact run-log path), ``REPRO_OBS_DIR`` (directory for auto-named logs,
 default ``obs_runs/``).
 
-:mod:`repro.perf.instrumentation` is a thin shim over this layer: its
-``stage``/``record_event`` hooks forward into the active event log, so
-every pre-existing instrumentation point shows up in run logs without
-any caller changes.
+Counter totals can also be read in memory, without a file::
+
+    with obs.recording() as recorder:
+        MaxDamageAttack(context).run()
+    recorder.counters["lp_solve"]
 """
 
 from repro.obs.core import (
     SCHEMA_VERSION,
     EventLog,
+    PerfRecorder,
     active_log,
     counter,
     default_run_path,
@@ -44,6 +48,7 @@ from repro.obs.core import (
     event,
     gauge,
     is_enabled,
+    recording,
     span,
 )
 from repro.obs.manifest import RunManifest, config_digest
@@ -57,6 +62,7 @@ from repro.obs.summary import (
 __all__ = [
     "SCHEMA_VERSION",
     "EventLog",
+    "PerfRecorder",
     "RunManifest",
     "active_log",
     "config_digest",
@@ -71,6 +77,7 @@ __all__ = [
     "gauge",
     "is_enabled",
     "read_events",
+    "recording",
     "span",
     "summarize_events",
     "summarize_run",

@@ -25,11 +25,16 @@ Non-finite floats in user-supplied fields are encoded as the strings
 ``"Infinity"`` / ``"-Infinity"`` / ``"NaN"`` so every line stays strict
 JSON (``allow_nan=False`` is enforced on write).
 
-Like :mod:`repro.perf.instrumentation`, this module is stdlib-only apart
-from the leaf-level :mod:`repro.config` knob registry, and imports
-nothing else from ``repro`` so that any layer can report into it without
-cycles.  When no log is active every module-level hook is a single
-global load plus a ``None`` check.
+The module-level hooks (:func:`span`, :func:`counter`, :func:`event`,
+:func:`gauge`) are the library's one instrumentation API.  Besides the
+run log, :func:`counter` also feeds an in-memory :class:`PerfRecorder`
+activated by :func:`recording` — how tests and the repository benchmark
+read counter totals without writing a file.
+
+This module is stdlib-only apart from the leaf-level :mod:`repro.config`
+knob registry, and imports nothing else from ``repro`` so that any layer
+can report into it without cycles.  When nothing is active every hook is
+a global load plus a ``None`` check (two for :func:`counter`).
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from repro import config
 __all__ = [
     "SCHEMA_VERSION",
     "EventLog",
+    "PerfRecorder",
     "active_log",
     "counter",
     "default_run_path",
@@ -57,6 +63,7 @@ __all__ = [
     "event",
     "gauge",
     "is_enabled",
+    "recording",
     "sanitize",
     "span",
 ]
@@ -234,8 +241,22 @@ def _package_version() -> str:
     return str(getattr(module, "__version__", "unknown"))
 
 
+class PerfRecorder:
+    """In-memory counter totals: what :func:`counter` reported while active.
+
+    ``counters`` maps a counter name (``"svd"``, ``"lp_solve"``, ...) to
+    its running total.  Spans, events and gauges go to the run log only.
+    """
+
+    def __init__(self) -> None:
+        self.counters: Counter[str] = Counter()
+
+
 #: The currently active event log (None = observability disabled).
 _ACTIVE: EventLog | None = None
+
+#: The currently active counter recorder (None = none).
+_RECORDER: PerfRecorder | None = None
 
 
 def active_log() -> EventLog | None:
@@ -271,7 +292,9 @@ def event(name: str, **fields: object) -> None:
 
 
 def counter(name: str, n: int = 1) -> None:
-    """Record ``n`` occurrences of ``name`` on the active log, if any."""
+    """Record ``n`` occurrences of ``name`` on the active recorder and log."""
+    if _RECORDER is not None:
+        _RECORDER.counters[name] += n
     if _ACTIVE is not None:
         _ACTIVE.counter(name, n)
 
@@ -306,6 +329,25 @@ def enabled(path: str | Path, *, run_id: str | None = None):
     finally:
         _ACTIVE = previous
         log.close()
+
+
+@contextmanager
+def recording(recorder: PerfRecorder | None = None):
+    """Activate ``recorder`` (a fresh one by default) for the block.
+
+    Independent of the run log: either, both or neither may be active.
+    Nesting replaces the active recorder for the inner block and
+    restores the outer one afterwards, so inner work is counted by the
+    innermost recorder only.
+    """
+    global _RECORDER
+    rec = recorder if recorder is not None else PerfRecorder()
+    previous = _RECORDER
+    _RECORDER = rec
+    try:
+        yield rec
+    finally:
+        _RECORDER = previous
 
 
 def env_enabled() -> bool:

@@ -1,25 +1,9 @@
-"""Performance layer: event and stage instrumentation.
+"""Re-export of the in-memory counter recorder from :mod:`repro.obs`.
 
-``repro.perf.instrumentation`` is the lightweight event/stage recorder the
-hot paths report into (SVD count, LP count, per-stage wall time); it is a
-no-op unless a recorder is activated, so the library pays nothing in
-normal use.  Timing the paper's evaluation pipelines end to end is the
-job of the repository benchmark (``perfbench/``), which reads these
-counters through :func:`recording`.
+The repository benchmark (``perfbench/``) imports :func:`recording` from
+here; library code reports through :mod:`repro.obs` only.
 """
 
-from repro.perf.instrumentation import (
-    PerfRecorder,
-    active_recorder,
-    record_event,
-    recording,
-    stage,
-)
+from repro.obs.core import PerfRecorder, recording
 
-__all__ = [
-    "PerfRecorder",
-    "active_recorder",
-    "record_event",
-    "recording",
-    "stage",
-]
+__all__ = ["PerfRecorder", "recording"]

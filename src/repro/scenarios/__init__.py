@@ -9,7 +9,9 @@
   (Figs. 7-8);
 - :mod:`~repro.scenarios.detection_experiments` — detection ratios
   (Fig. 9);
-- :mod:`~repro.scenarios.montecarlo` — seeded trial running and binning.
+- :mod:`~repro.scenarios.montecarlo` — seeded trial running and binning;
+- :mod:`~repro.scenarios.streaming` — multi-epoch measurement campaigns
+  with detection latency, blame tallies and optional path churn.
 """
 
 from repro.scenarios.scenario import Scenario
@@ -41,11 +43,6 @@ from repro.scenarios.serialization import (
     scenario_from_json,
     scenario_to_json,
 )
-from repro.scenarios.timeseries import (
-    CampaignResult,
-    MeasurementCampaign,
-    RoundResult,
-)
 from repro.scenarios.streaming import (
     ChurnEvent,
     EpochResult,
@@ -68,9 +65,6 @@ __all__ = [
     "detection_ratio_experiment",
     "loss_chosen_victim_case_study",
     "paper_fig1_loss_scenario",
-    "CampaignResult",
-    "MeasurementCampaign",
-    "RoundResult",
     "ChurnEvent",
     "EpochResult",
     "StreamResult",

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.obs import core as obs
-from repro.perf import instrumentation as perf
 from repro.utils.rng import spawn_rngs
 
 __all__ = [
@@ -140,8 +139,8 @@ def run_trials(
         )
 
     rngs = spawn_rngs(seed, num_trials)
-    perf.record_event("mc_trial", num_trials)
-    with perf.stage("mc_trials"):
+    obs.counter("mc_trial", num_trials)
+    with obs.span("mc_trials"):
         if workers is None or workers == 1:
             if obs.is_enabled():
                 obs.event("mc_run", trials=num_trials, workers=1, chunks=1)
@@ -213,8 +212,8 @@ def run_batched_trials(
         )
     chunk = chunk_size or 256
     rngs = spawn_rngs(seed, num_trials)
-    perf.record_event("mc_trial", num_trials)
-    with perf.stage("mc_trials"):
+    obs.counter("mc_trial", num_trials)
+    with obs.span("mc_trials"):
         draws = [draw(rng) for rng in rngs]
         kept = [np.asarray(d, dtype=float) for d in draws if d is not None]
         if obs.is_enabled():

@@ -1,10 +1,11 @@
-"""Timestepped measurement streams with per-epoch path churn.
+"""Multi-epoch measurement campaigns, with or without path churn.
 
-:class:`~repro.scenarios.timeseries.MeasurementCampaign` repeats rounds
-over a *fixed* path set; real networks churn — paths fail and recover
-mid-campaign, the routing matrix gains and loses rows, and both sides
-adapt.  This module adds the temporal layer over the incremental
-tomography kernel:
+The paper analyses a single measurement round; a real operator runs
+tomography periodically, applies the consistency check (eq. 23) after
+every round and acts on *persistent* anomalies.  Real networks also
+churn — paths fail and recover mid-campaign, the routing matrix gains
+and loses rows, and both sides adapt.  This module is that temporal
+layer over the incremental tomography kernel:
 
 - :class:`ChurnEvent` / :func:`random_churn_schedule` describe which
   paths fail and recover at each epoch (indices into the scenario's
@@ -20,9 +21,24 @@ tomography kernel:
   current system (default strategy: the naive per-path delay attack),
   then carried forward until the available support changes again.
 
-The epoch results record which factorization path each churn event took
-(``incremental``), so experiments can report the incremental hit rate
-alongside detection latency.
+A campaign over a fixed path set is a schedule of empty churn events
+(``[ChurnEvent()] * n``), and a fixed manipulation replays through the
+attack factory::
+
+    campaign = StreamingCampaign(
+        scenario, attacker_nodes=["B", "C"], attack_factory=lambda _ctx: outcome
+    )
+    result = campaign.run([ChurnEvent()] * 20, active_epochs=[3, 7], rng=0)
+
+What the operator would see is aggregated per campaign: the *detection
+latency* — attacked epochs before the detector first fires (0 = caught
+at once, ``None`` = never, e.g. a stealthy perfect-cut attacker) — and
+the *blame tally*, how many epochs each link was flagged abnormal.  A
+persistent scapegoat accumulates blame exactly like a genuinely failing
+link would, which is the paper's point: recovery would target the
+victim.  The epoch results also record which factorization path each
+churn event took (``incremental``), so experiments can report the
+incremental hit rate alongside detection latency.
 """
 
 from __future__ import annotations
@@ -140,9 +156,16 @@ class EpochResult:
 
 @dataclass(frozen=True)
 class StreamResult:
-    """Aggregated outcome of a streaming campaign."""
+    """Aggregated outcome of a streaming campaign.
+
+    ``blame_counts`` maps a link index to the number of epochs whose
+    estimate put it above ``scenario.thresholds.upper`` (the links
+    :func:`~repro.tomography.diagnosis.diagnose` reports abnormal); links
+    never flagged are absent.
+    """
 
     epochs: tuple[EpochResult, ...] = field(default_factory=tuple)
+    blame_counts: dict[int, int] = field(default_factory=dict)
 
     @property
     def num_epochs(self) -> int:
@@ -176,6 +199,12 @@ class StreamResult:
                 return elapsed
             elapsed += 1
         return None
+
+    def most_blamed_link(self) -> int | None:
+        """The link flagged abnormal in the most epochs (ties: lowest index)."""
+        if not self.blame_counts:
+            return None
+        return min(self.blame_counts, key=lambda j: (-self.blame_counts[j], j))
 
     def incremental_fraction(self) -> float | None:
         """Share of churn epochs absorbed by rank-1 factor patches.
@@ -290,11 +319,10 @@ class StreamingCampaign:
     ) -> StreamResult:
         """Stream one epoch per churn event and aggregate the results.
 
-        ``active_epochs`` selects when the attacker manipulates (same
-        contract as
-        :meth:`~repro.scenarios.timeseries.MeasurementCampaign.run`):
-        an iterable of epoch indices, a float activity probability, or
-        ``None`` for every epoch when attacker nodes were given.
+        ``active_epochs`` selects when the attacker manipulates: an
+        iterable of epoch indices, a float in (0, 1] drawn as an
+        independent per-epoch activity probability, or ``None`` for every
+        epoch when attacker nodes were given.
         """
         schedule = tuple(schedule)
         num_epochs = len(schedule)
@@ -325,7 +353,9 @@ class StreamingCampaign:
         plan: dict[int, float] = {}
         planned_support: frozenset | None = None
         epochs: list[EpochResult] = []
+        blame: dict[int, int] = {}
         true_metrics = self.scenario.true_metrics
+        upper = self.scenario.thresholds.upper
         for epoch, event in enumerate(schedule):
             incremental: bool | None = None
             if event.churns:
@@ -354,6 +384,8 @@ class StreamingCampaign:
             if attacked:
                 observed = observed + manipulation
             detection = self.detector.check(observed)
+            for j in np.flatnonzero(detection.estimate > upper).tolist():
+                blame[j] = blame.get(j, 0) + 1
             epochs.append(
                 EpochResult(
                     epoch=epoch,
@@ -365,7 +397,7 @@ class StreamingCampaign:
                     detection=detection,
                 )
             )
-        return StreamResult(epochs=tuple(epochs))
+        return StreamResult(epochs=tuple(epochs), blame_counts=blame)
 
     def _apply_churn(self, live: list[int], event: ChurnEvent) -> list[int]:
         """Advance the detector through one churn event; returns new live order.

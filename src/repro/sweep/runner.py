@@ -36,7 +36,6 @@ import numpy as np
 from repro.exceptions import ReproError, SerializationError
 from repro.metrics.states import StateThresholds
 from repro.obs import core as obs
-from repro.perf import instrumentation as perf
 from repro.scenarios.experiments import sample_victim
 from repro.scenarios.montecarlo import iter_map_chunks
 from repro.scenarios.scenario import Scenario
@@ -151,7 +150,7 @@ def run_grid_point(
         "num_attackers": point.num_attackers,
         "attackers": [obs.sanitize(a) for a in attackers],
     }
-    perf.record_event("sweep_point")
+    obs.counter("sweep_point")
     with obs.span(
         "sweep_point",
         index=point.index,
@@ -419,7 +418,7 @@ def run_sweep(
     ran = 0
     file_path.parent.mkdir(parents=True, exist_ok=True)
     mode = "a" if (resume and file_path.exists()) else "w"
-    with perf.stage("sweep_run"), file_path.open(mode, encoding="utf-8") as out:
+    with obs.span("sweep_run"), file_path.open(mode, encoding="utf-8") as out:
         if mode == "w":
             out.write(_encode_line(_header_line(spec)) + "\n")
             out.flush()

@@ -3,7 +3,7 @@
 - :mod:`~repro.tomography.linear_system` — residuals, consistency, and the
   estimator operator ``R⁺``;
 - :mod:`~repro.tomography.estimators` — the paper's least-squares estimator
-  (eq. 2) plus non-negative and ridge-regularised variants;
+  (eq. 2) with a rank check;
 - :mod:`~repro.tomography.estimator_zoo` — the registry-dispatched estimator
   families (``ls`` / ``bayes-map`` / ``ridge`` / ``nnls`` / ``l1``) behind
   the ``REPRO_ESTIMATOR`` knob;
@@ -17,11 +17,7 @@ from repro.tomography.estimator_zoo import (
     estimator_names,
     resolve_estimator,
 )
-from repro.tomography.estimators import (
-    LeastSquaresEstimator,
-    NonNegativeEstimator,
-    RidgeEstimator,
-)
+from repro.tomography.estimators import LeastSquaresEstimator
 from repro.tomography.linear_system import (
     LinearSystem,
     estimator_operator,
@@ -33,8 +29,6 @@ from repro.tomography.diagnosis import DiagnosisReport, diagnose
 __all__ = [
     "Estimator",
     "LeastSquaresEstimator",
-    "NonNegativeEstimator",
-    "RidgeEstimator",
     "calibrated_alpha",
     "estimator_names",
     "resolve_estimator",

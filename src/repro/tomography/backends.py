@@ -38,7 +38,7 @@ from scipy.sparse.linalg import lsmr
 
 from repro import config
 from repro.exceptions import ValidationError
-from repro.perf import instrumentation as perf
+from repro.obs import core as obs
 from repro.utils.linalg import compact_svd, pinv_from_svd
 from repro.utils.updates import (
     cholesky_append,
@@ -404,7 +404,7 @@ class SparseBackend:
         k = gram.shape[0]
         if k == 0:
             return None
-        perf.record_event("gram_cholesky")
+        obs.counter("gram_cholesky")
         try:
             factor = scipy.linalg.cho_factor(gram, check_finite=False)
         except scipy.linalg.LinAlgError:
@@ -445,7 +445,7 @@ class SparseBackend:
             return 0
         if self._cholesky is not None:
             return k
-        perf.record_event("gram_eigh")
+        obs.counter("gram_eigh")
         lam = scipy.linalg.eigvalsh(self._gram)
         s = np.sqrt(np.clip(lam, 0.0, None))
         s_max = float(s[-1])
@@ -526,7 +526,7 @@ class SparseBackend:
         return x
 
     def estimate(self, y: np.ndarray) -> np.ndarray:
-        perf.record_event("sparse_solve")
+        obs.counter("sparse_solve")
         if self._cholesky is not None:
             m, n = self.matrix.shape
             solve = self._solve_gram_tall if m >= n else self._solve_gram_wide
@@ -541,7 +541,7 @@ class SparseBackend:
         min-norm path has no blocked equivalent in scipy).
         """
         block = np.asarray(ys, dtype=float)
-        perf.record_event("sparse_solve")
+        obs.counter("sparse_solve")
         if block.ndim == 2 and block.shape[1] == 0:
             return np.zeros((self.matrix.shape[1], 0))
         if self._cholesky is not None:
@@ -565,7 +565,7 @@ class SparseBackend:
         """
         factor = self._regularized_factors.get(float(lam))
         if factor is None:
-            perf.record_event("gram_cholesky")
+            obs.counter("gram_cholesky")
             shifted = self._gram + float(lam) * np.eye(self._gram.shape[0])
             factor = scipy.linalg.cho_factor(shifted, check_finite=False)
             self._regularized_factors[float(lam)] = factor
@@ -582,7 +582,7 @@ class SparseBackend:
         well below the library parity tolerance.
         """
         block = np.asarray(ys, dtype=float)
-        perf.record_event("sparse_solve")
+        obs.counter("sparse_solve")
         factor = self._regularized_cholesky(lam)
         shifted = self._gram + float(lam) * np.eye(self._gram.shape[0])
         m, n = self.matrix.shape

@@ -182,6 +182,14 @@ class _ZooEstimator:
                 "estimators are built over a LinearSystem kernel; "
                 f"got {type(system).__name__}"
             )
+        # Every family needs at least one path and one link: nnls over an
+        # empty matrix corrupts the heap, and the others return vectors
+        # that mean nothing.
+        if system.num_paths == 0 or system.num_links == 0:
+            raise TomographyError(
+                "degenerate routing matrix shape "
+                f"({system.num_paths}, {system.num_links})"
+            )
         self.system = system
 
     def params(self) -> dict:

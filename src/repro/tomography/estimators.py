@@ -1,19 +1,11 @@
-"""Link-metric estimators.
+"""The paper's least-squares link-metric estimator (eq. 2).
 
-:class:`LeastSquaresEstimator` is the paper's estimator (eq. 2).  The two
-variants are defensive alternatives a cautious operator might deploy —
-non-negative least squares (link delays cannot be negative) and ridge
-regularisation (stabilises near-dependent path sets); the ablation benches
-measure whether they change scapegoating feasibility (they do not, for
-perfect cuts — the attack forges measurements that are *exactly* consistent
-with a legitimate metric vector).
-
-:class:`NonNegativeEstimator` and :class:`RidgeEstimator` are deprecated
-shims over the registry-dispatched families in
-:mod:`repro.tomography.estimator_zoo` (``"nnls"`` and ``"ridge"``) — they
-delegate every solve to the zoo member, so the two spellings can never
-drift numerically.  New code should call
-:func:`~repro.tomography.estimator_zoo.resolve_estimator` instead.
+:class:`LeastSquaresEstimator` adds one guard to the shared kernel: it
+refuses rank-deficient routing matrices unless told otherwise.  The
+defensive alternatives a cautious operator might deploy — non-negative
+least squares, ridge regularisation and the rest — are the families of
+:mod:`repro.tomography.estimator_zoo`, built with
+:func:`~repro.tomography.estimator_zoo.resolve_estimator`.
 """
 
 from __future__ import annotations
@@ -24,14 +16,7 @@ from repro.exceptions import SingularSystemError, TomographyError
 from repro.tomography.linear_system import LinearSystem
 from repro.utils.validation import check_finite_vector
 
-__all__ = ["LeastSquaresEstimator", "NonNegativeEstimator", "RidgeEstimator"]
-
-
-def _checked_matrix(routing_matrix: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(routing_matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] == 0 or matrix.shape[1] == 0:
-        raise TomographyError(f"degenerate routing matrix shape {matrix.shape}")
-    return matrix
+__all__ = ["LeastSquaresEstimator"]
 
 
 class LeastSquaresEstimator:
@@ -79,59 +64,3 @@ class LeastSquaresEstimator:
         y = check_finite_vector(measurements, "measurements", length=self._matrix.shape[0])
         return self._system.estimate(y)
 
-
-class NonNegativeEstimator:
-    """Non-negative least squares: ``min ||R x - y||_2`` s.t. ``x >= 0``.
-
-    .. deprecated:: delegates to the zoo family ``"nnls"``; use
-       ``resolve_estimator("nnls", routing_matrix=R)`` in new code.
-    """
-
-    def __init__(self, routing_matrix: np.ndarray) -> None:
-        from repro.tomography.estimator_zoo import resolve_estimator
-
-        self._matrix = _checked_matrix(routing_matrix)
-        self._delegate = resolve_estimator("nnls", routing_matrix=self._matrix)
-
-    @property
-    def routing_matrix(self) -> np.ndarray:
-        """A copy of ``R``."""
-        return self._matrix.copy()
-
-    def estimate(self, measurements: np.ndarray) -> np.ndarray:
-        """Estimate non-negative link metrics from path measurements."""
-        y = check_finite_vector(measurements, "measurements", length=self._matrix.shape[0])
-        return self._delegate.estimate(y)
-
-
-class RidgeEstimator:
-    """Tikhonov-regularised inversion: ``(R^T R + lam I)^{-1} R^T y``.
-
-    ``lam > 0`` always yields a well-posed system, at the cost of a small
-    bias toward zero.  Useful as a robustness baseline when the path set is
-    nearly rank-deficient.
-
-    .. deprecated:: delegates to the zoo family ``"ridge"``; use
-       ``resolve_estimator("ridge", routing_matrix=R, lam=lam)`` in new code.
-    """
-
-    def __init__(self, routing_matrix: np.ndarray, lam: float = 1e-6) -> None:
-        from repro.tomography.estimator_zoo import resolve_estimator
-
-        self._matrix = _checked_matrix(routing_matrix)
-        if lam <= 0:
-            raise TomographyError(f"ridge parameter must be positive, got {lam}")
-        self._delegate = resolve_estimator(
-            "ridge", routing_matrix=self._matrix, lam=float(lam)
-        )
-        self.lam = float(lam)
-
-    @property
-    def routing_matrix(self) -> np.ndarray:
-        """A copy of ``R``."""
-        return self._matrix.copy()
-
-    def estimate(self, measurements: np.ndarray) -> np.ndarray:
-        """Estimate link metrics with ridge regularisation."""
-        y = check_finite_vector(measurements, "measurements", length=self._matrix.shape[0])
-        return self._delegate.estimate(y)

@@ -30,7 +30,6 @@ import scipy.sparse
 from repro.analysis.contracts import check_routing_matrix, contract
 from repro.exceptions import ValidationError
 from repro.obs import core as obs
-from repro.perf import instrumentation as perf
 from repro.tomography.backends import (
     DenseBackend,
     SparseBackend,
@@ -214,8 +213,8 @@ class LinearSystem:
         new_system = LinearSystem(
             new_raw, rank_tol=self._rank_tol, backend=self.backend_name
         )
-        with perf.stage("system_evolve"):
-            perf.record_event("system_evolve")
+        with obs.span("system_evolve"):
+            obs.counter("system_evolve")
             incremental = self._backend.seed_evolution(
                 new_system._backend, removals, added
             )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.perf.instrumentation import record_event
+from repro.obs import core as obs
 
 __all__ = [
     "column_rank",
@@ -55,7 +55,7 @@ def compact_svd(
     m, n = mat.shape
     if mat.size == 0:
         return np.zeros((m, 0)), np.zeros(0), np.eye(n), 0
-    record_event("svd")
+    obs.counter("svd")
     # full_matrices only when the matrix is wide: that is the one case the
     # economy factorisation would truncate the right-singular basis needed
     # for the nullspace.
@@ -74,7 +74,7 @@ def column_rank(matrix: np.ndarray, tol: float | None = None) -> int:
     mat = _as_matrix(matrix)
     if mat.size == 0:
         return 0
-    record_event("svd")
+    obs.counter("svd")
     return int(np.linalg.matrix_rank(mat, tol=tol))
 
 

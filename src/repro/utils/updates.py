@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from repro.perf import instrumentation as perf
+from repro.obs import core as obs
 
 __all__ = [
     "cholesky_append",
@@ -79,8 +79,8 @@ def svd_append_row(
         core[np.arange(k), np.arange(k)] = s
         core[k, :k] = x1
         core[k, k] = rho
-        with perf.stage("svd_update"):
-            perf.record_event("svd_update")
+        with obs.span("svd_update"):
+            obs.counter("svd_update")
             cu, cs, cvt = np.linalg.svd(core)  # repro: noqa RP001
         u_new = np.empty((m + 1, k + 1))
         u_new[:m] = u @ cu[:k]
@@ -109,8 +109,8 @@ def svd_append_row(
     core = np.zeros((k + 1, k))
     core[np.arange(k), np.arange(k)] = s
     core[k] = x
-    with perf.stage("svd_update"):
-        perf.record_event("svd_update")
+    with obs.span("svd_update"):
+        obs.counter("svd_update")
         cu, cs, cvt = np.linalg.svd(core, full_matrices=False)  # repro: noqa RP001
     u_new = np.empty((m + 1, k))
     u_new[:m] = u @ cu[:k]
@@ -139,8 +139,8 @@ def svd_remove_row(
     c = u[index]
     z = s * c
     w_mat = np.diag(s * s) - np.outer(z, z)
-    with perf.stage("svd_downdate"):
-        perf.record_event("svd_downdate")
+    with obs.span("svd_downdate"):
+        obs.counter("svd_downdate")
         eigvals, eigvecs = scipy.linalg.eigh(w_mat)
     # eigh returns ascending order; the SVD convention is descending.
     eigvals = eigvals[::-1]
@@ -224,8 +224,8 @@ def cholesky_update(factor: np.ndarray, w: np.ndarray) -> np.ndarray:
     u_new = np.array(factor, dtype=float, order="K")
     work = np.asarray(w, dtype=float).copy()
     k = u_new.shape[0]
-    with perf.stage("cholesky_update"):
-        perf.record_event("cholesky_update")
+    with obs.span("cholesky_update"):
+        obs.counter("cholesky_update")
         for j in range(k):
             a = u_new[j, j]
             b = work[j]
@@ -250,8 +250,8 @@ def cholesky_downdate(factor: np.ndarray, w: np.ndarray) -> np.ndarray | None:
     u_new = np.array(factor, dtype=float, order="K")
     work = np.asarray(w, dtype=float).copy()
     k = u_new.shape[0]
-    with perf.stage("cholesky_downdate"):
-        perf.record_event("cholesky_downdate")
+    with obs.span("cholesky_downdate"):
+        obs.counter("cholesky_downdate")
         for j in range(k):
             a = u_new[j, j]
             b = work[j]
@@ -279,8 +279,8 @@ def cholesky_append(
     verbatim in the result.
     """
     k = factor.shape[0]
-    with perf.stage("cholesky_update"):
-        perf.record_event("cholesky_update")
+    with obs.span("cholesky_update"):
+        obs.counter("cholesky_update")
         if k:
             wv = scipy.linalg.solve_triangular(
                 factor, b, trans="T", check_finite=False
@@ -313,8 +313,8 @@ def cholesky_replace(
     must be a clean upper triangle.
     """
     k = factor.shape[0]
-    with perf.stage("cholesky_update"):
-        perf.record_event("cholesky_update")
+    with obs.span("cholesky_update"):
+        obs.counter("cholesky_update")
         trailing = cholesky_update(
             factor[index + 1 :, index + 1 :], factor[index, index + 1 :]
         )
@@ -357,8 +357,8 @@ def cholesky_delete(factor: np.ndarray, index: int) -> np.ndarray:
     its leading blocks are copied verbatim into the result.
     """
     k = factor.shape[0]
-    with perf.stage("cholesky_downdate"):
-        perf.record_event("cholesky_downdate")
+    with obs.span("cholesky_downdate"):
+        obs.counter("cholesky_downdate")
         trailing = cholesky_update(
             factor[index + 1 :, index + 1 :], factor[index, index + 1 :]
         )

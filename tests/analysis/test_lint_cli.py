@@ -97,8 +97,8 @@ def test_obs_package_lints_clean(capsys):
 
 
 def test_rp003_does_not_exempt_other_directories(tmp_path, capsys):
-    """The obs/perf carve-out must not leak: a wall-clock read anywhere
-    else still violates RP003."""
+    """The obs carve-out must not leak: a wall-clock read anywhere else
+    still violates RP003."""
     pkg = tmp_path / "scenarios"
     pkg.mkdir()
     (pkg / "timing.py").write_text("import time\nnow = time.time()\n")

@@ -156,7 +156,8 @@ class TestPathExemptions:
             == []
         )
 
-    def test_rp003_allows_perf(self, tmp_path):
+    def test_rp003_allows_obs_only(self, tmp_path):
+        """Only obs/ may read a clock; perf/ is a re-export and gets no pass."""
         source = """
         import time
 
@@ -164,12 +165,13 @@ class TestPathExemptions:
             return time.perf_counter()
         """
         assert (
-            _lint_snippet(tmp_path, source, select=["RP003"], rel_path="perf/instrumentation.py")
+            _lint_snippet(tmp_path, source, select=["RP003"], rel_path="obs/core.py")
             == []
         )
-        assert _lint_snippet(
-            tmp_path, source, select=["RP003"], rel_path="attacks/lp.py"
-        )
+        for rel_path in ("perf/__init__.py", "attacks/lp.py"):
+            assert _lint_snippet(
+                tmp_path, source, select=["RP003"], rel_path=rel_path
+            ), rel_path
 
     def test_rp004_skips_test_modules(self, tmp_path):
         source = """

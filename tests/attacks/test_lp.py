@@ -294,7 +294,7 @@ class TestDamageBound:
                 assert solution.damage <= bound * (1 + 1e-10)
 
     def test_memoised_until_rebase(self, fig1_system):
-        from repro.perf.instrumentation import PerfRecorder, recording
+        from repro.obs import PerfRecorder, recording
 
         solver = self._solver(fig1_system)
         bound = solver.damage_bound([9, 8])
@@ -314,17 +314,18 @@ class TestDamageBound:
 
 
 class TestUnboundedResolve:
-    def test_cap_none_single_assembly(self, fig1_system):
+    def test_cap_none_single_assembly(self, fig1_system, tmp_path):
         """The unbounded re-solve path must reuse assembled constraints:
-        exactly one lp_assembly stage entry for the whole call."""
-        from repro.perf.instrumentation import PerfRecorder, recording
+        exactly one lp_assembly span for the whole call."""
+        from repro import obs
 
         _, operator, x = fig1_system
         bands = BandConstraints.unbounded(10)
-        with recording(PerfRecorder()) as recorder:
+        path = tmp_path / "run.jsonl"
+        with obs.enabled(path):
             solution = solve_manipulation_lp(operator, x, [0, 1], 23, bands, cap=None)
         assert solution.unbounded
-        assert recorder.stage_calls["lp_assembly"] == 1
+        assert obs.summarize_run(path)["spans"]["lp_assembly"]["calls"] == 1
 
 
 class TestTheorem1Construction:

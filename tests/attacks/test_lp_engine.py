@@ -58,7 +58,7 @@ class TestOneLpPath:
     """The warm HiGHS model is the only engine; there is nothing to pick."""
 
     def test_every_strategy_solves_on_the_warm_model(self, fig1_scenario, monkeypatch):
-        from repro.perf.instrumentation import PerfRecorder, recording
+        from repro.obs import PerfRecorder, recording
 
         def no_cold_solves(*args, **kwargs):
             raise AssertionError("production code called the cold linprog reference")
@@ -313,7 +313,7 @@ class TestSolveMany:
                 assert solution.damage == reference.damage
 
     def test_generator_is_lazy(self, fig1_system_operator):
-        from repro.perf.instrumentation import PerfRecorder, recording
+        from repro.obs import PerfRecorder, recording
 
         operator, x = fig1_system_operator
         bands = BandConstraints.unbounded(10)
@@ -331,7 +331,7 @@ class TestSolveMany:
 
 class TestPresolvePruner:
     def test_hopeless_candidate_pruned_without_solving(self, fig1_system_operator):
-        from repro.perf.instrumentation import PerfRecorder, recording
+        from repro.obs import PerfRecorder, recording
 
         operator, x = fig1_system_operator
         bands = BandConstraints.unbounded(10)
@@ -511,7 +511,7 @@ class TestRebase:
                 assert a.damage == pytest.approx(b.damage, rel=1e-9, abs=1e-9)
 
     def test_warm_model_survives_rebase(self, fig1_system_operator):
-        from repro.perf.instrumentation import PerfRecorder, recording
+        from repro.obs import PerfRecorder, recording
 
         operator, x = fig1_system_operator
         solver = self._solver(fig1_system_operator)
@@ -533,7 +533,7 @@ class TestRebase:
         assert persistent.solves == solves_before + 1
 
     def test_rebase_before_warm_build_is_clean(self, fig1_system_operator):
-        from repro.perf.instrumentation import PerfRecorder, recording
+        from repro.obs import PerfRecorder, recording
 
         operator, x = fig1_system_operator
         solver = self._solver(fig1_system_operator)

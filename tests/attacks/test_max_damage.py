@@ -14,9 +14,8 @@ from repro.attacks.cuts import perfectly_cut_links
 from repro.attacks.lp import IncrementalLpSolver
 from repro.attacks.max_damage import BOUND_SLACK, DAMAGE_TIE_RTOL, MaxDamageAttack
 from repro.exceptions import ValidationError
+from repro.obs import PerfRecorder, recording
 from repro.obs import core as obs
-from repro.perf import recording
-from repro.perf.instrumentation import PerfRecorder
 from repro.scenarios.scenario import Scenario
 from repro.tomography.linear_system import LinearSystem
 from repro.topology.generators.simple import grid_topology, ladder_topology

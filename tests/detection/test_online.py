@@ -8,8 +8,8 @@ import pytest
 from repro.detection.consistency import ConsistencyDetector
 from repro.detection.online import OnlineConsistencyDetector
 from repro.exceptions import DetectionError
+from repro.obs import PerfRecorder, recording
 from repro.obs import core as obs
-from repro.perf.instrumentation import PerfRecorder, recording
 from repro.tomography.linear_system import LinearSystem
 
 

@@ -214,36 +214,60 @@ class TestEnvActivation:
 
 
 class TestPerfShim:
-    """perf.stage / perf.record_event must forward into the active log."""
+    """``repro.obs`` is the one instrumentation API: ``obs.counter`` feeds
+    an active recorder and the active run log alike, and ``repro.perf``
+    only re-exports the recorder for the benchmark."""
 
     def test_stage_and_events_land_in_obs_log(self, tmp_path):
-        from repro.perf import instrumentation as perf
-
         path = tmp_path / "run.jsonl"
         with obs.enabled(path):
-            with perf.stage("shimmed"):
-                perf.record_event("svd", 2)
+            with obs.span("outer"):
+                obs.counter("svd", 2)
         summary = summarize_run(path)
-        assert summary["spans"]["shimmed"]["calls"] == 1
+        assert summary["spans"]["outer"]["calls"] == 1
         assert summary["counters"]["svd"] == 2
 
-    def test_shim_still_noop_when_everything_off(self):
-        from repro.perf import instrumentation as perf
-
-        with perf.stage("nothing") as recorder:
-            assert recorder is None
-        perf.record_event("nothing")  # must not raise
+    def test_shim_still_noop_when_everything_off(self, tmp_path):
+        """Counters outside a recording block reach no recorder, and with
+        no log active nothing is written anywhere."""
+        obs.counter("before")
+        with obs.recording() as recorder:
+            obs.counter("inside")
+        obs.counter("after")
+        with obs.span("nothing") as handle:
+            assert handle is None
+        assert dict(recorder.counters) == {"inside": 1}
+        assert obs.active_log() is None
+        assert list(tmp_path.iterdir()) == []
 
     def test_recorder_and_log_both_fed(self, tmp_path):
-        from repro.perf.instrumentation import PerfRecorder, recording, stage
-
         path = tmp_path / "run.jsonl"
-        with obs.enabled(path):
-            with recording(PerfRecorder()) as recorder:
-                with stage("both"):
-                    pass
-        assert recorder.stage_calls["both"] == 1
-        assert summarize_run(path)["spans"]["both"]["calls"] == 1
+        with obs.enabled(path), obs.recording() as recorder:
+            obs.counter("svd", 2)
+            with obs.span("both"):
+                obs.counter("lp_solve")
+            obs.event("not_a_counter")
+        assert dict(recorder.counters) == {"svd": 2, "lp_solve": 1}
+        assert summarize_run(path)["counters"] == dict(recorder.counters)
+
+    def test_recorder_works_without_a_log(self):
+        with obs.recording() as outer:
+            obs.counter("svd")
+            with obs.recording() as inner:
+                obs.counter("svd", 3)
+            obs.counter("lp_solve")
+        assert obs.active_log() is None
+        assert dict(inner.counters) == {"svd": 3}
+        assert dict(outer.counters) == {"svd": 1, "lp_solve": 1}
+
+    def test_benchmark_import_path_receives_counters(self):
+        """``repro.perf.recording`` is what the benchmark imports."""
+        from repro.perf import PerfRecorder, recording
+
+        with recording() as recorder:
+            obs.counter("online_check")
+        assert isinstance(recorder, PerfRecorder)
+        assert recorder.counters["online_check"] == 1
 
 
 class TestInstrumentedLibrary:
@@ -313,6 +337,21 @@ class TestInstrumentedLibrary:
         assert chunk_events[-1]["collected"] == 8
         done = [r for r in records if r.get("name") == "mc_done"]
         assert done[0]["trials"] == 8
+
+    def test_recorder_counters_equal_the_run_log(self, tmp_path):
+        """A whole Fig. 1 max-damage attack: the in-memory recorder and the
+        run log see the same counter totals."""
+        from repro.attacks.max_damage import MaxDamageAttack
+        from repro.scenarios.simple_network import paper_fig1_scenario
+
+        scenario = paper_fig1_scenario()  # fresh, so it factorizes in the block
+        path = tmp_path / "run.jsonl"
+        with obs.enabled(path), obs.recording() as recorder:
+            MaxDamageAttack(scenario.attack_context(["B", "C"])).run()
+        counters = summarize_run(path)["counters"]
+        assert counters["lp_solve"] > 0
+        assert counters["svd"] >= 1
+        assert dict(recorder.counters) == counters
 
     def test_observability_does_not_change_results(self, tmp_path):
         """Identical trial outcomes with and without an active log."""

@@ -7,7 +7,7 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.measurement.noise import GaussianNoise
-from repro.perf import recording
+from repro.obs import recording
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.simple_network import paper_fig1_scenario
 from repro.tomography.backends import BACKEND_ENV_VAR

@@ -1,15 +1,49 @@
-"""Timestepped streaming campaigns with per-epoch path churn."""
+"""Multi-epoch measurement campaigns, with and without path churn."""
 
 import numpy as np
 import pytest
 
+from repro.attacks.chosen_victim import ChosenVictimAttack
 from repro.exceptions import ValidationError
+from repro.measurement.noise import GaussianNoise
 from repro.scenarios.streaming import (
     ChurnEvent,
     StreamingCampaign,
     random_churn_schedule,
 )
+from repro.tomography.diagnosis import diagnose
 from repro.tomography.linear_system import LinearSystem
+
+
+@pytest.fixture(scope="module")
+def imperfect_attack(fig1_scenario):
+    context = fig1_scenario.attack_context(["B", "C"])
+    outcome = ChosenVictimAttack(context, [9], mode="exclusive").run()
+    assert outcome.feasible
+    return outcome
+
+
+@pytest.fixture(scope="module")
+def stealthy_attack(fig1_scenario):
+    context = fig1_scenario.attack_context(["B", "C"])
+    outcome = ChosenVictimAttack(context, [0], stealthy=True).run()
+    assert outcome.feasible
+    return outcome
+
+
+def _replay(scenario, outcome, **kwargs):
+    """A campaign whose attacker replays one fixed manipulation."""
+    return StreamingCampaign(
+        scenario,
+        attacker_nodes=["B", "C"],
+        attack_factory=lambda _context: outcome,
+        **kwargs,
+    )
+
+
+def _static(num_epochs):
+    """A schedule over a fixed path set: no churn in any epoch."""
+    return [ChurnEvent()] * num_epochs
 
 
 class TestChurnEvent:
@@ -181,3 +215,105 @@ class TestChurnBookkeeping:
         result = campaign.run([ChurnEvent()], rng=0)
         # A 1000ms spike on every path is wildly inconsistent: false alarm.
         assert result.false_alarm_epochs == (0,)
+
+
+class TestHonestCampaign:
+    def test_no_alarms_no_blame(self, fig1_scenario):
+        result = StreamingCampaign(fig1_scenario).run(_static(10), rng=0)
+        assert result.num_epochs == 10
+        assert result.attacked_epochs == ()
+        assert result.detected_epochs == ()
+        assert result.blame_counts == {}
+        assert result.detection_latency() is None
+        assert result.most_blamed_link() is None
+
+    def test_noise_within_alpha_stays_quiet(self, fig1_scenario):
+        campaign = StreamingCampaign(fig1_scenario, noise_model=GaussianNoise(1.0))
+        result = campaign.run(_static(10), rng=0)
+        assert result.false_alarm_epochs == ()
+
+
+class TestPersistentAttack:
+    def test_caught_immediately_every_epoch(self, fig1_scenario, imperfect_attack):
+        result = _replay(fig1_scenario, imperfect_attack).run(_static(6), rng=0)
+        assert result.attacked_epochs == tuple(range(6))
+        assert result.detected_epochs == tuple(range(6))
+        assert result.detection_latency() == 0
+
+    def test_blame_accumulates_on_scapegoat(self, fig1_scenario, imperfect_attack):
+        result = _replay(fig1_scenario, imperfect_attack).run(_static(6), rng=0)
+        assert result.most_blamed_link() == 9
+        assert result.blame_counts[9] == 6
+
+
+class TestIntermittentAttack:
+    def test_explicit_active_epochs(self, fig1_scenario, imperfect_attack):
+        result = _replay(fig1_scenario, imperfect_attack).run(
+            _static(8), active_epochs=[2, 5], rng=0
+        )
+        assert result.attacked_epochs == (2, 5)
+        assert result.detected_epochs == (2, 5)
+        assert result.false_alarm_epochs == ()
+
+    def test_probability_activity(self, fig1_scenario, imperfect_attack):
+        result = _replay(fig1_scenario, imperfect_attack).run(
+            _static(40), active_epochs=0.5, rng=1
+        )
+        active = len(result.attacked_epochs)
+        assert 8 <= active <= 32
+        assert set(result.detected_epochs) == set(result.attacked_epochs)
+
+    def test_out_of_range_epoch_rejected(self, fig1_scenario, imperfect_attack):
+        with pytest.raises(ValidationError):
+            _replay(fig1_scenario, imperfect_attack).run(_static(4), active_epochs=[9])
+
+    def test_bad_probability_rejected(self, fig1_scenario, imperfect_attack):
+        with pytest.raises(ValidationError):
+            _replay(fig1_scenario, imperfect_attack).run(_static(4), active_epochs=1.5)
+
+
+class TestStealthyAttackOverTime:
+    def test_never_detected_blame_persists(self, fig1_scenario, stealthy_attack):
+        """A stealthy perfect-cut attacker survives arbitrarily many epochs:
+        zero detections, and the scapegoat accumulates all the blame."""
+        result = _replay(fig1_scenario, stealthy_attack).run(_static(12), rng=0)
+        assert result.detected_epochs == ()
+        assert result.detection_latency() is None
+        assert result.most_blamed_link() == 0
+        assert result.blame_counts[0] == 12
+
+
+class TestValidation:
+    def test_zero_epochs_rejected(self, fig1_scenario):
+        with pytest.raises(ValidationError):
+            StreamingCampaign(fig1_scenario).run([])
+
+    def test_deterministic(self, fig1_scenario, imperfect_attack):
+        campaign = _replay(
+            fig1_scenario, imperfect_attack, noise_model=GaussianNoise(1.0)
+        )
+        a = campaign.run(_static(5), rng=7)
+        b = campaign.run(_static(5), rng=7)
+        assert np.allclose(a.epochs[3].observed, b.epochs[3].observed)
+
+
+class TestBlameTally:
+    def test_blame_counts_match_the_diagnosis_oracle(self, fig1_scenario):
+        """Under churn and an active attacker, each link's tally is the
+        number of epochs whose diagnosis reports it abnormal."""
+        campaign = StreamingCampaign(fig1_scenario, attacker_nodes=["B", "C"])
+        schedule = random_churn_schedule(
+            fig1_scenario.path_set.num_paths, 12, churn_rate=0.2, rng=4
+        )
+        result = campaign.run(schedule, active_epochs=0.7, rng=4)
+        assert any(e.incremental is not None for e in result.epochs)
+        assert result.attacked_epochs
+        flagged = [
+            diagnose(e.detection.estimate, fig1_scenario.thresholds).abnormal
+            for e in result.epochs
+        ]
+        assert any(flagged)
+        for j in range(fig1_scenario.true_metrics.size):
+            expected = sum(j in abnormal for abnormal in flagged)
+            assert result.blame_counts.get(j, 0) == expected, j
+        assert 0 not in result.blame_counts.values()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.attacks.max_damage import MaxDamageAttack
 from repro.exceptions import SerializationError
-from repro.perf.instrumentation import PerfRecorder, recording
+from repro.obs import PerfRecorder, recording
 from repro.sweep import SweepSpec, aggregate_rows, load_results, run_grid_point, run_sweep
 from repro.sweep.cache import FactorizationCache
 from repro.sweep.runner import _chunk_points, read_checkpoint

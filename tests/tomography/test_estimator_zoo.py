@@ -10,10 +10,10 @@ The contracts, over random 0/1 path-incidence matrices:
 - every family is dense/sparse-backend consistent to 1e-8;
 - ``estimate_batch`` matches the looped single-vector path.
 
-Plus: registry dispatch and the ``REPRO_ESTIMATOR`` knob, the deprecated
-``RidgeEstimator``/``NonNegativeEstimator`` shims delegating to the zoo,
-per-estimator threshold calibration, and the RP001 lint fixture pinning
-that an estimator bypassing :class:`LinearSystem` trips the analyzer.
+Plus: registry dispatch and the ``REPRO_ESTIMATOR`` knob, the rejection
+of routing matrices without a path or a link, per-estimator threshold
+calibration, and the RP001 lint fixture pinning that an estimator
+bypassing :class:`LinearSystem` trips the analyzer.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.tomography.estimator_zoo import (
     register_estimator,
     resolve_estimator,
 )
-from repro.tomography.estimators import NonNegativeEstimator, RidgeEstimator
 from repro.tomography.linear_system import LinearSystem
 
 PARITY_TOL = 1e-8
@@ -318,37 +317,14 @@ class TestBatchMatchesLooped:
             estimator.estimate_batch(np.full((3, 2), np.nan))
 
 
-class TestShimsDelegate:
-    """The deprecated estimators must be thin delegates to the zoo —
-    the drift risk ISSUE 9 names is exactly these two diverging."""
-
-    def test_ridge_shim_delegates_to_the_zoo(self):
-        matrix = _incidence(8, 5, 3, seed=21)
-        rng = np.random.default_rng(22)
-        observed = rng.uniform(0.0, 100.0, size=8)
-        shim = RidgeEstimator(matrix, lam=0.05)
-        assert isinstance(shim._delegate, RidgeZooEstimator)
-        zoo = resolve_estimator("ridge", routing_matrix=matrix, lam=0.05)
-        np.testing.assert_allclose(
-            shim.estimate(observed), zoo.estimate(observed), atol=0
-        )
-
-    def test_nonnegative_shim_delegates_to_the_zoo(self):
-        matrix = _incidence(8, 5, 3, seed=23)
-        rng = np.random.default_rng(24)
-        observed = rng.uniform(0.0, 100.0, size=8)
-        shim = NonNegativeEstimator(matrix)
-        assert shim._delegate.name == "nnls"
-        zoo = resolve_estimator("nnls", routing_matrix=matrix)
-        np.testing.assert_allclose(
-            shim.estimate(observed), zoo.estimate(observed), atol=0
-        )
-
-    def test_shims_keep_their_validation_surface(self):
-        with pytest.raises(TomographyError):
-            RidgeEstimator(np.eye(2), lam=0.0)
-        with pytest.raises(TomographyError):
-            NonNegativeEstimator(np.zeros((3, 0)))
+class TestDegenerateSystems:
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+    def test_every_family_rejects_an_empty_dimension(self, shape):
+        """Rejected at construction: nnls over an empty matrix corrupts the
+        heap, and the other families return vectors that mean nothing."""
+        for name in estimator_names():
+            with pytest.raises(TomographyError, match="degenerate"):
+                resolve_estimator(name, routing_matrix=np.zeros(shape))
 
 
 class TestCalibratedAlpha:

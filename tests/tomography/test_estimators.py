@@ -1,15 +1,20 @@
-"""Tests for the tomography estimators."""
+"""Tests for the least-squares estimator and the nnls/ridge zoo families."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import SingularSystemError, TomographyError, ValidationError
 from repro.metrics.link_metrics import uniform_delay_metrics
-from repro.tomography.estimators import (
-    LeastSquaresEstimator,
-    NonNegativeEstimator,
-    RidgeEstimator,
-)
+from repro.tomography.estimator_zoo import resolve_estimator
+from repro.tomography.estimators import LeastSquaresEstimator
+
+
+def _nnls(matrix):
+    return resolve_estimator("nnls", routing_matrix=matrix)
+
+
+def _ridge(matrix, lam):
+    return resolve_estimator("ridge", routing_matrix=matrix, lam=lam)
 
 
 class TestLeastSquares:
@@ -52,38 +57,38 @@ class TestNonNegative:
     def test_recovers_nonnegative_truth(self, fig1_scenario):
         matrix = fig1_scenario.path_set.routing_matrix()
         x = uniform_delay_metrics(fig1_scenario.topology, rng=5)
-        estimator = NonNegativeEstimator(matrix)
+        estimator = _nnls(matrix)
         assert np.allclose(estimator.estimate(matrix @ x), x, atol=1e-6)
 
     def test_never_negative(self, fig1_scenario):
         matrix = fig1_scenario.path_set.routing_matrix()
         rng = np.random.default_rng(0)
         y = rng.random(matrix.shape[0]) * 100
-        assert np.all(estimate := NonNegativeEstimator(matrix).estimate(y) >= 0.0)
+        assert np.all(estimate := _nnls(matrix).estimate(y) >= 0.0)
 
     def test_degenerate_rejected(self):
         with pytest.raises(TomographyError):
-            NonNegativeEstimator(np.zeros((3, 0)))
+            _nnls(np.zeros((3, 0)))
 
 
 class TestRidge:
     def test_small_lambda_close_to_ls(self, fig1_scenario):
         matrix = fig1_scenario.path_set.routing_matrix()
         x = fig1_scenario.true_metrics
-        estimate = RidgeEstimator(matrix, lam=1e-9).estimate(matrix @ x)
+        estimate = _ridge(matrix, lam=1e-9).estimate(matrix @ x)
         assert np.allclose(estimate, x, atol=1e-5)
 
     def test_large_lambda_shrinks(self, fig1_scenario):
         matrix = fig1_scenario.path_set.routing_matrix()
         x = fig1_scenario.true_metrics
-        estimate = RidgeEstimator(matrix, lam=1e6).estimate(matrix @ x)
+        estimate = _ridge(matrix, lam=1e6).estimate(matrix @ x)
         assert np.linalg.norm(estimate) < np.linalg.norm(x)
 
     def test_handles_rank_deficiency(self):
         mat = np.array([[1.0, 1.0]])
-        estimate = RidgeEstimator(mat, lam=1e-3).estimate(np.array([4.0]))
+        estimate = _ridge(mat, lam=1e-3).estimate(np.array([4.0]))
         assert np.all(np.isfinite(estimate))
 
     def test_invalid_lambda(self):
         with pytest.raises(TomographyError):
-            RidgeEstimator(np.eye(2), lam=0.0)
+            _ridge(np.eye(2), lam=0.0)

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
-from repro.perf.instrumentation import PerfRecorder, recording
+from repro.obs import PerfRecorder, recording
 from repro.tomography.linear_system import LinearSystem
 
 PARITY_TOL = 1e-8

@@ -93,7 +93,7 @@ class TestLinearSystem:
         assert system.residual_projector is system.residual_projector
 
     def test_single_svd_shared_across_operators(self, fig1_scenario):
-        from repro.perf.instrumentation import PerfRecorder, recording
+        from repro.obs import PerfRecorder, recording
 
         with recording(PerfRecorder()) as recorder:
             system = LinearSystem(fig1_scenario.path_set.routing_matrix())
