@@ -39,7 +39,7 @@ from repro.analysis.lint.registry import (
 from repro.exceptions import ValidationError
 
 if TYPE_CHECKING:  # resolved lazily at runtime to keep lint importable alone
-    from repro.analysis.project import ModuleFacts
+    from repro.analysis.project import ModuleFacts, ProjectModel
 
 __all__ = [
     "AnalysisReport",
@@ -241,7 +241,9 @@ class AnalysisReport:
     ``violations`` holds the *active* findings (baseline-suppressed ones
     are counted, not listed); ``expired`` lists baseline entries that no
     current finding matches — stale acceptances to prune, reported but
-    never fatal.
+    never fatal.  ``project`` is the model the project rules ran over, so
+    a caller can render from it (the obs catalog) without re-parsing; it
+    is not part of the JSON report.
     """
 
     violations: list[Violation] = field(default_factory=list)
@@ -250,6 +252,7 @@ class AnalysisReport:
     files: int = 0
     root_package: str = "repro"
     rules: list[str] = field(default_factory=list)
+    project: ProjectModel | None = field(default=None, repr=False, compare=False)
 
     @property
     def error_count(self) -> int:
@@ -408,6 +411,7 @@ def analyze_paths(
         files=len(facts_list),
         root_package=detected_root,
         rules=sorted(r.rule_id for r in rules),
+        project=project,
     )
     if baseline is not None:
         accepted = load_baseline(baseline)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.lint.registry import ProjectRule, Violation, register_rule
-from repro.analysis.project import ModuleFacts, ProjectModel
+from repro.analysis.project import ProjectModel
 
 __all__ = ["ObsSchemaRule", "extract_consumed", "extract_emitted", "render_obs_catalog"]
 
@@ -253,7 +253,11 @@ class ObsSchemaRule(ProjectRule):
 
 
 def render_obs_catalog(project: ProjectModel) -> str:
-    """The ``docs/OBS_EVENTS.md`` markdown: record kinds + call sites."""
+    """The ``docs/OBS_EVENTS.md`` markdown: record kinds + call sites.
+
+    Sites are named by each file's path as the analyzer was given it
+    (``src/repro/...`` for ``repro analyze src``), not root-relative.
+    """
     root = project.root_package
     core = project.by_module.get(f"{root}.obs.core")
     summary = project.by_module.get(f"{root}.obs.summary")
@@ -294,7 +298,7 @@ def render_obs_catalog(project: ProjectModel) -> str:
         for emit in facts.obs_emits:
             if emit["name"] is None:
                 continue
-            emits.append((emit["api"], emit["name"], facts.rel_path, emit["lineno"]))
+            emits.append((emit["api"], emit["name"], facts.path, emit["lineno"]))
     if emits:
         lines += [
             "## Instrumentation sites",

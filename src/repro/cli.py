@@ -743,18 +743,9 @@ def _cmd_analyze(args) -> int:
     if args.obs_catalog is not None:
         from pathlib import Path
 
-        from repro.analysis.lint.engine import collect_python_files
         from repro.analysis.obschema import render_obs_catalog
-        from repro.analysis.project import ProjectModel, extract_facts
 
-        roots = [Path(p) for p in args.paths]
-        files = [
-            extract_facts(path, rel_path=path.as_posix())
-            for path in collect_python_files(roots)
-        ]
-        catalog = render_obs_catalog(
-            ProjectModel(files=files, root_package=report.root_package)
-        )
+        catalog = render_obs_catalog(report.project)
         if args.obs_catalog == "-":
             print(catalog)
         else:

@@ -6,6 +6,14 @@ pairs.  Hop count is the metric (every link has unit cost), which matches
 the path-selection practice of the identifiability literature the paper
 builds on.
 
+Tie rule: among equally short paths, :func:`shortest_path` returns the
+one a FIFO breadth-first search finds when it walks each node's links in
+insertion order (:meth:`Topology.incidence`) and fixes a node's parent
+the first time it discovers the node.  :func:`k_shortest_paths` breaks
+ties between equally long candidates by the order Yen's spur searches
+produced them.  Both rules are part of the output contract: the chosen
+paths fix the routing matrix, so a different tie-break changes R.
+
 Also provides an exhaustive simple-path enumerator (depth-first, lazily
 yielded) used on small topologies such as the paper's Fig. 1 network.
 """
@@ -13,6 +21,7 @@ yielded) used on small topologies such as the paper's Fig. 1 network.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from collections.abc import Iterator
 
 from repro.exceptions import NoPathError, ValidationError
@@ -32,9 +41,16 @@ def shortest_path(
     """Minimum-hop path from ``source`` to ``target`` as a node list.
 
     ``banned_nodes`` / ``banned_links`` (link indices) are excluded — this
-    is the spur computation Yen's algorithm needs.  Ties are broken
-    deterministically by the topology's link insertion order.  Raises
+    is the spur computation Yen's algorithm needs.  Raises
     :class:`NoPathError` when no path survives the bans.
+
+    The search is a FIFO breadth-first search over the topology's
+    link-insertion-order adjacency.  A node's parent is the first
+    dequeued node that reaches it, so of several equally short paths the
+    one returned is the first the search discovers.  Stopping when the
+    target is first discovered is exact: every node on the path back from
+    the target was dequeued earlier, so its parent was already fixed, and
+    nodes dequeued later cannot change a parent that is set.
     """
     if not topology.has_node(source):
         raise NoPathError(source, target)
@@ -45,37 +61,23 @@ def shortest_path(
     if source == target:
         raise ValidationError("source and target must differ for a measurement path")
 
-    # Uniform weights: BFS via a heap with (dist, order) keys keeps the
-    # deterministic tie-breaking explicit and generalises to weighted links.
-    counter = 0
-    heap: list[tuple[int, int, NodeId]] = [(0, counter, source)]
-    parent: dict[NodeId, NodeId] = {}
-    dist: dict[NodeId, int] = {source: 0}
-    while heap:
-        d, _, node = heapq.heappop(heap)
-        if node == target:
-            break
-        if d > dist.get(node, float("inf")):
-            continue
-        for link in topology.incident_links(node):
-            if link.index in banned_links:
+    adjacency = topology.incidence()
+    parent: dict[NodeId, NodeId] = {source: source}
+    frontier: deque[NodeId] = deque([source])
+    while frontier:
+        node = frontier.popleft()
+        for link_index, neighbor in adjacency[node]:
+            if neighbor in parent or link_index in banned_links or neighbor in banned_nodes:
                 continue
-            neighbor = link.other(node)
-            if neighbor in banned_nodes:
-                continue
-            nd = d + 1
-            if nd < dist.get(neighbor, float("inf")):
-                dist[neighbor] = nd
-                parent[neighbor] = node
-                counter += 1
-                heapq.heappush(heap, (nd, counter, neighbor))
-    if target not in dist:
-        raise NoPathError(source, target)
-    path = [target]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+            parent[neighbor] = node
+            if neighbor == target:
+                path = [target]
+                while path[-1] != source:
+                    path.append(parent[path[-1]])
+                path.reverse()
+                return path
+            frontier.append(neighbor)
+    raise NoPathError(source, target)
 
 
 def k_shortest_paths(
@@ -92,6 +94,7 @@ def k_shortest_paths(
         raise ValidationError(f"k must be >= 1, got {k}")
     first = shortest_path(topology, source, target)
     accepted: list[list[NodeId]] = [first]
+    accepted_links: list[list[int]] = [_link_indices(topology, first)]
     # Candidate heap entries: (length, insertion order, path).
     candidates: list[tuple[int, int, list[NodeId]]] = []
     seen: set[tuple] = {tuple(first)}
@@ -99,26 +102,22 @@ def k_shortest_paths(
 
     while len(accepted) < k:
         prev_path = accepted[-1]
-        for spur_index in range(len(prev_path) - 1):
-            root = prev_path[: spur_index + 1]
-            spur_node = prev_path[spur_index]
-            banned_links: set[int] = set()
-            for path in accepted:
-                if len(path) > spur_index and path[: spur_index + 1] == root:
-                    link = topology.link_between(path[spur_index], path[spur_index + 1])
-                    banned_links.add(link.index)
-            banned_nodes = frozenset(root[:-1])
+        # Accepted paths whose first ``spur_index + 1`` nodes are the root
+        # ``prev_path[: spur_index + 1]``; narrowed by one hop per spur.
+        sharing = list(zip(accepted, accepted_links))
+        for spur_index, spur_node in enumerate(prev_path[:-1]):
+            sharing = [entry for entry in sharing if entry[0][spur_index] == spur_node]
             try:
                 spur = shortest_path(
                     topology,
                     spur_node,
                     target,
-                    banned_nodes=banned_nodes,
-                    banned_links=frozenset(banned_links),
+                    banned_nodes=frozenset(prev_path[:spur_index]),
+                    banned_links=frozenset(links[spur_index] for _, links in sharing),
                 )
             except NoPathError:
                 continue
-            total = root[:-1] + spur
+            total = prev_path[:spur_index] + spur
             key = tuple(total)
             if key not in seen:
                 seen.add(key)
@@ -128,7 +127,13 @@ def k_shortest_paths(
             break
         _, _, best = heapq.heappop(candidates)
         accepted.append(best)
+        accepted_links.append(_link_indices(topology, best))
     return accepted
+
+
+def _link_indices(topology: Topology, path: list[NodeId]) -> list[int]:
+    """Index of each link along ``path``, in path order."""
+    return [topology.link_between(u, v).index for u, v in zip(path, path[1:])]
 
 
 def all_simple_paths(

@@ -14,7 +14,7 @@ Nodes may be any hashable labels; the paper's examples use strings such as
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 from repro.exceptions import (
@@ -91,7 +91,8 @@ class Topology:
         self._nodes: dict[NodeId, int] = {}
         self._links: list[Link] = []
         self._link_by_key: dict[frozenset, Link] = {}
-        self._incident: dict[NodeId, list[Link]] = {}
+        # node -> [(link index, neighbour), ...] in link-insertion order.
+        self._adjacency: dict[NodeId, list[tuple[int, NodeId]]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -102,7 +103,7 @@ class Topology:
             raise TopologyError("None is not a valid node label")
         if node not in self._nodes:
             self._nodes[node] = len(self._nodes)
-            self._incident[node] = []
+            self._adjacency[node] = []
 
     def add_nodes(self, nodes: Iterable[NodeId]) -> None:
         """Add every node in ``nodes`` (idempotent per node)."""
@@ -126,8 +127,8 @@ class Topology:
         link = Link(index=len(self._links), u=u, v=v)
         self._links.append(link)
         self._link_by_key[key] = link
-        self._incident[u].append(link)
-        self._incident[v].append(link)
+        self._adjacency[u].append((link.index, v))
+        self._adjacency[v].append((link.index, u))
         return link
 
     def add_links(self, pairs: Iterable[tuple[NodeId, NodeId]]) -> list[Link]:
@@ -185,18 +186,31 @@ class Topology:
 
     def neighbors(self, node: NodeId) -> list[NodeId]:
         """Nodes adjacent to ``node``, in link-insertion order."""
-        return [link.other(node) for link in self.incident_links(node)]
+        return [neighbor for _, neighbor in self._pairs(node)]
 
     def incident_links(self, node: NodeId) -> list[Link]:
-        """Links having ``node`` as an endpoint."""
-        try:
-            return list(self._incident[node])
-        except KeyError:
-            raise NodeNotFoundError(node) from None
+        """Links having ``node`` as an endpoint, in link-insertion order."""
+        return [self._links[index] for index, _ in self._pairs(node)]
 
     def degree(self, node: NodeId) -> int:
         """Number of links incident to ``node``."""
-        return len(self.incident_links(node))
+        return len(self._pairs(node))
+
+    def incidence(self) -> Mapping[NodeId, list[tuple[int, NodeId]]]:
+        """The live ``node -> [(link index, neighbour), ...]`` adjacency.
+
+        Each list is in link-insertion order.  These are the topology's own
+        lists, not copies, so callers must not mutate them; since links are
+        never removed, they never go stale.  Hot loops (the routing
+        searches) read it to skip a :class:`Link` lookup per edge.
+        """
+        return self._adjacency
+
+    def _pairs(self, node: NodeId) -> list[tuple[int, NodeId]]:
+        try:
+            return self._adjacency[node]
+        except KeyError:
+            raise NodeNotFoundError(node) from None
 
     def links_incident_to_nodes(self, nodes: Iterable[NodeId]) -> set[int]:
         """Indices of every link with at least one endpoint in ``nodes``.

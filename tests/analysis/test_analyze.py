@@ -755,6 +755,34 @@ class TestAnalyzeCli:
             assert f"`{kind}`" in out
         assert "## Instrumentation sites" in out
 
+    def test_obs_catalog_parses_each_file_once(self, monkeypatch, tmp_path):
+        """The catalog renders from the analyzer's own model instead of
+        extracting every file's facts a second time."""
+        from repro.analysis import project
+
+        calls: dict[str, int] = {}
+        extract = project.extract_facts
+
+        def counting_extract(path, **kwargs):
+            calls[str(path)] = calls.get(str(path), 0) + 1
+            return extract(path, **kwargs)
+
+        monkeypatch.setattr(project, "extract_facts", counting_extract)
+        catalog = tmp_path / "OBS_EVENTS.md"
+        argv = ["analyze", str(REPO_SRC), "--select", "RP009", "--obs-catalog", str(catalog)]
+        assert main(argv) == 0
+        files = collect_python_files([REPO_SRC])
+        assert sorted(calls) == sorted(str(path) for path in files)
+        assert set(calls.values()) == {1}
+        # Sites keep the path the analyzer was given, not the root-relative one.
+        sites = [
+            line.split("|")[3].strip()
+            for line in catalog.read_text().splitlines()
+            if line.startswith("| `") and line.count("|") == 4
+        ]
+        assert sites
+        assert all(site.startswith(f"`{REPO_SRC.as_posix()}/repro/") for site in sites)
+
     def test_repo_source_tree_analyzes_clean(self, capsys):
         """The acceptance self-check: the full analyzer (all default rules,
         RP001-RP009) exits 0 on this repository's source tree."""

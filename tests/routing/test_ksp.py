@@ -1,11 +1,16 @@
 """Tests for shortest paths, Yen's algorithm, and path enumeration."""
 
+import heapq
+
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import NoPathError, ValidationError
 from repro.routing.ksp import all_simple_paths, k_shortest_paths, shortest_path
-from repro.topology.generators.isp import synthetic_rocketfuel
+from repro.topology.generators.isp import large_isp_topology, synthetic_rocketfuel
 from repro.topology.generators.simple import (
     grid_topology,
     paper_example_network,
@@ -13,6 +18,129 @@ from repro.topology.generators.simple import (
     ring_topology,
 )
 from repro.topology.graph import Topology
+
+
+def _reference_shortest_path(
+    topology, source, target, *, banned_nodes=frozenset(), banned_links=frozenset()
+):
+    """Heap-ordered hop-count Dijkstra, the oracle for the library's BFS.
+
+    It pops nodes in (distance, push order) and runs until the target
+    leaves the heap; the BFS must return the same node sequence.
+    """
+    if not topology.has_node(source):
+        raise NoPathError(source, target)
+    if not topology.has_node(target):
+        raise NoPathError(source, target)
+    if source in banned_nodes or target in banned_nodes:
+        raise NoPathError(source, target)
+    if source == target:
+        raise ValidationError("source and target must differ for a measurement path")
+
+    counter = 0
+    heap = [(0, counter, source)]
+    parent = {}
+    dist = {source: 0}
+    while heap:
+        d, _, node = heapq.heappop(heap)
+        if node == target:
+            break
+        if d > dist.get(node, float("inf")):
+            continue
+        for link in topology.incident_links(node):
+            if link.index in banned_links:
+                continue
+            neighbor = link.other(node)
+            if neighbor in banned_nodes:
+                continue
+            nd = d + 1
+            if nd < dist.get(neighbor, float("inf")):
+                dist[neighbor] = nd
+                parent[neighbor] = node
+                counter += 1
+                heapq.heappush(heap, (nd, counter, neighbor))
+    if target not in dist:
+        raise NoPathError(source, target)
+    path = [target]
+    while path[-1] != source:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def _reference_k_shortest_paths(topology, source, target, k):
+    """Yen's loop comparing every accepted path's full root, over the reference search."""
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    first = _reference_shortest_path(topology, source, target)
+    accepted = [first]
+    candidates = []
+    seen = {tuple(first)}
+    counter = 0
+
+    while len(accepted) < k:
+        prev_path = accepted[-1]
+        for spur_index in range(len(prev_path) - 1):
+            root = prev_path[: spur_index + 1]
+            spur_node = prev_path[spur_index]
+            banned_links = set()
+            for path in accepted:
+                if len(path) > spur_index and path[: spur_index + 1] == root:
+                    link = topology.link_between(path[spur_index], path[spur_index + 1])
+                    banned_links.add(link.index)
+            banned_nodes = frozenset(root[:-1])
+            try:
+                spur = _reference_shortest_path(
+                    topology,
+                    spur_node,
+                    target,
+                    banned_nodes=banned_nodes,
+                    banned_links=frozenset(banned_links),
+                )
+            except NoPathError:
+                continue
+            total = root[:-1] + spur
+            key = tuple(total)
+            if key not in seen:
+                seen.add(key)
+                counter += 1
+                heapq.heappush(candidates, (len(total) - 1, counter, total))
+        if not candidates:
+            break
+        _, _, best = heapq.heappop(candidates)
+        accepted.append(best)
+    return accepted
+
+
+def _outcome(search, *args, **kwargs):
+    """The search's answer, or ``NoPathError`` when it raises one."""
+    try:
+        return search(*args, **kwargs)
+    except NoPathError:
+        return NoPathError
+
+
+@st.composite
+def connected_graphs(draw):
+    """A connected simple graph over ``0..n-1`` with shuffled link order.
+
+    A random spanning tree keeps it connected; extra links add the equal-
+    length alternatives that tie-breaking decides between.  Links are
+    inserted in a drawn order with drawn endpoint orientation, since the
+    adjacency order follows insertion order.
+    """
+    num_nodes = draw(st.integers(2, 10))
+    pairs = set()
+    for node in range(1, num_nodes):
+        pairs.add((draw(st.integers(0, node - 1)), node))
+    every = [(i, j) for i in range(num_nodes) for j in range(i + 1, num_nodes)]
+    pairs.update(draw(st.lists(st.sampled_from(every), unique=True, max_size=12)))
+    ordered = draw(st.permutations(sorted(pairs)))
+    flips = draw(st.lists(st.booleans(), min_size=len(ordered), max_size=len(ordered)))
+    topo = Topology()
+    topo.add_nodes(draw(st.permutations(range(num_nodes))))
+    topo.add_links((v, u) if flip else (u, v) for (u, v), flip in zip(ordered, flips))
+    return topo
 
 
 class TestShortestPath:
@@ -111,6 +239,57 @@ class TestKShortestPaths:
     def test_invalid_k(self):
         with pytest.raises(ValidationError):
             k_shortest_paths(path_topology(3), 0, 2, 0)
+
+
+class TestSameSequencesAsHeapSearch:
+    """The BFS and the narrowed Yen loop return the heap search's node
+    sequences, not only equally short ones: a changed tie-break would
+    change which paths a scenario measures, and so its routing matrix."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(connected_graphs(), st.data())
+    def test_banned_spur_searches(self, topo, data):
+        nodes = topo.nodes()
+        source, target = data.draw(
+            st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True)
+        )
+        banned_nodes = frozenset(data.draw(st.sets(st.sampled_from(nodes), max_size=3)))
+        banned_links = frozenset(
+            data.draw(st.sets(st.integers(0, topo.num_links - 1), max_size=4))
+        )
+        kwargs = {"banned_nodes": banned_nodes, "banned_links": banned_links}
+        assert _outcome(shortest_path, topo, source, target, **kwargs) == _outcome(
+            _reference_shortest_path, topo, source, target, **kwargs
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(connected_graphs(), st.data(), st.integers(1, 8))
+    def test_yen(self, topo, data, k):
+        source, target = data.draw(
+            st.lists(st.sampled_from(topo.nodes()), min_size=2, max_size=2, unique=True)
+        )
+        assert k_shortest_paths(topo, source, target, k) == _reference_k_shortest_paths(
+            topo, source, target, k
+        )
+
+    @pytest.mark.parametrize(
+        ("topo", "k"),
+        [
+            (synthetic_rocketfuel("AS1221"), 8),
+            (grid_topology(6, 7), 8),
+            (large_isp_topology(seed=1), 1),
+        ],
+        ids=["as1221-k8", "grid6x7-k8", "isp-large-k1"],
+    )
+    def test_seeded_pairs(self, topo, k):
+        nodes = topo.nodes()
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            a, b = rng.choice(len(nodes), size=2, replace=False)
+            source, target = nodes[int(a)], nodes[int(b)]
+            assert _outcome(k_shortest_paths, topo, source, target, k) == _outcome(
+                _reference_k_shortest_paths, topo, source, target, k
+            )
 
 
 class TestAllSimplePaths:

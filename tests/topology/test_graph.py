@@ -3,7 +3,10 @@
 import pytest
 
 from repro.exceptions import LinkNotFoundError, NodeNotFoundError, TopologyError
+from repro.topology.generators.isp import large_isp_topology
+from repro.topology.generators.simple import paper_example_network
 from repro.topology.graph import Link, Topology
+from repro.topology.serialization import topology_from_json, topology_to_json
 
 
 class TestLink:
@@ -155,3 +158,57 @@ class TestDerived:
         topo = Topology.from_networkx(graph, name="p4")
         assert topo.num_nodes == 4
         assert topo.num_links == 3
+
+
+def assert_incidence_in_step(topo):
+    """The stored ``(link index, neighbour)`` pairs match the link list."""
+    expected = {node: [] for node in topo.nodes()}
+    for link in topo.links():
+        expected[link.u].append((link.index, link.v))
+        expected[link.v].append((link.index, link.u))
+    incidence = topo.incidence()
+    assert list(incidence) == topo.nodes()
+    for node in topo.nodes():
+        assert incidence[node] == expected[node]
+        assert incidence[node] == [(l.index, l.other(node)) for l in topo.incident_links(node)]
+        assert [nb for _, nb in incidence[node]] == topo.neighbors(node)
+        assert len(incidence[node]) == topo.degree(node)
+
+
+class TestIncidence:
+    @pytest.fixture(params=["fig1", "isp-large"])
+    def topo(self, request):
+        if request.param == "fig1":
+            return paper_example_network()
+        return large_isp_topology(seed=1)
+
+    def test_add_link_extends_the_live_mapping(self, topo):
+        incidence = topo.incidence()
+        nodes = topo.nodes()
+        assert_incidence_in_step(topo)
+        link = topo.add_link(nodes[0], "fresh")
+        assert topo.incidence() is incidence
+        assert incidence[nodes[0]][-1] == (link.index, "fresh")
+        assert incidence["fresh"] == [(link.index, nodes[0])]
+        assert_incidence_in_step(topo)
+
+    def test_derived_topologies_stay_in_step(self, topo):
+        nodes = topo.nodes()
+        for derived in (
+            topo.copy(),
+            topo.subgraph(nodes[: len(nodes) // 2]),
+            Topology.from_networkx(topo.to_networkx()),
+            topology_from_json(topology_to_json(topo)),
+        ):
+            assert_incidence_in_step(derived)
+        assert topo.copy().incidence() == topo.incidence()
+        assert topology_from_json(topology_to_json(topo)).incidence() == topo.incidence()
+
+    def test_rejected_add_link_leaves_incidence_unchanged(self, topo):
+        before = {node: list(pairs) for node, pairs in topo.incidence().items()}
+        link = topo.links()[0]
+        for u, v in [(link.u, link.v), (link.v, link.u), (link.u, link.u), ("zz", "zz")]:
+            with pytest.raises(TopologyError):
+                topo.add_link(u, v)
+        assert topo.incidence() == before
+        assert_incidence_in_step(topo)
