@@ -45,7 +45,6 @@ __all__ = [
 _KERNEL_MODULES = (
     "tomography/linear_system.py",
     "utils/linalg.py",
-    "utils/updates.py",
 )
 _FACTORIZATIONS = frozenset({"svd", "pinv", "lstsq", "qr", "matrix_rank"})
 

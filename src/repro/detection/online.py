@@ -9,9 +9,10 @@ measurement stream where paths fail and recover every epoch.
 :class:`~repro.tomography.linear_system.LinearSystem`:
 
 - :meth:`advance` applies one epoch of path churn through
-  :meth:`LinearSystem.evolve`, so the shared factorization is patched by
-  rank-1 update/downdate instead of recomputed (with a certified cold
-  fallback — correctness never rides on the fast path);
+  :meth:`LinearSystem.evolve`: on the sparse backend the Gram Cholesky
+  factor is patched by rank-1 update/downdate instead of recomputed
+  (with a certified cold fallback — correctness never rides on the fast
+  path), while a dense system refactorizes cold on its first check;
 - :meth:`check` thresholds ``||R x_hat - y'||_1`` (eq. 23 / Remark 4)
   against the *current* system, matrix-free: one estimate plus one
   forward predict, never a dense residual projector.
@@ -121,19 +122,22 @@ class OnlineConsistencyDetector:
 
         ``remove_indices`` refer to rows of the *current* system.  The
         evolved system keeps this detector's estimator family (re-resolved
-        over the patched factors) and becomes the target of subsequent
+        over the evolved system) and becomes the target of subsequent
         :meth:`check` calls.  A no-op epoch (no churn) still counts — the
-        epoch index tracks stream time, not matrix versions.
+        epoch index tracks stream time, not matrix versions.  Churn that
+        would remove every path raises :class:`DetectionError` and leaves
+        the detector exactly as it was.
         """
         if add_rows or remove_indices:
-            self._system = self._system.evolve(
+            system = self._system.evolve(
                 add_rows=add_rows, remove_indices=remove_indices
             )
-            if self._system.num_paths == 0:
+            if system.num_paths == 0:
                 raise DetectionError("churn removed every measurement path")
             self._estimator = resolve_estimator(
-                self._estimator_name, system=self._system, **self._estimator_params
+                self._estimator_name, system=system, **self._estimator_params
             )
+            self._system = system
         self.epoch += 1
         return self._system
 

@@ -5,7 +5,7 @@ tomography periodically, applies the consistency check (eq. 23) after
 every round and acts on *persistent* anomalies.  Real networks also
 churn — paths fail and recover mid-campaign, the routing matrix gains
 and loses rows, and both sides adapt.  This module is that temporal
-layer over the incremental tomography kernel:
+layer over the evolving tomography kernel:
 
 - :class:`ChurnEvent` / :func:`random_churn_schedule` describe which
   paths fail and recover at each epoch (indices into the scenario's
@@ -14,8 +14,9 @@ layer over the incremental tomography kernel:
 - :class:`StreamingCampaign` drives an
   :class:`~repro.detection.online.OnlineConsistencyDetector` through the
   schedule: every epoch applies the churn through
-  :meth:`LinearSystem.evolve` (rank-1 factor patches, certified cold
-  fallback), measures the live paths, and runs the consistency check;
+  :meth:`LinearSystem.evolve` (rank-1 Gram-Cholesky patches with a
+  certified cold fallback on the sparse backend, a cold SVD on the dense
+  one), measures the live paths, and runs the consistency check;
 - the attacker *re-plans*: whenever churn changes the set of live paths
   it can manipulate, the manipulation vector is recomputed over the
   current system (default strategy: the naive per-path delay attack),
@@ -38,7 +39,8 @@ persistent scapegoat accumulates blame exactly like a genuinely failing
 link would, which is the paper's point: recovery would target the
 victim.  The epoch results also record which factorization path each
 churn event took (``incremental``), so experiments can report the
-incremental hit rate alongside detection latency.
+incremental hit rate alongside detection latency; on the dense backend
+every churn epoch refactorizes cold and that rate is 0.
 """
 
 from __future__ import annotations
@@ -209,7 +211,9 @@ class StreamResult:
     def incremental_fraction(self) -> float | None:
         """Share of churn epochs absorbed by rank-1 factor patches.
 
-        ``None`` when the schedule never churned (nothing to measure).
+        ``None`` when the schedule never churned (nothing to measure);
+        0 on the dense backend, whose evolved systems always refactorize
+        cold.
         """
         churned = [e for e in self.epochs if e.incremental is not None]
         if not churned:
@@ -285,7 +289,7 @@ class StreamingCampaign:
 
         Builds an attack context over the live sub-path-set, injecting
         the detector's evolved system so the attacker's view of the
-        estimator shares the patched factors.  Returns the manipulation
+        estimator shares its factorization.  Returns the manipulation
         as a base-index -> delay map (empty when infeasible).
         """
         scenario = self.scenario

@@ -20,6 +20,11 @@ module supplies two interchangeable numerical cores:
   certify fall back to the dense factors, so rank decisions never
   silently disagree with the library-wide cutoff convention.
 
+Only the sparse backend evolves incrementally under path churn
+(:meth:`SparseBackend.seed_evolution` patches its Gram Cholesky factor
+with the kernels of :mod:`repro.utils.updates`); a dense system produced
+by :meth:`LinearSystem.evolve` runs one cold SVD on first use.
+
 Backend choice is resolved by :func:`resolve_backend_name` with the
 precedence *explicit argument > ``REPRO_BACKEND`` environment variable >
 auto heuristic*.  The heuristic picks sparse only when the matrix is
@@ -46,8 +51,6 @@ from repro.utils.updates import (
     cholesky_downdate,
     cholesky_replace,
     cholesky_update,
-    svd_append_row,
-    svd_remove_row,
 )
 
 __all__ = [
@@ -115,35 +118,6 @@ def resolve_backend_name(
     return "dense"
 
 
-def _certified_rank(
-    s: np.ndarray, shape: tuple[int, int], rank_tol: float
-) -> int | None:
-    """Rank under the shared cutoff, or ``None`` when not certifiable.
-
-    Incrementally updated singular values carry more rounding error than
-    a cold SVD's, so the plain cutoff cannot be trusted near the
-    boundary.  The decision mirrors :class:`SparseBackend`'s certified
-    spectrum rule: every singular value must sit a factor of 4 away from
-    the decision threshold (itself floored at the update noise level);
-    ambiguous spectra return ``None`` and the caller refactorizes cold.
-    """
-    k = s.shape[0]
-    if k == 0:
-        return 0
-    s_max = float(s[0])
-    if s_max == 0.0:
-        return 0
-    m, n = shape
-    cutoff = rank_tol * max(m, n) * s_max
-    noise = s_max * np.sqrt(64.0 * k * np.finfo(float).eps)
-    threshold = max(cutoff, 8.0 * noise)
-    clear_above = s >= 4.0 * threshold
-    clear_below = s <= threshold / 4.0
-    if bool(np.all(clear_above | clear_below)):
-        return int(np.count_nonzero(clear_above))
-    return None
-
-
 class DenseBackend:
     """The historical dense kernel: one SVD, dense derived operators.
 
@@ -154,7 +128,8 @@ class DenseBackend:
     counting, not left for the cycle collector.  Every quantity here is
     assembled from the one shared :func:`compact_svd` factorisation,
     exactly as before the backend split — existing results are
-    bit-identical.
+    bit-identical.  It has no incremental path: an evolved dense system
+    runs its own SVD, which gives the rank exactly.
     """
 
     name = "dense"
@@ -238,107 +213,6 @@ class DenseBackend:
 
     def residual_projector_columns(self, cols: np.ndarray) -> np.ndarray:
         return self.residual_projector[:, cols]
-
-    # -- incremental evolution (LinearSystem.evolve seam) ------------------
-
-    def update_path(
-        self, row: np.ndarray, *, state: tuple | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Factors with ``row`` appended (Brand-style rank-1 SVD update).
-
-        ``state`` is an ``(u, s, vt)`` triple to evolve from; by default
-        the backend's own cached factors.  The returned triple follows
-        the same convention and can be chained through further updates.
-        """
-        u, s, vt = state if state is not None else self.factors[:3]
-        return svd_append_row(u, s, vt, np.asarray(row, dtype=float))
-
-    def downdate_path(
-        self, index: int, *, state: tuple | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Factors with row ``index`` removed, or ``None`` (refactorize)."""
-        u, s, vt = state if state is not None else self.factors[:3]
-        return svd_remove_row(u, s, vt, int(index))
-
-    def seed_evolution(self, target, remove_indices, add_rows) -> bool:
-        """Install incrementally evolved factors into ``target``.
-
-        ``target`` is the fresh backend of the evolved
-        :class:`~repro.tomography.linear_system.LinearSystem`; on success
-        its ``factors`` cache is pre-seeded so the cold SVD never runs.
-        Returns ``False`` — leaving ``target`` untouched — whenever the
-        incremental chain cannot be certified: no cached factors to
-        evolve from, an uncertifiable downdate or rank decision, or a
-        reconstruction/orthonormality probe outside tolerance.
-        """
-        if not isinstance(target, DenseBackend):
-            return False
-        if "factors" not in self.__dict__:
-            return False
-        if not remove_indices and not add_rows:
-            target.factors = self.factors
-            return True
-        if self.matrix.shape[1] == 0:
-            return False
-        state = self.factors[:3]
-        for index in sorted(remove_indices, reverse=True):
-            state = self.downdate_path(index, state=state)
-            if state is None:
-                return False
-        for row in add_rows:
-            state = self.update_path(row, state=state)
-        u, s, vt = state
-        rank = _certified_rank(
-            s, (u.shape[0], vt.shape[1]), self.rank_tol
-        )
-        if rank is None or not self._certify_factors(target, u, s, vt):
-            return False
-        target.factors = (u, s, vt, rank)
-        return True
-
-    #: Certification threshold for evolved SVD factors.  The estimate
-    #: parity contract is 1e-8, but pseudo-inverse amplification can
-    #: inflate factor drift by the condition number, so the factors must
-    #: be certified orders of magnitude tighter.  Healthy update chains
-    #: drift ~1e-14 per epoch; degenerate downdates (a removed row nearly
-    #: parallel to the retained subspace) land around 1e-9 and must fall
-    #: back to a cold factorization.
-    _CERT_TOL = 1e-12
-
-    def _certify_factors(self, target, u, s, vt) -> bool:
-        """Probe the evolved factors against the evolved matrix.
-
-        Cheap checks — reconstruction ``M v = U S V^T v`` on two
-        deterministic probe vectors (out-of-phase, so a drift direction
-        orthogonal to one probe still excites the other), and
-        orthonormality of both bases — bound the error the incremental
-        chain accumulated.  Any failure routes the target to a cold
-        factorization.
-        """
-        matrix = target.matrix
-        m, k = u.shape
-        n = vt.shape[1]
-        grid = np.arange(n, dtype=float)
-        for probe in (np.cos(grid), np.sin(grid + 0.5)):
-            expected = matrix @ probe
-            rebuilt = u @ (s * (vt[:k] @ probe))
-            scale = max(1.0, float(np.abs(expected).max()) if m else 1.0)
-            if float(np.abs(rebuilt - expected).max(initial=0.0)) > self._CERT_TOL * scale:
-                return False
-        if k:
-            w = np.cos(np.arange(k, dtype=float))
-            drift = u.T @ (u @ w) - w
-            if float(np.abs(drift).max()) > self._CERT_TOL * max(
-                1.0, float(np.abs(w).max())
-            ):
-                return False
-        z = np.cos(grid)
-        drift = vt.T @ (vt @ z) - z
-        if float(np.abs(drift).max(initial=0.0)) > self._CERT_TOL * max(
-            1.0, float(np.abs(z).max(initial=0.0))
-        ):
-            return False
-        return True
 
 
 class SparseBackend:
@@ -742,15 +616,16 @@ class SparseBackend:
     def seed_evolution(self, target, remove_indices, add_rows) -> bool:
         """Install an incrementally patched Cholesky into ``target``.
 
-        On success the target backend's ``matrix``/``_cholesky`` caches
-        are pre-seeded (full small-side rank, certified below), so its
-        first estimate pays no ``cho_factor``.  Returns ``False`` for a
-        cold rebuild whenever the chain leaves the certified regime: no
-        factor to evolve from, a failed downdate, a small-side
-        orientation flip, or a final round-trip probe out of tolerance.
+        ``target`` is the fresh sparse backend of the evolved
+        :class:`~repro.tomography.linear_system.LinearSystem` (evolve
+        pins the parent's backend).  On success its ``matrix`` and
+        ``_cholesky`` caches are pre-seeded (full small-side rank,
+        certified below), so its first estimate pays no ``cho_factor``.
+        Returns ``False`` for a cold rebuild whenever the chain leaves
+        the certified regime: no factor to evolve from, a failed
+        downdate or append, a small-side orientation flip, or a final
+        round-trip probe out of tolerance.
         """
-        if not isinstance(target, SparseBackend):
-            return False
         state = self._evolution_state()
         if state is None:
             return False

@@ -171,18 +171,22 @@ class LinearSystem:
         add_rows: tuple | list = (),
         remove_indices: tuple | list = (),
     ) -> LinearSystem:
-        """A new system with rows removed and appended — factors patched.
+        """A new system with rows removed and appended.
 
         ``remove_indices`` name rows of *this* system's matrix (unique,
         in range); ``add_rows`` are appended after the removals, in
         order.  The evolved system is a fresh :class:`LinearSystem` (new
-        digest, same ``rank_tol``, same backend pinned), but its backend
-        is seeded by rank-1 update/downdate of this system's factors
-        whenever the incremental chain can be certified — the cold
-        factorization then never runs.  Chains that cannot be certified
-        (no cached factors yet, a degenerate downdate, a small-side
-        orientation flip on the sparse backend) fall back transparently:
-        the returned system simply factorizes cold on first use.
+        digest, same ``rank_tol``, same backend pinned).  On the sparse
+        backend its Gram Cholesky factor is seeded by rank-1
+        update/downdate of this system's factor whenever the incremental
+        chain can be certified — the cold factorization then never runs.
+        Chains that cannot be certified (no cached factor yet, a
+        rank-deficient parent, a degenerate downdate, a dependent added
+        row, a small-side orientation flip) fall back transparently: the
+        returned system simply factorizes cold on first use.  A dense
+        evolved system always does — one SVD on first use, which on the
+        paper's scenarios costs less than patching and gives the rank
+        exactly.
 
         The result's ``evolved_incrementally`` attribute records which
         path was taken; a ``system_evolve`` obs event is emitted either
@@ -215,8 +219,8 @@ class LinearSystem:
         )
         with obs.span("system_evolve"):
             obs.counter("system_evolve")
-            incremental = self._backend.seed_evolution(
-                new_system._backend, removals, added
+            incremental = self.backend_name == "sparse" and (
+                self._backend.seed_evolution(new_system._backend, removals, added)
             )
         new_system.evolved_incrementally = incremental
         if obs.is_enabled():

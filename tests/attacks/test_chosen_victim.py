@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.attacks.base import AttackContext
 from repro.attacks.chosen_victim import ChosenVictimAttack
 from repro.attacks.constraints import validate_manipulation_vector
 from repro.exceptions import AttackConstraintError, ValidationError

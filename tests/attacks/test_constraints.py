@@ -1,6 +1,5 @@
 """Tests for Constraint-1 machinery."""
 
-import numpy as np
 import pytest
 
 from repro.attacks.constraints import (

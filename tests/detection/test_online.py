@@ -139,7 +139,11 @@ class TestAdvance:
         assert evolved is not before
         assert evolved.num_paths == before.num_paths
 
-    def test_warm_system_advances_incrementally(self, detector):
+    def test_warm_system_advances_incrementally(self):
+        # Only the sparse backend patches its factors under churn.
+        detector = OnlineConsistencyDetector(
+            LinearSystem(_incidence(10, 6, 3, 2), backend="sparse"), alpha=5.0
+        )
         detector.system.rank  # warm the factors so churn can patch them
         row = np.zeros(detector.system.num_links)
         row[1:4] = 1.0
@@ -171,6 +175,17 @@ class TestAdvance:
         online = OnlineConsistencyDetector(_incidence(2, 4, 2, 8), alpha=1.0)
         with pytest.raises(DetectionError, match="every measurement path"):
             online.advance(remove_indices=[0, 1])
+
+    def test_refused_churn_leaves_the_detector_untouched(self):
+        online = OnlineConsistencyDetector(_incidence(4, 3, 2, 9), alpha=1.0)
+        system, estimator = online.system, online.estimator
+        with pytest.raises(DetectionError, match="every measurement path"):
+            online.advance(remove_indices=[0, 1, 2, 3])
+        assert online.system is system
+        assert online.estimator is estimator
+        assert online.epoch == 0
+        x = np.ones(system.num_links)
+        assert not online.check(system.predict(x)).detected
 
 
 class TestStructurallyBlind:

@@ -350,7 +350,9 @@ class TestInstrumentedLibrary:
             MaxDamageAttack(scenario.attack_context(["B", "C"])).run()
         counters = summarize_run(path)["counters"]
         assert counters["lp_solve"] > 0
-        assert counters["svd"] >= 1
+        # REPRO_BACKEND may route the system to either backend.
+        dense = scenario.system.backend_name == "dense"
+        assert counters["svd" if dense else "gram_cholesky"] >= 1
         assert dict(recorder.counters) == counters
 
     def test_observability_does_not_change_results(self, tmp_path):

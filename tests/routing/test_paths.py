@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import InvalidPathError, LinkNotFoundError, ValidationError
+from repro.exceptions import InvalidPathError, ValidationError
 from repro.routing.paths import MeasurementPath, PathSet
 from repro.routing.selection import select_identifiable_paths
 from repro.scenarios.simple_network import paper_fig1_scenario

@@ -8,7 +8,7 @@ from repro.routing.routing_matrix import (
     identifiable_links,
     routing_matrix,
 )
-from repro.topology.generators.simple import paper_example_network, path_topology
+from repro.topology.generators.simple import path_topology
 
 
 class TestIdentifiableLinks:

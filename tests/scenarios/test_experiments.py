@@ -1,7 +1,5 @@
 """Tests for the Fig. 7 / Fig. 8 experiment drivers (small scale)."""
 
-import math
-
 import pytest
 
 from repro.exceptions import ValidationError

@@ -1,9 +1,7 @@
 """Tests for the Section V-B case studies (Figs. 4-6)."""
 
 import numpy as np
-import pytest
 
-from repro.metrics.states import LinkState
 from repro.scenarios.simple_network import (
     PAPER_NUM_PATHS,
     PAPER_VICTIM_LINK,

@@ -105,7 +105,8 @@ class TestHonestStream:
         assert result.detection_latency() is None
 
     def test_incremental_fraction_measured(self, fig1_scenario):
-        campaign = StreamingCampaign(fig1_scenario)
+        # Only the sparse backend patches its factors under churn.
+        campaign = StreamingCampaign(fig1_scenario, backend="sparse")
         campaign.detector.system.rank  # warm: churn should patch, not rebuild
         schedule = random_churn_schedule(
             fig1_scenario.path_set.num_paths, 10, churn_rate=0.2, rng=5

@@ -1,13 +1,15 @@
-"""Incremental evolution parity: patched factors vs a cold build.
+"""Evolution parity: evolved systems vs a cold build.
 
-:meth:`LinearSystem.evolve` seeds the evolved system's backend by rank-1
-update/downdate of the parent's factors.  The contract is that an evolved
-system is *numerically indistinguishable* from one built cold over the
-same final matrix: identical estimates, residuals, rank, and nullspace
-span to 1e-8, on both backends, in both the tall (paths >= links) and
-wide (paths < links) regimes.  The hypothesis suite drives random churn
-chains through both constructions and compares; white-box perf-counter
-tests pin down that the fast path actually ran.
+On the sparse backend :meth:`LinearSystem.evolve` seeds the evolved
+system's Gram Cholesky factor by rank-1 update/downdate of the parent's;
+a dense evolved system runs its own SVD on first use.  The contract is
+that an evolved system is *numerically indistinguishable* from one built
+cold over the same final matrix: identical estimates, residuals, rank,
+and nullspace span to 1e-8, on both backends, in both the tall
+(paths >= links) and wide (paths < links) regimes.  The hypothesis suite
+drives random churn chains through both constructions and compares;
+white-box perf-counter tests pin down which path ran, and one case per
+fallback forces the sparse chain back to a cold build.
 """
 
 import numpy as np
@@ -158,33 +160,81 @@ class TestEvolveFastPath:
             evolved.estimate(np.ones(evolved.num_paths))
         assert recorder.counters.get("gram_cholesky", 0) == 0
 
-    def test_dense_churn_is_incremental(self):
+    def test_dense_evolve_refactorizes_cold(self):
         base = _incidence(12, 8, 4, 11)
         system = LinearSystem(base, backend="dense")
         system.rank
         (row,) = _random_rows(1, 8, 4, 12)
         with recording(PerfRecorder()) as recorder:
             evolved = system.evolve(remove_indices=[2], add_rows=[row])
-        assert evolved.evolved_incrementally
-        assert recorder.counters["svd_downdate"] == 1
-        assert recorder.counters["svd_update"] == 1
+        assert evolved.evolved_incrementally is False
+        assert recorder.counters["system_evolve"] == 1
+        assert recorder.counters.get("svd", 0) == 0
+        # The evolved system pays exactly one SVD, on first use.
+        with recording(PerfRecorder()) as recorder:
+            evolved.estimate(np.ones(evolved.num_paths))
+        assert recorder.counters["svd"] == 1
 
     def test_unwarmed_parent_falls_back_cold(self):
         base = _incidence(10, 6, 3, 3)
-        system = LinearSystem(base, backend="dense")
-        # No .rank touch: there are no factors to patch yet.
+        system = LinearSystem(scipy.sparse.csr_matrix(base), backend="sparse")
+        # No .rank touch: there is no Gram factor to patch yet.
         evolved = system.evolve(remove_indices=[0])
         assert evolved.evolved_incrementally is False
-        cold = LinearSystem(np.asarray(evolved.matrix), backend="dense")
+        cold = LinearSystem(
+            scipy.sparse.csr_matrix(evolved.matrix), backend="sparse"
+        )
         _assert_parity(evolved, cold, 4)
 
     def test_noop_evolve_shares_factors(self):
         base = _incidence(9, 7, 3, 5)
-        system = LinearSystem(base, backend="dense")
+        system = LinearSystem(scipy.sparse.csr_matrix(base), backend="sparse")
         system.rank
         evolved = system.evolve()
         assert evolved.evolved_incrementally
         assert evolved.rank == system.rank
+
+
+#: A wide 4 x 9 incidence matrix of full row rank.
+_WIDE = _incidence(4, 9, 3, 21)
+
+#: Sparse chains that must fall back cold:
+#: ``name -> (parent matrix, warm the parent?, remove_indices, add_rows)``.
+FALLBACK_CASES = {
+    # No Gram factor has been computed yet.
+    "unwarmed-parent": (_WIDE, False, [0], []),
+    # A duplicated row leaves R R^T singular: the parent solves by LSMR.
+    "lsmr-parent": (np.vstack([_WIDE, _WIDE[:1]]), True, [1], []),
+    # 6 x 6 -> 5 x 6: the small side flips from R^T R to R R^T.
+    "tall-to-wide-flip": (np.eye(6) + np.eye(6, k=1), True, [2], []),
+    # 5 x 6 -> 6 x 6: the small side flips from R R^T to R^T R.
+    "wide-to-tall-flip": (
+        np.eye(5, 6) + np.eye(5, 6, k=1), True, [], [np.eye(6)[5]]
+    ),
+    # A copy of a live row borders R R^T with a zero Schur complement.
+    "dependent-append": (_WIDE, True, [], [_WIDE[0]]),
+    # The same, through the fused one-out / one-in replace.
+    "dependent-replace": (_WIDE, True, [3], [_WIDE[0]]),
+    # [I_6; e_1] minus row 1 (e_2) drives the second pivot to zero.
+    "exhausted-pivot": (np.vstack([np.eye(6), np.eye(6)[:1]]), True, [1], []),
+}
+
+
+class TestSparseFallback:
+    """Every way out of the certified sparse chain ends in a cold build."""
+
+    @pytest.mark.parametrize("case", list(FALLBACK_CASES))
+    def test_falls_back_to_a_cold_build(self, case):
+        base, warm, removals, additions = FALLBACK_CASES[case]
+        system = LinearSystem(scipy.sparse.csr_matrix(base), backend="sparse")
+        if warm:
+            system.rank
+        evolved = system.evolve(remove_indices=removals, add_rows=additions)
+        assert evolved.evolved_incrementally is False
+        cold = LinearSystem(
+            scipy.sparse.csr_matrix(evolved.matrix), backend="sparse"
+        )
+        _assert_parity(evolved, cold, 5)
 
 
 class TestEvolveValidation:
