@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.detection.consistency import DetectionResult
 from repro.exceptions import DetectionError
 from repro.obs import core as obs
-from repro.detection.consistency import DetectionResult
 from repro.tomography.estimator_zoo import resolve_estimator
 from repro.tomography.linear_system import LinearSystem
 

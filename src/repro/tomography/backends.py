@@ -20,10 +20,16 @@ module supplies two interchangeable numerical cores:
   certify fall back to the dense factors, so rank decisions never
   silently disagree with the library-wide cutoff convention.
 
+Each backend is built from ``R`` in the form it computes with (a dense
+array, or CSR) and the rank cutoff, and holds no reference back to its
+:class:`~repro.tomography.linear_system.LinearSystem`, so a dropped system
+and its factors are freed by reference counting.
+
 Only the sparse backend evolves incrementally under path churn
 (:meth:`SparseBackend.seed_evolution` patches its Gram Cholesky factor
-with the kernels of :mod:`repro.utils.updates`); a dense system produced
-by :meth:`LinearSystem.evolve` runs one cold SVD on first use.
+with the kernels of :mod:`repro.utils.updates`, reading rows from the
+parent's and the evolved system's CSR); a dense system produced by
+:meth:`LinearSystem.evolve` runs one cold SVD on first use.
 
 Backend choice is resolved by :func:`resolve_backend_name` with the
 precedence *explicit argument > ``REPRO_BACKEND`` environment variable >
@@ -218,29 +224,30 @@ class DenseBackend:
 class SparseBackend:
     """Matrix-free sparse kernel: CSR storage, Gram/LSMR solves.
 
+    ``matrix`` is ``R`` in CSR form (|P| x |L|) and ``rank_tol`` the rank
+    cutoff of the :class:`~repro.tomography.linear_system.LinearSystem`
+    this backend serves.  As with :class:`DenseBackend`, the backend holds
+    no reference back to that system, so a dropped system and its factors
+    are freed by reference counting, not left for the cycle collector.
+
     Estimates and residuals never materialise ``R⁺`` or the dense
     projectors.  Quantities that are irreducibly dense (the full
     estimator matrix, the projectors, a nullspace basis, singular
     values) fall back to a lazily constructed :class:`DenseBackend` over
-    the same matrix, so requesting them is always *correct* — merely not
-    matrix-free — and parity with the dense backend is exact for them.
+    a densified copy of the same matrix, so requesting them is always
+    *correct* — merely not matrix-free — and parity with the dense
+    backend is exact for them.  That dense copy is made once, on first
+    request, and is also the system's ``LinearSystem.matrix`` view.
     """
 
     name = "sparse"
 
-    def __init__(self, owner) -> None:
-        self._owner = owner
+    def __init__(self, matrix: scipy.sparse.csr_matrix, rank_tol: float) -> None:
+        self.matrix = matrix
+        self.rank_tol = rank_tol
         self._regularized_factors: dict[float, tuple] = {}
 
     # -- storage ----------------------------------------------------------
-
-    @cached_property
-    def matrix(self) -> scipy.sparse.csr_matrix:
-        """``R`` in CSR form (built once from whichever form the owner has)."""
-        raw = self._owner.raw_matrix
-        if scipy.sparse.issparse(raw):
-            return scipy.sparse.csr_matrix(raw, dtype=float)
-        return scipy.sparse.csr_matrix(np.asarray(raw, dtype=float))
 
     @cached_property
     def matrix_t(self) -> scipy.sparse.csr_matrix:
@@ -250,7 +257,7 @@ class SparseBackend:
     @cached_property
     def _dense_fallback(self) -> DenseBackend:
         """Dense twin used for irreducibly dense quantities."""
-        return DenseBackend(self._owner.matrix, self._owner.rank_tol)
+        return DenseBackend(self.matrix.toarray(), self.rank_tol)
 
     # -- small-side Gram factorisation ------------------------------------
 
@@ -325,7 +332,7 @@ class SparseBackend:
         s_max = float(s[-1])
         if s_max == 0.0:
             return 0
-        cutoff = self._owner.rank_tol * max(m, n) * s_max
+        cutoff = self.rank_tol * max(m, n) * s_max
         # Resolution floor of the Gram spectrum in singular-value units:
         # eigenvalues carry O(k * eps * lam_max) absolute error.
         noise = s_max * np.sqrt(64.0 * k * np.finfo(float).eps)
@@ -495,16 +502,16 @@ class SparseBackend:
         :meth:`estimate_many` over the corresponding identity columns —
         the full dense pseudo-inverse is never formed.
         """
-        m = self._owner.num_paths
+        m, n = self.matrix.shape
         if cols.size == 0:
-            return np.zeros((self._owner.num_links, 0))
+            return np.zeros((n, 0))
         unit = np.zeros((m, cols.size))
         unit[cols, np.arange(cols.size)] = 1.0
         return self.estimate_many(unit)
 
     def residual_projector_columns(self, cols: np.ndarray) -> np.ndarray:
         """Selected columns of ``I - R R⁺`` without the dense projector."""
-        m = self._owner.num_paths
+        m = self.matrix.shape[0]
         if cols.size == 0:
             return np.zeros((m, 0))
         unit = np.zeros((m, cols.size))
@@ -513,145 +520,82 @@ class SparseBackend:
 
     # -- incremental evolution (LinearSystem.evolve seam) ------------------
 
-    def _evolution_state(self) -> tuple | None:
-        """``(matrix, chol)`` snapshot to evolve from, or ``None``.
-
-        Only the certified-Cholesky regime evolves incrementally: the
-        LSMR (rank-deficient) regime has no factor to patch, and a
-        system that was never solved has nothing worth carrying over.
-        The dense Gram is deliberately NOT part of the evolving state —
-        every consumer (refinement, certification) works from sparse
-        matvecs, so carrying the ``k x k`` Gram forward would only add a
-        full-matrix copy per epoch.
-        """
-        if "_cholesky" not in self.__dict__:
-            return None
-        if self._cholesky is None:
-            return None
-        return (self.matrix, self._cholesky[0])
-
-    def update_path(self, row: np.ndarray, *, state: tuple) -> tuple | None:
-        """State with ``row`` appended: Cholesky patched in O(k^2).
-
-        Tall systems rank-1-update the ``R^T R`` factor; wide systems
-        border the ``R R^T`` factor by one dimension.  Returns ``None``
-        when the append would flip the small side (wide -> tall) or the
-        bordered factor is not safely positive.
-        """
-        matrix, chol = state
-        m, n = matrix.shape
-        row = np.asarray(row, dtype=float)
-        new_matrix = scipy.sparse.vstack(
-            [matrix, scipy.sparse.csr_matrix(row)], format="csr"
-        )
-        if m >= n:
-            new_chol = cholesky_update(chol, row)
-        else:
-            if m + 1 >= n:
-                return None
-            b = matrix @ row
-            d = float(row @ row)
-            new_chol = cholesky_append(chol, b, d)
-            if new_chol is None:
-                return None
-        return (new_matrix, new_chol)
-
-    def downdate_path(self, index: int, *, state: tuple) -> tuple | None:
-        """State with row ``index`` removed, or ``None`` (refactorize).
-
-        Tall systems hyperbolically downdate the ``R^T R`` factor (which
-        can fail when the removal exhausts a pivot); wide systems delete
-        one dimension of the ``R R^T`` factor (always stable).
-        """
-        matrix, chol = state
-        m, n = matrix.shape
-        index = int(index)
-        keep = np.ones(m, dtype=bool)
-        keep[index] = False
-        new_matrix = matrix[keep]
-        if m >= n:
-            if m - 1 < n:
-                return None
-            row = np.asarray(matrix[index].todense()).ravel()
-            new_chol = cholesky_downdate(chol, row)
-            if new_chol is None:
-                return None
-        else:
-            new_chol = cholesky_delete(chol, index)
-        return (new_matrix, new_chol)
-
-    def replace_path(self, index: int, row: np.ndarray, *, state: tuple) -> tuple | None:
-        """State with row ``index`` swapped for ``row`` — fused, or ``None``.
-
-        The dominant churn pattern (one path fails, one recovers) would
-        naively copy the full Cholesky factor twice; on memory-bound
-        hosts those copies dwarf the O(k^2) arithmetic.  In the wide
-        regime this fuses the delete and the border into one
-        single-allocation pass (:func:`cholesky_replace`).  The tall
-        regime is already rank-1, so it simply chains the downdate and
-        update.
-        """
-        matrix, chol = state
-        m, n = matrix.shape
-        if m >= n:
-            shrunk = self.downdate_path(index, state=state)
-            if shrunk is None:
-                return None
-            return self.update_path(row, state=shrunk)
-        index = int(index)
-        row = np.asarray(row, dtype=float)
-        keep = np.ones(m, dtype=bool)
-        keep[index] = False
-        kept = matrix[keep]
-        new_matrix = scipy.sparse.vstack(
-            [kept, scipy.sparse.csr_matrix(row)], format="csr"
-        )
-        b = kept @ row
-        d = float(row @ row)
-        new_chol = cholesky_replace(chol, index, b, d)
-        if new_chol is None:
-            return None
-        return (new_matrix, new_chol)
-
     def seed_evolution(self, target, remove_indices, add_rows) -> bool:
         """Install an incrementally patched Cholesky into ``target``.
 
         ``target`` is the fresh sparse backend of the evolved
         :class:`~repro.tomography.linear_system.LinearSystem` (evolve
-        pins the parent's backend).  On success its ``matrix`` and
-        ``_cholesky`` caches are pre-seeded (full small-side rank,
-        certified below), so its first estimate pays no ``cho_factor``.
-        Returns ``False`` for a cold rebuild whenever the chain leaves
-        the certified regime: no factor to evolve from, a failed
-        downdate or append, a small-side orientation flip, or a final
-        round-trip probe out of tolerance.
+        pins the parent's backend).  Its ``matrix`` is already the
+        evolved CSR — this backend's rows minus ``remove_indices``, then
+        ``add_rows`` — so only the Cholesky factor is patched here, and
+        every row it needs is read from one of the two CSRs:
+
+        - removals run highest index first, so a tall downdate reads its
+          row from this backend's CSR at an index that is still valid;
+        - a wide append (or the fused one-out / one-in replace) borders
+          the factor with ``b``, the dot products of ``target.matrix``'s
+          leading rows — the rows live at that step — with the new row.
+
+        Only the certified-Cholesky regime evolves: the LSMR
+        (rank-deficient) regime has no factor to patch, and a system that
+        was never solved has nothing worth carrying over.  On success the
+        target's ``_cholesky`` and ``_rank`` caches are pre-seeded (full
+        small-side rank, certified below), so its first estimate pays no
+        ``cho_factor``; its ``matrix_t`` stays lazy.  Returns ``False``
+        for a cold rebuild whenever the chain leaves the certified
+        regime: no factor to evolve from, a failed downdate or append, a
+        small-side orientation flip, or a final round-trip probe out of
+        tolerance.
         """
-        state = self._evolution_state()
-        if state is None:
+        if self.__dict__.get("_cholesky") is None:
             return False
-        if not remove_indices and not add_rows:
-            matrix, chol = state
-            self._seed_target(target, matrix, chol)
-            return True
-        removals = sorted(remove_indices, reverse=True)
-        additions = list(add_rows)
-        if len(removals) == 1 and len(additions) == 1:
-            state = self.replace_path(removals[0], additions[0], state=state)
-            if state is None:
+        chol = self._cholesky[0]
+        evolved = target.matrix
+        if remove_indices or add_rows:
+            m, n = self.matrix.shape
+            removals = sorted(remove_indices, reverse=True)
+            additions = [np.asarray(row, dtype=float) for row in add_rows]
+            if m < n and len(removals) == 1 and len(additions) == 1:
+                # The dominant churn pattern (one path fails, one
+                # recovers): :func:`cholesky_replace` fuses the delete and
+                # the border into one pass with a single allocation.
+                (index,), (row,) = removals, additions
+                b = (evolved @ row)[: m - 1]
+                chol = cholesky_replace(chol, index, b, float(row @ row))
+                if chol is None:
+                    return False
+                removals, additions = [], []
+            for index in removals:
+                if m >= n:
+                    # Tall: hyperbolic downdate of the R^T R factor, which
+                    # fails when the removal exhausts a pivot.
+                    if m - 1 < n:
+                        return False
+                    row = self.matrix[index].toarray().ravel()
+                    chol = cholesky_downdate(chol, row)
+                    if chol is None:
+                        return False
+                else:
+                    # Wide: drop one dimension of the R R^T factor.
+                    chol = cholesky_delete(chol, index)
+                m -= 1
+            for row in additions:
+                if m >= n:
+                    # Tall: rank-1 update of the R^T R factor.
+                    chol = cholesky_update(chol, row)
+                else:
+                    # Wide: border the R R^T factor by one dimension.
+                    if m + 1 >= n:
+                        return False
+                    b = (evolved @ row)[:m]
+                    chol = cholesky_append(chol, b, float(row @ row))
+                    if chol is None:
+                        return False
+                m += 1
+            if not self._certify_state(evolved, chol):
                 return False
-            removals, additions = [], []
-        for index in removals:
-            state = self.downdate_path(index, state=state)
-            if state is None:
-                return False
-        for row in additions:
-            state = self.update_path(row, state=state)
-            if state is None:
-                return False
-        matrix, chol = state
-        if not self._certify_state(matrix, chol):
-            return False
-        self._seed_target(target, matrix, chol)
+        target._cholesky = (chol, False)
+        target._rank = min(evolved.shape)
         return True
 
     @staticmethod
@@ -681,14 +625,6 @@ class SparseBackend:
         if float(np.abs(back - p).max()) > 1e-8 * max(1.0, float(np.abs(p).max())):
             return False
         return True
-
-    @staticmethod
-    def _seed_target(target, matrix, chol) -> None:
-        """Pre-seed the target backend's caches with the evolved state."""
-        target.matrix = matrix
-        target.matrix_t = matrix.T.tocsr()
-        target._cholesky = (chol, False)
-        target._rank = min(matrix.shape)
 
     # -- irreducibly dense operators (exact dense fallback) ---------------
 

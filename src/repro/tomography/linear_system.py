@@ -18,6 +18,12 @@ explicit ``backend=`` argument, then the ``REPRO_BACKEND`` environment
 variable, then a size/density heuristic — so attack contexts, detectors,
 the sweep cache and Monte-Carlo drivers pick the right kernel
 transparently.
+
+A system holds ``R`` once, in the form its backend computes with: a
+dense array for the dense backend, CSR for the sparse one, converted once
+from whichever form was handed in.  A sparse system has no dense copy until
+:attr:`LinearSystem.matrix` is first requested, and an evolving sparse
+system stacks one new CSR per churn epoch.
 """
 
 from __future__ import annotations
@@ -63,6 +69,11 @@ class LinearSystem:
         heuristic (sparse only for large, sparse matrices); see
         :func:`repro.tomography.backends.resolve_backend_name`.
 
+    ``R`` is stored once, converted at most once here: to CSR when the
+    backend resolves to sparse, to a dense array when it resolves to
+    dense.  The backend holds that storage and no reference back to the
+    system, so a dropped system is freed by reference counting.
+
     Factorisation is lazy: nothing numerical happens until the first
     derived quantity is requested, and each derived operator is then
     cached.  Under the dense backend this replaces three independent dense
@@ -83,27 +94,26 @@ class LinearSystem:
     ) -> None:
         from repro.routing.routing_matrix import density
 
-        if scipy.sparse.issparse(routing_matrix):
-            self._raw = routing_matrix.tocsr().astype(float)
-            sparse_input = True
+        sparse_input = scipy.sparse.issparse(routing_matrix)
+        if sparse_input:
+            matrix = routing_matrix.tocsr().astype(float)
         else:
             matrix = np.asarray(routing_matrix, dtype=float)
             if matrix.ndim != 2:
                 raise ValueError(f"routing matrix must be 2-D, got ndim={matrix.ndim}")
-            self._raw = matrix
-            sparse_input = False
         self._rank_tol = float(rank_tol)
         name = resolve_backend_name(
             backend,
-            shape=self._raw.shape,
-            density=density(self._raw),
+            shape=matrix.shape,
+            density=density(matrix),
             sparse_input=sparse_input,
         )
-        self._backend = (
-            SparseBackend(self)
-            if name == "sparse"
-            else DenseBackend(self.matrix, self._rank_tol)
-        )
+        if name == "sparse":
+            self._backend = SparseBackend(scipy.sparse.csr_matrix(matrix), self._rank_tol)
+        else:
+            self._backend = DenseBackend(
+                matrix.toarray() if sparse_input else matrix, self._rank_tol
+            )
 
     # -- backend plumbing --------------------------------------------------
 
@@ -116,11 +126,6 @@ class LinearSystem:
     def rank_tol(self) -> float:
         """Relative singular-value cutoff shared by every rank decision."""
         return self._rank_tol
-
-    @property
-    def raw_matrix(self):
-        """``R`` exactly as handed in (dense array or scipy sparse matrix)."""
-        return self._raw
 
     @cached_property
     def _factorized(self) -> object:
@@ -143,7 +148,6 @@ class LinearSystem:
                 links=self.num_links,
                 rank=rank,
                 backend=self.backend_name,
-                digest=self.digest,
             )
         return self._backend
 
@@ -176,10 +180,13 @@ class LinearSystem:
         ``remove_indices`` name rows of *this* system's matrix (unique,
         in range); ``add_rows`` are appended after the removals, in
         order.  The evolved system is a fresh :class:`LinearSystem` (new
-        digest, same ``rank_tol``, same backend pinned).  On the sparse
-        backend its Gram Cholesky factor is seeded by rank-1
-        update/downdate of this system's factor whenever the incremental
-        chain can be certified — the cold factorization then never runs.
+        digest, same ``rank_tol``, same backend pinned) over a new ``R``
+        in this system's storage form: on the sparse backend, one CSR
+        stacked from this system's kept rows and the added rows, never a
+        dense copy.  On the sparse backend its Gram Cholesky factor is
+        seeded by rank-1 update/downdate of this system's factor whenever
+        the incremental chain can be certified — the cold factorization
+        then never runs.
         Chains that cannot be certified (no cached factor yet, a
         rank-deficient parent, a degenerate downdate, a dependent added
         row, a small-side orientation flip) fall back transparently: the
@@ -192,7 +199,8 @@ class LinearSystem:
         path was taken; a ``system_evolve`` obs event is emitted either
         way.  This system is never mutated.
         """
-        m, n = self._raw.shape
+        matrix = self._backend.matrix
+        m, n = matrix.shape
         removals = sorted({int(i) for i in remove_indices})
         if len(removals) != len(tuple(remove_indices)):
             raise ValidationError("remove_indices must be unique")
@@ -203,19 +211,19 @@ class LinearSystem:
         added = [
             check_finite_vector(row, "added row", length=n) for row in add_rows
         ]
-        if scipy.sparse.issparse(self._raw):
+        if scipy.sparse.issparse(matrix):
             keep = np.ones(m, dtype=bool)
             keep[removals] = False
-            parts = [self._raw[keep]]
+            parts = [matrix[keep]]
             if added:
                 parts.append(scipy.sparse.csr_matrix(np.asarray(added)))
-            new_raw = scipy.sparse.vstack(parts, format="csr")
+            evolved = scipy.sparse.vstack(parts, format="csr")
         else:
-            new_raw = np.delete(self._raw, removals, axis=0)
+            evolved = np.delete(matrix, removals, axis=0)
             if added:
-                new_raw = np.vstack([new_raw, np.asarray(added)])
+                evolved = np.vstack([evolved, np.asarray(added)])
         new_system = LinearSystem(
-            new_raw, rank_tol=self._rank_tol, backend=self.backend_name
+            evolved, rank_tol=self._rank_tol, backend=self.backend_name
         )
         with obs.span("system_evolve"):
             obs.counter("system_evolve")
@@ -239,20 +247,25 @@ class LinearSystem:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The routing matrix ``R`` as a dense array (treat as read-only)."""
-        if scipy.sparse.issparse(self._raw):
-            return np.asarray(self._raw.todense(), dtype=float)
-        return self._raw
+        """The routing matrix ``R`` as a dense array (treat as read-only).
+
+        A sparse system densifies its CSR on the first request, into the
+        same array its backend's dense fallback factorizes, so it holds
+        at most one dense copy of ``R`` and none until one is asked for.
+        """
+        if self._backend.name == "sparse":
+            return self._backend._dense_fallback.matrix
+        return self._backend.matrix
 
     @property
     def num_paths(self) -> int:
         """Number of measurement paths (rows of ``R``)."""
-        return self._raw.shape[0]
+        return self._backend.matrix.shape[0]
 
     @property
     def num_links(self) -> int:
         """Number of links (columns of ``R``)."""
-        return self._raw.shape[1]
+        return self._backend.matrix.shape[1]
 
     # -- rank structure ---------------------------------------------------
 

@@ -286,6 +286,23 @@ class TestInstrumentedLibrary:
         assert events[0]["links"] == 3
         assert events[0]["rank"] == 2
 
+    def test_sparse_factorization_event_keeps_r_sparse(self, tmp_path):
+        import scipy.sparse
+
+        from repro.tomography.linear_system import LinearSystem
+
+        matrix = scipy.sparse.csr_matrix([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        system = LinearSystem(matrix, backend="sparse")
+        path = tmp_path / "run.jsonl"
+        with obs.enabled(path):
+            system.estimate(np.ones(2))
+        events = [r for r in read_events(path) if r.get("name") == "linear_system_factorize"]
+        assert len(events) == 1
+        assert events[0]["backend"] == "sparse"
+        # The event must not densify R (no `matrix` view, no dense twin).
+        assert "matrix" not in vars(system)
+        assert "_dense_fallback" not in vars(system._backend)
+
     def test_lp_solve_event(self, tmp_path, fig1_scenario):
         from repro.attacks.lp import BandConstraints, solve_manipulation_lp
         from repro.tomography.linear_system import estimator_operator

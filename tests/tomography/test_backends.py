@@ -17,6 +17,7 @@ import scipy.sparse
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.detection.online import OnlineConsistencyDetector
 from repro.exceptions import ValidationError
 from repro.tomography.backends import (
     AUTO_DENSITY_THRESHOLD,
@@ -37,6 +38,24 @@ def _incidence(num_paths: int, num_links: int, hops: int, seed: int) -> np.ndarr
         cols = rng.choice(num_links, size=min(hops, num_links), replace=False)
         matrix[i, cols] = 1.0
     return matrix
+
+
+def _copies_of_r(system: LinearSystem) -> list:
+    """The distinct arrays of ``R``'s shape that ``system`` keeps.
+
+    Looks in the system, its backend and, once built, the sparse
+    backend's dense fallback.
+    """
+    shape = (system.num_paths, system.num_links)
+    holders = [system, system._backend, vars(system._backend).get("_dense_fallback")]
+    held = {
+        id(value): value
+        for holder in holders
+        if holder is not None
+        for value in vars(holder).values()
+        if getattr(value, "shape", None) == shape
+    }
+    return list(held.values())
 
 
 def _pair(matrix: np.ndarray) -> tuple[LinearSystem, LinearSystem]:
@@ -198,8 +217,9 @@ class TestDispatch:
 class TestReferenceCounting:
     """A dropped system frees its factors without the cycle collector."""
 
-    def test_factorized_dense_system_dies_on_del(self):
-        system = LinearSystem(_incidence(12, 8, 3, seed=5), backend="dense")
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_factorized_system_dies_on_del(self, backend):
+        system = LinearSystem(_incidence(12, 8, 3, seed=5), backend=backend)
         assert system.rank > 0  # factorize
         assert system.estimator.shape == (8, 12)
         ref = weakref.ref(system)
@@ -210,6 +230,22 @@ class TestReferenceCounting:
         finally:
             gc.enable()
 
+    def test_evolved_sparse_chain_frees_what_it_moved_past(self):
+        matrix = _incidence(12, 8, 3, seed=5)
+        system = LinearSystem(matrix, backend="sparse")
+        system.rank
+        passed = []
+        gc.disable()
+        try:
+            for step in range(5):
+                passed.append(weakref.ref(system))
+                system = system.evolve(remove_indices=[step], add_rows=[matrix[step]])
+                assert system.evolved_incrementally
+                system.estimate(np.ones(system.num_paths))
+                assert [ref() for ref in passed] == [None] * len(passed)
+        finally:
+            gc.enable()
+
     def test_sparse_dense_fallback_still_answers_nullspace(self):
         matrix = _incidence(6, 9, 3, seed=11)
         sparse = LinearSystem(matrix, backend="sparse")
@@ -217,6 +253,44 @@ class TestReferenceCounting:
         basis = sparse.nullspace
         assert basis.shape == dense.nullspace.shape
         np.testing.assert_allclose(matrix @ basis, 0.0, atol=PARITY_TOL)
+
+
+class TestStorage:
+    """A system holds ``R`` once, in the form its backend computes with."""
+
+    @pytest.mark.parametrize("given", ["dense", "csr"])
+    @pytest.mark.parametrize(
+        ("backend", "stored"),
+        [("dense", np.ndarray), ("sparse", scipy.sparse.csr_matrix)],
+    )
+    def test_backend_stores_its_own_form(self, given, backend, stored):
+        matrix = _incidence(12, 8, 3, seed=5)
+        handed = scipy.sparse.csr_matrix(matrix) if given == "csr" else matrix
+        system = LinearSystem(handed, backend=backend)
+        system.rank
+        (held,) = _copies_of_r(system)
+        assert type(held) is stored
+        np.testing.assert_array_equal(system.matrix, matrix)
+
+    def test_sparse_system_densifies_only_on_request(self):
+        matrix = _incidence(12, 8, 3, seed=5)
+        system = LinearSystem(matrix, backend="sparse")
+        observed = matrix @ np.arange(1.0, 9.0)
+        system.rank
+        system.estimate(observed)
+        system.residual(observed)
+        evolved = system.evolve(remove_indices=[0], add_rows=[matrix[0]])
+        detector = OnlineConsistencyDetector(evolved, alpha=1.0, estimator="ls")
+        detector.check(evolved.predict(np.ones(8)))
+        for each in (system, evolved):
+            (held,) = _copies_of_r(each)
+            assert scipy.sparse.issparse(held)
+
+        dense = system.matrix
+        np.testing.assert_array_equal(dense, matrix)
+        assert dense is system._backend._dense_fallback.matrix
+        assert len(_copies_of_r(system)) == 2  # the CSR and one dense copy
+        assert system.digest == LinearSystem(matrix, backend="dense").digest
 
 
 class TestColumnBlocks:
