@@ -9,8 +9,8 @@ and produce an :class:`AttackOutcome`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Iterable
+from dataclasses import dataclass, field
 
 import numpy as np
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+import numpy as np
+
 from repro.attacks.base import AttackContext, AttackOutcome
 from repro.attacks.lp import BandConstraints, IncrementalLpSolver
 from repro.exceptions import AttackConstraintError, ValidationError
@@ -51,24 +53,18 @@ def build_chosen_victim_bands(
     cannot (see the detection benches).
     """
     bands = BandConstraints.unbounded(context.num_links)
-    normal_bound = context.thresholds.lower - context.margin
-    abnormal_bound = context.thresholds.upper + context.margin
-    for j in context.controlled_links:
-        bands.require_at_most(j, normal_bound)
-    for j in victim_links:
-        bands.require_at_least(j, abnormal_bound)
-    if mode == "exclusive":
-        victims = set(victim_links)
-        for j in range(context.num_links):
-            if j not in victims:
-                bands.require_at_most(j, normal_bound)
+    victims = np.zeros(context.num_links, dtype=bool)
+    victims[list(victim_links)] = True
+    controlled = np.zeros(context.num_links, dtype=bool)
+    controlled[list(context.controlled_links)] = True
+    normal = controlled | ~victims if mode == "exclusive" else controlled
+    bands.upper[normal] = context.thresholds.lower - context.margin
+    bands.lower[victims] = context.thresholds.upper + context.margin
     if confined:
-        touched = set(victim_links) | set(context.controlled_links)
-        for j in range(context.num_links):
-            if j not in touched:
-                value = float(context.baseline_estimate[j])
-                bands.require_at_least(j, value)
-                bands.require_at_most(j, value)
+        free = ~(victims | controlled)
+        value = context.baseline_estimate[free]
+        bands.lower[free] = value  # never a victim, so still open
+        bands.upper[free] = np.minimum(bands.upper[free], value)
     return bands
 
 

@@ -43,8 +43,8 @@ aggregation (max-damage scans, reporting tables) stays finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog

@@ -12,17 +12,17 @@ solved on one HiGHS model kept alive across the scan:
   then serves each candidate by editing only the overridden links' row
   bounds.  The simplex basis from the previous candidate is reused, so a
   typical re-solve takes a handful of iterations instead of a cold start.
-  The constraint matrix goes to HiGHS in row-wise CSR form whatever its
-  density.
+  The constraint matrix is the dense band block with the equality block
+  stacked under it; its nonzeros go to HiGHS once, as row-wise CSR.
 - :func:`prune_capacities` is the Constraint-1 presolve arithmetic: the
   row-wise positive/negative coefficient mass of the support-restricted
   estimator bounds what any feasible manipulation can do to a link's
   estimate, so provably hopeless candidates are rejected with two
   comparisons before any model is touched.
 
-The model talks to the HiGHS pybind11 API that scipy (>= 1.15, the
-package floor) vendors for its own ``linprog`` backend; it is bound here
-directly, with no probe and no fallback.
+The model is built by :func:`repro.utils.highs.row_wise_model` on the
+HiGHS API scipy vendors, in one call of its array ``passModel``
+overload, with no probe and no fallback.
 
 The module deliberately knows nothing about :class:`~repro.attacks.lp`
 solution types: it consumes arrays and returns a raw
@@ -32,15 +32,15 @@ solution types: it consumes arrays and returns a raw
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.optimize._highspy import _core as highs  # noqa: PLC2701
 
 from repro.exceptions import ValidationError
 from repro.obs import core as obs
+from repro.utils.highs import highs, row_wise_model
 
 __all__ = [
     "PersistentLpSolver",
@@ -135,35 +135,23 @@ class PersistentLpSolver:
             )
         self._base_lower, self._base_upper = self._row_bounds(row_lower, row_upper)
 
-        blocks = [scipy.sparse.csr_matrix(sub)]
-        num_eq = 0
+        block = sub
         if eq_rows is not None:
-            eq = scipy.sparse.csr_matrix(eq_rows, dtype=float)
-            if eq.shape[1] != self.num_vars:
+            eq = eq_rows.toarray() if scipy.sparse.issparse(eq_rows) else np.asarray(eq_rows)
+            if eq.ndim != 2 or eq.shape[1] != self.num_vars:
                 raise ValidationError(
                     f"eq_rows must be (r x {self.num_vars}), got {eq.shape}"
                 )
-            num_eq = eq.shape[0]
-            blocks.append(eq)
-        matrix = scipy.sparse.vstack(blocks, format="csr") if num_eq else blocks[0]
-
-        lp = highs.HighsLp()
-        lp.num_col_ = self.num_vars
-        lp.num_row_ = self.num_links + num_eq
-        lp.col_cost_ = -np.ones(self.num_vars)  # maximise sum(m)
-        lp.col_lower_ = np.zeros(self.num_vars)
-        lp.col_upper_ = np.full(self.num_vars, float(var_upper))
-        lp.row_lower_ = np.concatenate([self._base_lower, np.zeros(num_eq)])
-        lp.row_upper_ = np.concatenate([self._base_upper, np.zeros(num_eq)])
-        lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
-        lp.a_matrix_.start_ = matrix.indptr.astype(np.int64)
-        lp.a_matrix_.index_ = matrix.indices.astype(np.int64)
-        lp.a_matrix_.value_ = matrix.data.astype(float)
-
-        self._model = highs._Highs()
-        self._model.setOptionValue("output_flag", False)
-        self._model.setOptionValue("threads", 1)
-        self._model.passModel(lp)
+            block = np.vstack([sub, eq])
+        num_eq = block.shape[0] - self.num_links
+        rows, cols = np.nonzero(block)
+        self._model = row_wise_model(
+            -np.ones(self.num_vars),  # maximise sum(m)
+            np.full(self.num_vars, float(var_upper)),
+            np.concatenate([self._base_lower, np.zeros(num_eq)]),
+            np.concatenate([self._base_upper, np.zeros(num_eq)]),
+            np.searchsorted(rows, np.arange(block.shape[0] + 1)), cols, block[rows, cols],
+        )
         obs.counter("lp_model_build")
         self.solves = 0
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 
-__all__ = ["LinkState", "StateThresholds", "classify_metric", "classify_vector"]
+__all__ = ["LinkState", "StateThresholds", "classify_metric", "classify_vector", "state_codes"]
 
 
 class LinkState(enum.Enum):
@@ -75,13 +75,19 @@ def classify_metric(value: float, thresholds: StateThresholds) -> LinkState:
     return thresholds.classify(float(value))
 
 
+def state_codes(metrics: np.ndarray, thresholds: StateThresholds) -> np.ndarray:
+    """Per-link states as codes indexing ``tuple(LinkState)``, from two array comparisons."""
+    values = np.asarray(metrics, dtype=float)
+    if values.ndim != 1:
+        raise ValidationError(f"metrics must be a 1-D vector, got ndim={values.ndim}")
+    return 1 + (values > thresholds.upper).astype(np.int8) - (values < thresholds.lower)
+
+
 def classify_vector(metrics: np.ndarray, thresholds: StateThresholds) -> list[LinkState]:
     """Classify every entry of a link-metric vector.
 
     Returns a list indexed by link index; experiment code summarises it
     with ``collections.Counter`` or by selecting abnormal indices.
     """
-    values = np.asarray(metrics, dtype=float)
-    if values.ndim != 1:
-        raise ValidationError(f"metrics must be a 1-D vector, got ndim={values.ndim}")
-    return [thresholds.classify(float(value)) for value in values]
+    by_code = tuple(LinkState)
+    return [by_code[code] for code in state_codes(metrics, thresholds).tolist()]

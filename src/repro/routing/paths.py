@@ -230,6 +230,10 @@ class PathSet:
         index = self._link_rows()
         return sorted(set().union(*(index.get(link, ()) for link in set(link_indices))))
 
+    def measured_links(self) -> tuple[int, ...]:
+        """Ascending indices of the links on at least one path (memoised per version)."""
+        return self._cached("measured_links", lambda: tuple(sorted(self._link_rows())))
+
     def _cached(self, name: str, build):
         """``build()`` memoised for the current :attr:`version`."""
         entry = self._derived.get(name)

@@ -69,13 +69,8 @@ def sample_victim(scenario: Scenario, rng: np.random.Generator, forbidden: set) 
     among them, so the Fig. 7 trials and the sweep grid's chosen-victim
     points consume their streams identically.
     """
-    measured = [
-        link.index
-        for link in scenario.topology.links()
-        if link.u not in forbidden
-        and link.v not in forbidden
-        and scenario.path_set.paths_containing_link(link.index)
-    ]
+    excluded = scenario.topology.links_incident_to_nodes(forbidden)
+    measured = [j for j in scenario.path_set.measured_links() if j not in excluded]
     if not measured:
         return None
     return int(measured[int(rng.integers(len(measured)))])

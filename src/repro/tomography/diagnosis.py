@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.contracts import check_band_bounds, contract
-from repro.metrics.states import LinkState, StateThresholds, classify_vector
+from repro.metrics.states import LinkState, StateThresholds, state_codes
 
 __all__ = ["DiagnosisReport", "diagnose"]
 
@@ -72,13 +72,14 @@ class DiagnosisReport:
 def diagnose(estimate: np.ndarray, thresholds: StateThresholds) -> DiagnosisReport:
     """Classify an estimated metric vector into a :class:`DiagnosisReport`."""
     values = np.asarray(estimate, dtype=float)
-    states = tuple(classify_vector(values, thresholds))
-    abnormal = tuple(i for i, s in enumerate(states) if s is LinkState.ABNORMAL)
-    uncertain = tuple(i for i, s in enumerate(states) if s is LinkState.UNCERTAIN)
-    normal = tuple(i for i, s in enumerate(states) if s is LinkState.NORMAL)
+    codes = state_codes(values, thresholds)
+    by_code = tuple(LinkState)
+    normal, uncertain, abnormal = (
+        tuple(np.flatnonzero(codes == code).tolist()) for code in range(3)
+    )
     return DiagnosisReport(
         estimate=values.copy(),
-        states=states,
+        states=tuple(by_code[code] for code in codes.tolist()),
         abnormal=abnormal,
         uncertain=uncertain,
         normal=normal,

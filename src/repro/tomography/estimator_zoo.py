@@ -45,13 +45,13 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 import scipy.sparse
-from scipy.optimize._highspy import _core as highs  # noqa: PLC2701
 
 from repro import config
 from repro.exceptions import TomographyError, ValidationError
 from repro.obs import core as obs
 from repro.obs.manifest import config_digest
 from repro.tomography.linear_system import LinearSystem
+from repro.utils.highs import highs, row_wise_model
 from repro.utils.validation import check_finite_vector
 
 __all__ = [
@@ -384,9 +384,10 @@ class L1SparseEstimator(_ZooEstimator):
     recovery ``min ||x||_1 + penalty * ||R x - y||_1`` over nonnegative
     metrics — always feasible, and exact (residual zero, minimum-L1
     ``x``) whenever ``y`` is consistent and the penalty dominates.  The
-    model is built once on scipy's vendored HiGHS bindings; each solve
-    only edits the equality rows' bounds to the new ``y`` and re-runs
-    with the previous basis (the
+    model is built once by :func:`repro.utils.highs.row_wise_model`, from
+    ``R`` in the form the system stores it (a sparse system is never
+    densified); each solve only edits the equality rows' bounds to the
+    new ``y`` and re-runs with the previous basis (the
     :class:`~repro.attacks.lp_engine.PersistentLpSolver` idiom, applied
     to decoding instead of attacking).
     """
@@ -408,31 +409,19 @@ class L1SparseEstimator(_ZooEstimator):
         m, n = self.system.num_paths, self.system.num_links
         matrix = scipy.sparse.hstack(
             [
-                scipy.sparse.csr_matrix(self.system.matrix),
+                scipy.sparse.csr_matrix(self.system.stored_matrix),
                 -scipy.sparse.identity(m, format="csr"),
                 scipy.sparse.identity(m, format="csr"),
             ],
             format="csr",
         )
-        lp = highs.HighsLp()
-        lp.num_col_ = n + 2 * m
-        lp.num_row_ = m
-        lp.col_cost_ = np.concatenate(
-            [np.ones(n), np.full(2 * m, self.penalty)]
+        self._model = row_wise_model(
+            np.concatenate([np.ones(n), np.full(2 * m, self.penalty)]),
+            np.full(n + 2 * m, np.inf),
+            np.zeros(m),
+            np.zeros(m),  # R x - r+ + r- = y, with y set per solve
+            matrix.indptr, matrix.indices, matrix.data,
         )
-        lp.col_lower_ = np.zeros(n + 2 * m)
-        lp.col_upper_ = np.full(n + 2 * m, float(highs.kHighsInf))
-        lp.row_lower_ = np.zeros(m)
-        lp.row_upper_ = np.zeros(m)
-        lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
-        lp.a_matrix_.start_ = matrix.indptr.astype(np.int64)
-        lp.a_matrix_.index_ = matrix.indices.astype(np.int64)
-        lp.a_matrix_.value_ = matrix.data.astype(float)
-        model = highs._Highs()
-        model.setOptionValue("output_flag", False)
-        model.setOptionValue("threads", 1)
-        model.passModel(lp)
-        self._model = model
 
     def _solve(self, y: np.ndarray) -> np.ndarray:
         if self._model is None:

@@ -258,6 +258,11 @@ class LinearSystem:
         return self._backend.matrix
 
     @property
+    def stored_matrix(self) -> np.ndarray | scipy.sparse.csr_matrix:
+        """``R`` as the backend stores it, CSR or dense (read-only; never densifies)."""
+        return self._backend.matrix
+
+    @property
     def num_paths(self) -> int:
         """Number of measurement paths (rows of ``R``)."""
         return self._backend.matrix.shape[0]

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.attacks.chosen_victim import ChosenVictimAttack
+from repro.attacks.base import AttackContext
+from repro.attacks.chosen_victim import ChosenVictimAttack, build_chosen_victim_bands
 from repro.attacks.constraints import validate_manipulation_vector
+from repro.attacks.lp import BandConstraints
 from repro.exceptions import AttackConstraintError, ValidationError
-from repro.metrics.states import LinkState
+from repro.metrics.states import LinkState, StateThresholds
 
 
 class TestValidation:
@@ -148,3 +150,54 @@ class TestOutcomeMetadata:
         assert outcome.damage == 0.0
         assert outcome.diagnosis is None
         assert np.isnan(outcome.mean_path_measurement)
+
+
+def _reference_bands(context, victim_links, mode, confined):
+    """The per-link loop ``build_chosen_victim_bands`` must reproduce."""
+    bands = BandConstraints.unbounded(context.num_links)
+    normal_bound = context.thresholds.lower - context.margin
+    abnormal_bound = context.thresholds.upper + context.margin
+    for j in context.controlled_links:
+        bands.require_at_most(j, normal_bound)
+    for j in victim_links:
+        bands.require_at_least(j, abnormal_bound)
+    if mode == "exclusive":
+        victims = set(victim_links)
+        for j in range(context.num_links):
+            if j not in victims:
+                bands.require_at_most(j, normal_bound)
+    if confined:
+        touched = set(victim_links) | set(context.controlled_links)
+        for j in range(context.num_links):
+            if j not in touched:
+                value = float(context.baseline_estimate[j])
+                bands.require_at_least(j, value)
+                bands.require_at_most(j, value)
+    return bands
+
+
+class TestBandsMatchTheLinkLoop:
+    @pytest.mark.parametrize("mode", ["paper", "exclusive"])
+    @pytest.mark.parametrize("confined", [False, True])
+    @pytest.mark.parametrize("num_victims", [0, 1, 2])
+    def test_bounds_equal(self, fig1_context, small_isp_scenario, mode, confined, num_victims):
+        isp_context = small_isp_scenario.attack_context(
+            small_isp_scenario.topology.nodes()[:2]
+        )
+        # b_l at the median metric, so confined exclusive bands must take
+        # min(b_l - margin, x*_j) on the links above it.
+        low_bar_context = AttackContext(
+            small_isp_scenario.path_set,
+            small_isp_scenario.true_metrics,
+            small_isp_scenario.topology.nodes()[:2],
+            thresholds=StateThresholds(
+                lower=float(np.median(small_isp_scenario.true_metrics)), upper=800.0
+            ),
+        )
+        for context in (fig1_context, isp_context, low_bar_context):
+            free = [j for j in range(context.num_links) if j not in context.controlled_links]
+            victims = tuple(free[-num_victims:]) if num_victims else ()
+            bands = build_chosen_victim_bands(context, victims, mode, confined=confined)
+            reference = _reference_bands(context, victims, mode, confined)
+            assert np.array_equal(bands.lower, reference.lower)
+            assert np.array_equal(bands.upper, reference.upper)

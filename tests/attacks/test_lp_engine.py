@@ -184,6 +184,60 @@ class TestPersistentLpSolver:
         np.testing.assert_allclose(sparse.values, dense.values, rtol=1e-9, atol=1e-9)
 
 
+class TestModelBuild:
+    """The model HiGHS holds is the scipy CSR of the stacked constraint block."""
+
+    @staticmethod
+    def _blocks():
+        rng = np.random.default_rng(7)
+        sub = rng.normal(size=(9, 5))
+        sub[rng.random(sub.shape) < 0.4] = 0.0  # exact zeros to skip
+        sub[3] = 0.0  # a band row with no coefficient at all
+        eq = rng.normal(size=(4, 5))
+        eq[rng.random(eq.shape) < 0.4] = 0.0
+        lower = rng.normal(size=9)
+        upper = lower + rng.uniform(1.0, 2.0, size=9)
+        lower[[1, 4]] = -np.inf
+        upper[[2, 4]] = np.inf
+        return sub, eq, lower, upper
+
+    @pytest.mark.parametrize("eq_form", [None, "dense", "csr"])
+    def test_model_matches_the_scipy_csr_reference(self, eq_form):
+        from repro.utils.highs import highs
+
+        sub, eq, lower, upper = self._blocks()
+        eq_rows = {None: None, "dense": eq, "csr": scipy.sparse.csr_matrix(eq)}[eq_form]
+        solver = PersistentLpSolver(sub, lower, upper, eq_rows=eq_rows, var_upper=50.0)
+        lp = solver._model.getLp()
+
+        blocks = [sub] if eq_form is None else [sub, eq]
+        reference = scipy.sparse.csr_matrix(np.vstack(blocks))
+        num_eq = reference.shape[0] - sub.shape[0]
+        held = scipy.sparse.csc_matrix(
+            (
+                np.asarray(lp.a_matrix_.value_),
+                np.asarray(lp.a_matrix_.index_),
+                np.asarray(lp.a_matrix_.start_),
+            ),
+            shape=(lp.num_row_, lp.num_col_),
+        ).tocsr()  # HiGHS stores the matrix column-wise once passed
+        assert (lp.num_row_, lp.num_col_) == reference.shape
+        assert np.array_equal(held.indptr, reference.indptr)
+        assert np.array_equal(held.indices, reference.indices)
+        assert np.array_equal(held.data, reference.data)
+        assert np.array_equal(lp.row_lower_, np.concatenate([lower, np.zeros(num_eq)]))
+        assert np.array_equal(lp.row_upper_, np.concatenate([upper, np.zeros(num_eq)]))
+        assert np.array_equal(lp.col_lower_, np.zeros(5))
+        assert np.array_equal(lp.col_upper_, np.full(5, 50.0))
+        assert np.array_equal(lp.col_cost_, -np.ones(5))
+        assert all(kind == highs.HighsVarType.kContinuous for kind in lp.integrality_)
+
+    def test_eq_rows_width_checked(self):
+        sub, eq, lower, upper = self._blocks()
+        with pytest.raises(ValidationError, match="eq_rows"):
+            PersistentLpSolver(sub, lower, upper, eq_rows=eq[:, :4], var_upper=1.0)
+
+
 class TestEngineParity:
     """The production warm path against the cold ``linprog`` reference.
 

@@ -63,6 +63,31 @@ class TestClassification:
         states = classify_vector(np.array([5.0, 500.0, 900.0]), StateThresholds())
         assert states == [LinkState.NORMAL, LinkState.UNCERTAIN, LinkState.ABNORMAL]
 
+    @pytest.mark.parametrize(
+        "thresholds", [StateThresholds(), StateThresholds.two_state(100.0)]
+    )
+    def test_vector_matches_scalar_at_the_bounds(self, thresholds):
+        lower, upper = thresholds.lower, thresholds.upper
+        values = np.array(
+            [
+                lower,
+                upper,
+                np.nextafter(lower, -np.inf),
+                np.nextafter(upper, np.inf),
+                (lower + upper) / 2,
+                0.0,
+                1e9,
+                np.nan,
+            ]
+        )
+        states = classify_vector(values, thresholds)
+        assert states[:2] == [LinkState.UNCERTAIN, LinkState.UNCERTAIN]
+        assert states[2:4] == [LinkState.NORMAL, LinkState.ABNORMAL]
+        assert states == [thresholds.classify(float(value)) for value in values]
+
+    def test_empty_vector(self):
+        assert classify_vector(np.array([]), StateThresholds()) == []
+
     def test_vector_requires_1d(self):
         with pytest.raises(ValidationError):
             classify_vector(np.eye(2), StateThresholds())

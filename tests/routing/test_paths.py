@@ -162,6 +162,11 @@ def _assert_queries_match_scan(path_set: PathSet, probes: list[int]) -> None:
         assert path_set.paths_containing_node(node) == _scan(
             path_set, lambda p: p.contains_node(node)
         )
+    assert path_set.measured_links() == tuple(
+        link
+        for link in range(topology.num_links)
+        if _scan(path_set, lambda p: p.contains_link(link))
+    )
     links = {probe % (topology.num_links + 1) for probe in probes}
     some_nodes = {nodes[probe % len(nodes)] for probe in probes}
     assert path_set.paths_containing_any_link(links) == _scan(

@@ -15,6 +15,33 @@ class TestDiagnose:
         assert report.abnormal == (2,)
         assert report.state_of(2) is LinkState.ABNORMAL
 
+    def test_values_at_the_bounds_are_uncertain(self):
+        report = diagnose(np.array([100.0, 800.0, 99.0, 801.0]), StateThresholds())
+        assert report.states == (
+            LinkState.UNCERTAIN,
+            LinkState.UNCERTAIN,
+            LinkState.NORMAL,
+            LinkState.ABNORMAL,
+        )
+        assert report.uncertain == (0, 1)
+        assert report.normal == (2,)
+        assert report.abnormal == (3,)
+        indices = report.normal + report.uncertain + report.abnormal
+        assert all(type(index) is int for index in indices)
+
+    def test_two_state_thresholds(self):
+        report = diagnose(
+            np.array([101.0, 100.0, 99.0]), StateThresholds.two_state(100.0)
+        )
+        assert report.abnormal == (0,)
+        assert report.uncertain == (1,)
+        assert report.normal == (2,)
+
+    def test_empty_estimate(self):
+        report = diagnose(np.array([]), StateThresholds())
+        assert report.states == ()
+        assert report.normal == report.uncertain == report.abnormal == ()
+
     def test_states_cover_all_links(self):
         estimate = np.linspace(0, 1000, 12)
         report = diagnose(estimate, StateThresholds())

@@ -22,13 +22,14 @@ import textwrap
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import TomographyError, ValidationError
 from repro.tomography.estimator_zoo import (
-    BayesMapEstimator,
     ESTIMATOR_ENV_VAR,
+    BayesMapEstimator,
     L1SparseEstimator,
     LeastSquaresZooEstimator,
     RidgeZooEstimator,
@@ -238,6 +239,16 @@ class TestL1Sparse:
         solution = l1.estimate(np.array([10.0]))
         assert solution.min() == pytest.approx(0.0, abs=1e-6)
         assert solution.sum() == pytest.approx(10.0, abs=1e-6)
+
+    def test_sparse_system_is_never_densified(self):
+        matrix = _incidence(60, 90, 4, seed=3)
+        sparse = LinearSystem(scipy.sparse.csr_matrix(matrix), backend="sparse")
+        dense = LinearSystem(matrix, backend="dense")
+        observed = matrix @ np.random.default_rng(4).uniform(1.0, 20.0, size=90)
+        via_sparse = resolve_estimator("l1", system=sparse).estimate(observed)
+        assert "matrix" not in vars(sparse)
+        via_dense = resolve_estimator("l1", system=dense).estimate(observed)
+        assert np.array_equal(via_sparse, via_dense)
 
     def test_invalid_penalty_rejected(self):
         with pytest.raises(TomographyError, match="penalty"):
