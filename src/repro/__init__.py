@@ -25,58 +25,6 @@ See ``examples/`` for complete walkthroughs and ``benchmarks/`` for the
 per-figure reproduction harness.
 """
 
-from repro.exceptions import (
-    AttackConstraintError,
-    AttackError,
-    ContractViolation,
-    DetectionError,
-    IdentifiabilityError,
-    InfeasibleAttackError,
-    MeasurementError,
-    MonitorPlacementError,
-    ReproError,
-    TomographyError,
-    TopologyError,
-    ValidationError,
-)
-from repro.topology import (
-    Link,
-    Topology,
-    paper_example_network,
-    random_geometric_topology,
-    synthetic_rocketfuel,
-)
-from repro.routing import (
-    MeasurementPath,
-    PathSet,
-    identifiability_report,
-    k_shortest_paths,
-    routing_matrix,
-    select_identifiable_paths,
-)
-from repro.monitors import (
-    incremental_identifiable_placement,
-    random_monitor_placement,
-    security_aware_placement,
-)
-from repro.metrics import (
-    LinkState,
-    StateThresholds,
-    classify_vector,
-    uniform_delay_metrics,
-)
-from repro.measurement import (
-    AnalyticMeasurementEngine,
-    GaussianNoise,
-    NetworkSimulator,
-    NoNoise,
-    PathManipulationAgent,
-)
-from repro.tomography import (
-    LeastSquaresEstimator,
-    LinearSystem,
-    diagnose,
-)
 from repro.attacks import (
     AttackContext,
     AttackOutcome,
@@ -97,7 +45,59 @@ from repro.detection import (
     TomographyAuditor,
     TrimmedLeastSquares,
 )
+from repro.exceptions import (
+    AttackConstraintError,
+    AttackError,
+    ContractViolation,
+    DetectionError,
+    IdentifiabilityError,
+    InfeasibleAttackError,
+    MeasurementError,
+    MonitorPlacementError,
+    ReproError,
+    TomographyError,
+    TopologyError,
+    ValidationError,
+)
+from repro.measurement import (
+    AnalyticMeasurementEngine,
+    GaussianNoise,
+    NetworkSimulator,
+    NoNoise,
+    PathManipulationAgent,
+)
+from repro.metrics import (
+    LinkState,
+    StateThresholds,
+    classify_vector,
+    uniform_delay_metrics,
+)
+from repro.monitors import (
+    incremental_identifiable_placement,
+    random_monitor_placement,
+    security_aware_placement,
+)
+from repro.routing import (
+    MeasurementPath,
+    PathSet,
+    identifiability_report,
+    k_shortest_paths,
+    routing_matrix,
+    select_identifiable_paths,
+)
 from repro.scenarios import Scenario, StreamingCampaign
+from repro.tomography import (
+    LeastSquaresEstimator,
+    LinearSystem,
+    diagnose,
+)
+from repro.topology import (
+    Link,
+    Topology,
+    paper_example_network,
+    random_geometric_topology,
+    synthetic_rocketfuel,
+)
 
 __version__ = "1.0.0"
 

@@ -20,6 +20,11 @@ in :mod:`~repro.attacks.planner`.
 """
 
 from repro.attacks.base import AttackContext, AttackOutcome
+from repro.attacks.chosen_victim import ChosenVictimAttack
+from repro.attacks.compromise import (
+    compromise_budget_ranking,
+    minimum_perfect_cut_nodes,
+)
 from repro.attacks.constraints import (
     attacker_links,
     manipulable_paths,
@@ -32,6 +37,7 @@ from repro.attacks.cuts import (
     uncut_victim_paths,
     victim_paths,
 )
+from repro.attacks.hybrid import FrameAndBlurAttack
 from repro.attacks.lp import (
     IncrementalLpSolver,
     LpSolution,
@@ -40,15 +46,9 @@ from repro.attacks.lp import (
     theorem1_manipulation,
 )
 from repro.attacks.lp_engine import PersistentLpSolver
-from repro.attacks.chosen_victim import ChosenVictimAttack
 from repro.attacks.max_damage import MaxDamageAttack
-from repro.attacks.obfuscation import ObfuscationAttack
 from repro.attacks.naive import NaiveDelayAttack
-from repro.attacks.hybrid import FrameAndBlurAttack
-from repro.attacks.compromise import (
-    compromise_budget_ranking,
-    minimum_perfect_cut_nodes,
-)
+from repro.attacks.obfuscation import ObfuscationAttack
 from repro.attacks.planner import AttackPlan, compile_attack_plan
 
 __all__ = [

@@ -55,11 +55,11 @@ class AttackContext:
         strict inequalities; the LP needs closed ones).
     system:
         Optional pre-factorised :class:`LinearSystem` over this path set's
-        routing matrix.  Scenarios and grid sweeps pass one kernel into
-        every context sharing a path set, so the SVD runs once per
-        distinct routing matrix.  The system must be built over the path
-        set's own matrix (checked by identity, then by value), or a
-        :class:`ValidationError` is raised.
+        routing matrix.  A scenario passes its one kernel into every
+        context over its path set, so the factorization runs once per
+        path-set version.  The system must be built over the path set's
+        own matrix (:meth:`LinearSystem.matches`, which never densifies a
+        sparse system), or a :class:`ValidationError` is raised.
     estimator:
         The *defender's* inversion family — a zoo name, a built
         :class:`~repro.tomography.estimator_zoo.Estimator`, or None for
@@ -106,11 +106,9 @@ class AttackContext:
             check_routing_matrix(self.routing_matrix, "routing_matrix")
         #: Shared SVD kernel: one factorisation of ``R`` backs the
         #: estimator operator, the residual projector, and any rank query.
-        #: An injected one is checked by identity first: the scenario's and
-        #: the sweep cache's systems hold the path set's shared matrix.
         matrix = self.routing_matrix
         if system is not None:
-            if system.matrix is not matrix and not np.array_equal(system.matrix, matrix):
+            if not system.matches(matrix):
                 raise ValidationError(
                     "injected LinearSystem does not match this path set's "
                     "routing matrix"
@@ -122,10 +120,7 @@ class AttackContext:
             self.estimator = resolve_estimator(estimator, system=self.system)
         else:
             est_system = getattr(estimator, "system", None)
-            if est_system is None or (
-                est_system.matrix is not matrix
-                and not np.array_equal(est_system.matrix, matrix)
-            ):
+            if est_system is None or not est_system.matches(matrix):
                 raise ValidationError(
                     "injected estimator is not built over this path set's "
                     "routing matrix"

@@ -12,12 +12,12 @@ discrete-event simulator executes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.attacks.constraints import validate_manipulation_vector, manipulable_paths
+from repro.attacks.constraints import manipulable_paths, validate_manipulation_vector
 from repro.exceptions import AttackError
 from repro.measurement.simulator.adversary import PathManipulationAgent
 from repro.routing.paths import PathSet

@@ -19,11 +19,11 @@ Theorem 3 fixes the blind spots: perfect cuts and square routing matrices.
   the shared factorization instead of rebuilding detector state.
 """
 
+from repro.detection.auditor import AuditReport, TomographyAuditor
 from repro.detection.consistency import ConsistencyDetector, DetectionResult
+from repro.detection.localization import suspicious_paths, witness_report
 from repro.detection.online import OnlineConsistencyDetector
 from repro.detection.robust import RobustEstimate, TrimmedLeastSquares
-from repro.detection.localization import suspicious_paths, witness_report
-from repro.detection.auditor import AuditReport, TomographyAuditor
 
 __all__ = [
     "ConsistencyDetector",

@@ -84,11 +84,10 @@ class ConsistencyDetector:
         self._matrix = matrix
         # One shared factorisation serves both the estimator operator and
         # the rank query below (previously an independent matrix_rank).
-        # Callers running many detectors over one topology (scenarios, the
-        # sweep engine) inject the already-factorised kernel instead; it is
-        # checked by identity first, as theirs hold the path set's shared R.
+        # Callers running many detectors over one path set (scenarios)
+        # inject the already-factorised kernel instead.
         if system is not None:
-            if system.matrix is not matrix and not np.array_equal(system.matrix, matrix):
+            if not system.matches(matrix):
                 raise DetectionError(
                     "injected LinearSystem does not match the routing matrix"
                 )
@@ -100,10 +99,7 @@ class ConsistencyDetector:
             self.estimator = resolve_estimator(estimator, system=self._system)
         else:
             est_system = getattr(estimator, "system", None)
-            if est_system is None or (
-                est_system.matrix is not matrix
-                and not np.array_equal(est_system.matrix, matrix)
-            ):
+            if est_system is None or not est_system.matches(matrix):
                 raise DetectionError(
                     "injected estimator is not built over this routing matrix"
                 )

@@ -2,8 +2,8 @@
 
 The batch :class:`~repro.detection.consistency.ConsistencyDetector` is
 built once over a fixed ``R`` and validates an injected system against it
-(by identity, else by an ``O(m n)`` matrix comparison) — the right
-contract for one-shot audits, and exactly the wrong one for a
+(:meth:`~repro.tomography.linear_system.LinearSystem.matches`) — the
+right contract for one-shot audits, and exactly the wrong one for a
 measurement stream where paths fail and recover every epoch.
 :class:`OnlineConsistencyDetector` instead *owns* an evolving
 :class:`~repro.tomography.linear_system.LinearSystem`:

@@ -8,8 +8,8 @@ delay or drop them.  Averaged per-path probe delays become the observed
 measurement vector ``y'`` that tomography inverts.
 """
 
-from repro.measurement.simulator.events import EventQueue
 from repro.measurement.simulator.adversary import PathManipulationAgent
+from repro.measurement.simulator.events import EventQueue
 from repro.measurement.simulator.network_sim import (
     MeasurementRecord,
     NetworkSimulator,

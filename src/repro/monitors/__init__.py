@@ -10,13 +10,13 @@ and the *security-aware* placement extension sketched in Section VI
 compromise of any single node yields the smallest possible attack surface).
 """
 
+from repro.monitors.identifiability import placement_report
 from repro.monitors.placement import (
     PlacementResult,
     incremental_identifiable_placement,
     random_monitor_placement,
     security_aware_placement,
 )
-from repro.monitors.identifiability import placement_report
 
 __all__ = [
     "PlacementResult",

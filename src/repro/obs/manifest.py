@@ -24,8 +24,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.obs.core import SCHEMA_VERSION, _package_version, sanitize
 
 __all__ = ["RunManifest", "config_digest", "matrix_digest"]
@@ -51,52 +49,12 @@ def matrix_digest(matrix: object) -> str:
     with the entries normalised by :func:`repro.obs.core.sanitize`, so the
     digest is independent of dtype/container (a numpy array, a nested
     list, and a tuple of rows with equal values all agree) and stable
-    across platforms.  The :mod:`repro.sweep` factorization cache keys
-    shared :class:`~repro.tomography.linear_system.LinearSystem` kernels
-    by this digest.
+    across platforms.  :meth:`repro.sweep.cache.FactorizationCache.system_for`
+    keys the kernels it builds for bare matrices by this digest.
     """
-    fast = _binary_matrix_digest(matrix)
-    if fast is not None:
-        return fast
     tolist = getattr(matrix, "tolist", None)
     rows = tolist() if callable(tolist) else [list(row) for row in matrix]
     return config_digest({"shape": [len(rows), len(rows[0]) if rows else 0], "data": rows})
-
-
-def _binary_matrix_digest(matrix: object) -> str | None:
-    """Fast path of :func:`matrix_digest` for float 0/1 arrays.
-
-    Routing matrices are 0/1 incidence arrays, and on ISP-scale inputs the
-    generic tolist -> sanitize -> json.dumps round-trip dominates every
-    cache lookup.  For those arrays the canonical JSON has only two
-    possible cell encodings, so the string is assembled directly.  The
-    output is byte-identical to the generic path (verified by test);
-    anything outside the narrow precondition — including negative zeros,
-    whose sign the canonical encoding preserves — returns ``None`` and
-    takes the generic path.
-    """
-    if not isinstance(matrix, np.ndarray) or matrix.ndim != 2 or matrix.size == 0:
-        return None
-    if matrix.dtype != np.float64:
-        return None
-    ones = matrix == 1.0
-    if not np.all(ones | (matrix == 0.0)) or np.any(np.signbit(matrix)):
-        return None
-    num_rows, num_cols = matrix.shape
-    # Every cell encodes as exactly four bytes "0.0," / "1.0," — write them
-    # all at once, then splice the row separators over the trailing commas.
-    cell = np.empty((num_rows, num_cols, 4), dtype=np.uint8)
-    cell[..., 0] = np.where(ones, ord("1"), ord("0"))
-    cell[..., 1] = ord(".")
-    cell[..., 2] = ord("0")
-    cell[..., 3] = ord(",")
-    raw = cell.reshape(num_rows, -1).tobytes()
-    width = 4 * num_cols
-    body = b"],[".join(
-        raw[i * width : (i + 1) * width - 1] for i in range(num_rows)
-    )
-    canonical = b'{"data":[[' + body + b']],"shape":[%d,%d]}' % matrix.shape
-    return hashlib.sha256(canonical).hexdigest()
 
 
 class RunManifest:

@@ -16,11 +16,11 @@ the linear system ``y = R x``.  This package provides:
   needs (Theorem 3: a square ``R`` makes attacks undetectable).
 """
 
-from repro.routing.paths import MeasurementPath, PathSet
 from repro.routing.ksp import all_simple_paths, k_shortest_paths, shortest_path
+from repro.routing.paths import MeasurementPath, PathSet
 from repro.routing.routing_matrix import (
-    identifiable_links,
     identifiability_report,
+    identifiable_links,
     routing_matrix,
 )
 from repro.routing.selection import (

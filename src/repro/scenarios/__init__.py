@@ -14,28 +14,21 @@
   with detection latency, blame tallies and optional path churn.
 """
 
-from repro.scenarios.scenario import Scenario
-from repro.scenarios.montecarlo import binned_rate, run_trials
-from repro.scenarios.simple_network import (
-    chosen_victim_case_study,
-    max_damage_case_study,
-    naive_baseline_case_study,
-    obfuscation_case_study,
-    paper_fig1_scenario,
-)
-from repro.scenarios.experiments import (
-    single_attacker_sweep,
-    success_probability_sweep,
-)
-from repro.scenarios.detection_experiments import detection_ratio_experiment
-from repro.scenarios.loss_network import (
-    loss_chosen_victim_case_study,
-    paper_fig1_loss_scenario,
-)
 from repro.scenarios.defense_experiments import (
     path_selection_defense_experiment,
     robust_recovery_experiment,
 )
+from repro.scenarios.detection_experiments import detection_ratio_experiment
+from repro.scenarios.experiments import (
+    single_attacker_sweep,
+    success_probability_sweep,
+)
+from repro.scenarios.loss_network import (
+    loss_chosen_victim_case_study,
+    paper_fig1_loss_scenario,
+)
+from repro.scenarios.montecarlo import binned_rate, run_trials
+from repro.scenarios.scenario import Scenario
 from repro.scenarios.sensitivity import knowledge_sensitivity_experiment
 from repro.scenarios.serialization import (
     load_scenario,
@@ -43,11 +36,18 @@ from repro.scenarios.serialization import (
     scenario_from_json,
     scenario_to_json,
 )
+from repro.scenarios.simple_network import (
+    chosen_victim_case_study,
+    max_damage_case_study,
+    naive_baseline_case_study,
+    obfuscation_case_study,
+    paper_fig1_scenario,
+)
 from repro.scenarios.streaming import (
     ChurnEvent,
     EpochResult,
-    StreamResult,
     StreamingCampaign,
+    StreamResult,
     random_churn_schedule,
 )
 

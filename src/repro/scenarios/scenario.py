@@ -9,8 +9,8 @@ auditors from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -182,8 +182,8 @@ class Scenario:
         The context runs on :attr:`system` unless ``system`` injects
         another pre-factorised
         :class:`~repro.tomography.linear_system.LinearSystem` over this
-        scenario's routing matrix (the sweep engine's factorization cache
-        does; one built with ``backend=`` pins the kernel).  ``estimator``
+        scenario's routing matrix (one built with ``backend=`` pins the
+        kernel).  ``estimator``
         selects the defender's inversion family (zoo name, built
         estimator, or None = the ``REPRO_ESTIMATOR`` knob).
         """

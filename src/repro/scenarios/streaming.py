@@ -45,8 +45,8 @@ every churn epoch refactorizes cold and that rate is 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 

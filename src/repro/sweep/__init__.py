@@ -5,9 +5,8 @@ x attacker count — from a single JSON spec:
 
 - :mod:`repro.sweep.spec` — the spec schema, topology registry, and
   deterministic grid expansion (every point carries a config digest);
-- :mod:`repro.sweep.cache` — shared-work caches (one ``LinearSystem``
-  factorisation per distinct routing matrix, reusable LP base blocks,
-  shared auditors);
+- :mod:`repro.sweep.cache` — shared-work caches over each scenario's
+  one ``LinearSystem`` (estimators, auditors, reusable LP base blocks);
 - :mod:`repro.sweep.runner` — sharded, resumable execution with
   append-only JSONL checkpoints;
 - :mod:`repro.sweep.aggregate` — folding results into report tables.

@@ -1,25 +1,25 @@
 """Shared-work caches for grid sweeps.
 
-Many grid points differ only in strategy or attacker placement while
-sharing a routing matrix — rank/support structure is the natural cache
-key (cf. the identifiability literature: the estimator, the residual
-projector, and the detector's blind set are all functions of ``R``
-alone).  :class:`FactorizationCache` therefore keys every shared object
-by the canonical :func:`repro.obs.manifest.matrix_digest` of ``R``:
+A scenario owns the one factorization of its routing matrix
+(:attr:`repro.scenarios.scenario.Scenario.system`, rebuilt when its path
+set churns), so grid points on one topology never refactorize it and
+this cache holds no kernel of its own for them.  What it shares are the
+objects built *over* a scenario's kernel, memoised per kernel object
+(identity, not a hash of ``R``):
 
-- one :class:`~repro.tomography.linear_system.LinearSystem` per distinct
-  routing matrix — grid points on the same topology never re-run the SVD;
-- one :class:`~repro.attacks.lp.IncrementalLpSolver` per (matrix,
+- one defender estimator per (kernel, family, parameters) — the ``l1``
+  family keeps a warm-started LP model per instance;
+- one :class:`~repro.detection.auditor.TomographyAuditor` per (kernel,
+  alpha, thresholds, estimator), sharing the kernel's factors with its
+  detector;
+- one :class:`~repro.attacks.lp.IncrementalLpSolver` per (kernel,
   attacker set, mode) on request (:meth:`FactorizationCache.solver_for`)
-  — the sweep runner does not use it (see that method);
-- one :class:`~repro.detection.auditor.TomographyAuditor` per (matrix,
-  alpha), sharing the system's factors with the detector.
+  — the sweep runner does not use it (see that method).
 
-A cache *hit* is a dict get, nothing more: the routing matrix of a
-scenario is built once, its digest is hashed once, and both are memoised
-per scenario object — repeat lookups re-pay neither the O(paths x links)
-matrix assembly nor the O(m·n) canonical hashing (the ``digest_compute``
-stat counts exactly how many hashes happened, which white-box tests pin).
+A churned scenario has a new kernel and so new keys: nothing built over
+its pre-churn matrix is served again.  For a bare matrix with no
+scenario, :meth:`FactorizationCache.system_for` keeps one kernel per
+value digest.
 
 The in-memory layers are process-local by design: worker processes each
 hold their own (the sweep runner shards grid points so points sharing a
@@ -41,20 +41,21 @@ from repro.detection.auditor import TomographyAuditor
 from repro.exceptions import ValidationError
 from repro.obs import core as obs
 from repro.obs.manifest import config_digest, matrix_digest
-from repro.tomography.estimator_zoo import resolve_estimator
 from repro.scenarios.scenario import Scenario
+from repro.tomography.estimator_zoo import resolve_estimator
 from repro.tomography.linear_system import LinearSystem
 
 __all__ = ["FactorizationCache"]
 
 
 class FactorizationCache:
-    """Process-local cache of factorisations and LP base blocks.
+    """Process-local cache of estimators, auditors and LP base blocks.
 
-    All lookups are by value-digest of the routing matrix, never by object
-    identity, so two scenarios that happen to produce equal matrices share
-    one kernel.  Factorisations live in memory only; ``store`` is kept
-    as a keyword for existing callers and accepts nothing but ``None``.
+    Memos are keyed by the :class:`LinearSystem` they are built over —
+    a scenario's :attr:`~repro.scenarios.scenario.Scenario.system` —
+    never by a digest of ``R``.  Factorisations live in memory only;
+    ``store`` is kept as a keyword for existing callers and accepts
+    nothing but ``None``.
     """
 
     def __init__(self, *, store: None = None) -> None:
@@ -67,16 +68,6 @@ class FactorizationCache:
         self._solvers: dict[tuple, IncrementalLpSolver] = {}
         self._auditors: dict[tuple, TomographyAuditor] = {}
         self._estimators: dict[tuple, object] = {}
-        # Per-scenario memo of (scenario, path-set version, routing matrix,
-        # system): keyed by object identity, holding a strong reference so
-        # an id() can never be recycled under us.  The cache's lifetime is
-        # one worker shard, so pinning the scenarios it served is the
-        # intended footprint.  The path-set version detects churn: a
-        # scenario whose paths mutated after being memoised must not be
-        # served its pre-churn matrix or factorization.
-        self._scenario_systems: dict[
-            int, tuple[Scenario, int, np.ndarray, LinearSystem]
-        ] = {}
         self.stats: Counter[str] = Counter()
 
     def _count(self, kind: str, hit: bool, **fields: object) -> None:
@@ -84,62 +75,20 @@ class FactorizationCache:
         if obs.is_enabled():
             obs.event("sweep_cache", kind=kind, hit=hit, **fields)
 
-    # ------------------------------------------------------------------
-    # the digest layer (hash each distinct matrix exactly once)
-    # ------------------------------------------------------------------
-    def _digest(self, routing_matrix: np.ndarray) -> str:
-        """Canonical digest of ``routing_matrix``, counted for white-box tests."""
-        self.stats["digest_compute"] += 1
-        return matrix_digest(routing_matrix)
-
-    # ------------------------------------------------------------------
-    # the three cache layers
-    # ------------------------------------------------------------------
     def system_for(self, routing_matrix: np.ndarray) -> LinearSystem:
-        """The shared :class:`LinearSystem` for this routing matrix."""
-        key = self._digest(routing_matrix)
+        """One shared :class:`LinearSystem` per value-distinct bare matrix."""
+        key = matrix_digest(routing_matrix)
         system = self._systems.get(key)
         if system is None:
-            system = LinearSystem(routing_matrix)
-            system.__dict__["digest"] = key  # pre-seed the cached_property
-            self._systems[key] = system
+            system = self._systems[key] = LinearSystem(routing_matrix)
             self._count("system", False, digest=key)
         else:
             self._count("system", True, digest=key)
         return system
 
     def scenario_system_for(self, scenario: Scenario) -> LinearSystem:
-        """The shared kernel for a scenario, without per-call rework.
-
-        The first lookup builds the routing matrix and hashes it; every
-        later lookup for the same scenario object is a dict get.  Distinct
-        scenario objects over equal matrices still converge onto one
-        kernel (the digest-keyed layer underneath deduplicates them).
-        """
-        memo = self._scenario_systems.get(id(scenario))
-        version = scenario.path_set.version
-        if memo is not None and memo[0] is scenario:
-            if memo[1] == version:
-                self._count("system", True, digest=memo[3].digest)
-                return memo[3]
-            # The path set churned underneath the memo: the memoised
-            # matrix (and the digest-keyed factorization behind it) is
-            # pre-churn state.  Evict and rebuild — the fresh matrix
-            # hashes to a new digest, so the scenario can never be served
-            # the stale factorization again.
-            del self._scenario_systems[id(scenario)]
-            self.stats["scenario_stale_evict"] += 1
-            if obs.is_enabled():
-                obs.event(
-                    "sweep_cache_stale_evict",
-                    stale_digest=memo[3].digest,
-                    stale_version=memo[1],
-                    version=version,
-                )
-        routing_matrix = scenario.path_set.routing_matrix()
-        system = self.system_for(routing_matrix)
-        self._scenario_systems[id(scenario)] = (scenario, version, routing_matrix, system)
-        return system
+        """The scenario's own kernel, :attr:`Scenario.system`."""
+        return scenario.system
 
     def context_for(
         self,
@@ -149,17 +98,16 @@ class FactorizationCache:
         estimator: str | None = None,
         estimator_params: dict | None = None,
     ) -> AttackContext:
-        """An attack context whose kernel comes from the shared cache.
+        """An attack context on the scenario's kernel.
 
         ``estimator``/``estimator_params`` select the defender's
         inversion family for the context's outcome prediction (None =
         the historical least squares via the ``REPRO_ESTIMATOR`` knob);
-        the family is built over the shared kernel, so no extra
-        factorisation happens either way.
+        the family is memoised per scenario kernel and built over it, so
+        no extra factorisation happens either way.
         """
-        system = self.scenario_system_for(scenario)
-        built = self._estimator_over(system, estimator, estimator_params)
-        return scenario.attack_context(attackers, system=system, estimator=built)
+        built = self._estimator_over(scenario.system, estimator, estimator_params)
+        return scenario.attack_context(attackers, estimator=built)
 
     def solver_for(
         self,
@@ -184,7 +132,7 @@ class FactorizationCache:
         half a megabyte) for the life of the cache.
         """
         key = (
-            context.system.digest,
+            context.system,
             tuple(sorted(context.controlled_links)),
             mode,
             confined,
@@ -209,9 +157,9 @@ class FactorizationCache:
                 ),
             )
             self._solvers[key] = solver
-            self._count("solver", False, digest=key[0])
+            self._count("solver", False)
         else:
-            self._count("solver", True, digest=key[0])
+            self._count("solver", True)
         return solver
 
     def _estimator_over(
@@ -220,11 +168,11 @@ class FactorizationCache:
         estimator: str | None,
         estimator_params: dict | None,
     ):
-        """A shared estimator instance over a cached kernel (None = default).
+        """A shared estimator instance over a scenario kernel (None = default).
 
-        Memoised by (kernel digest, name, params digest): the ``l1``
-        family keeps a warm-started LP model per instance, so every grid
-        point sharing a topology re-uses one model and its basis.
+        Memoised by (kernel, name, params digest): the ``l1`` family
+        keeps a warm-started LP model per instance, so every grid point
+        sharing a topology re-uses one model and its basis.
         """
         if estimator is None:
             if estimator_params:
@@ -232,20 +180,16 @@ class FactorizationCache:
                     "estimator_params requires an explicit estimator name"
                 )
             return None
-        key = (
-            system.digest,
-            estimator,
-            config_digest(dict(estimator_params or {})),
-        )
+        key = (system, estimator, config_digest(dict(estimator_params or {})))
         cached = self._estimators.get(key)
         if cached is None:
             cached = resolve_estimator(
                 estimator, system=system, **(estimator_params or {})
             )
             self._estimators[key] = cached
-            self._count("estimator", False, digest=key[0], estimator=estimator)
+            self._count("estimator", False, estimator=estimator)
         else:
-            self._count("estimator", True, digest=key[0], estimator=estimator)
+            self._count("estimator", True, estimator=estimator)
         return cached
 
     def auditor_for(
@@ -256,26 +200,25 @@ class FactorizationCache:
         estimator: str | None = None,
         estimator_params: dict | None = None,
     ) -> TomographyAuditor:
-        """The shared auditor for this scenario's routing matrix.
+        """The shared auditor on the scenario's kernel.
 
-        The cache key includes the estimator family and its parameter
-        digest: audits under different defenders never alias, and the
-        historical least-squares key is unchanged when ``estimator`` is
-        omitted.
+        Memoised per scenario kernel, alpha, thresholds and estimator
+        family with its parameter digest: audits under different
+        defenders never alias.
         """
-        system = self.scenario_system_for(scenario)
+        system = scenario.system
         built = self._estimator_over(system, estimator, estimator_params)
         key = (
-            system.digest,
+            system,
             float(alpha),
             (scenario.thresholds.lower, scenario.thresholds.upper),
             None if built is None else (built.name, built.params_digest),
         )
         auditor = self._auditors.get(key)
         if auditor is None:
-            auditor = scenario.auditor(alpha, system=system, estimator=built)
+            auditor = scenario.auditor(alpha, estimator=built)
             self._auditors[key] = auditor
-            self._count("auditor", False, digest=key[0])
+            self._count("auditor", False)
         else:
-            self._count("auditor", True, digest=key[0])
+            self._count("auditor", True)
         return auditor

@@ -118,7 +118,8 @@ def run_grid_point(
 ) -> dict:
     """Execute one grid point; returns its JSON-safe result record.
 
-    ``cache`` shares factorisations and auditors across calls;
+    ``cache`` shares estimators and auditors across calls (each
+    scenario factorizes its own routing matrix once);
     ``scenarios`` memoises built scenarios per topology index (both are
     created fresh when omitted — a cold run).  The record depends only on
     the spec and the point, never on cache warmth: cached and cold runs
@@ -264,9 +265,9 @@ def _run_point_chunk(spec: SweepSpec, chunk: list[GridPoint]) -> list[dict]:
     """Worker body: run one chunk of grid points with a chunk-local cache.
 
     Module-level (and the spec plain data) so the process pool can pickle
-    it; each chunk holds all points of at most one topology, so the
-    chunk-local cache gives one factorisation per distinct routing matrix
-    in parallel runs too.  The chunk ships the :class:`GridPoint` payloads
+    it; each chunk holds all points of at most one topology, so its
+    chunk-local scenario factorizes one routing matrix once in parallel
+    runs too.  The chunk ships the :class:`GridPoint` payloads
     themselves — workers never re-expand the grid, so a sweep of ``c``
     chunks costs one expansion total instead of ``c`` (each of which was
     O(points) digest hashing).

@@ -11,6 +11,7 @@
   report a network operator would act on.
 """
 
+from repro.tomography.diagnosis import DiagnosisReport, diagnose
 from repro.tomography.estimator_zoo import (
     Estimator,
     calibrated_alpha,
@@ -24,7 +25,6 @@ from repro.tomography.linear_system import (
     measurement_residual,
     residual_l1_norm,
 )
-from repro.tomography.diagnosis import DiagnosisReport, diagnose
 
 __all__ = [
     "Estimator",

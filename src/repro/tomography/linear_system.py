@@ -151,18 +151,6 @@ class LinearSystem:
             )
         return self._backend
 
-    @cached_property
-    def digest(self) -> str:
-        """Canonical SHA-256 of ``R`` (the sweep engine's cache key).
-
-        Two systems over value-equal matrices share the digest, so callers
-        holding one kernel per digest (``repro.sweep``'s factorization
-        cache) never factorise the same routing matrix twice.
-        """
-        from repro.obs.manifest import matrix_digest
-
-        return matrix_digest(self.matrix)
-
     # -- incremental evolution --------------------------------------------
 
     #: Whether the latest :meth:`evolve` seeded this system incrementally
@@ -179,9 +167,9 @@ class LinearSystem:
 
         ``remove_indices`` name rows of *this* system's matrix (unique,
         in range); ``add_rows`` are appended after the removals, in
-        order.  The evolved system is a fresh :class:`LinearSystem` (new
-        digest, same ``rank_tol``, same backend pinned) over a new ``R``
-        in this system's storage form: on the sparse backend, one CSR
+        order.  The evolved system is a fresh :class:`LinearSystem` (same
+        ``rank_tol``, same backend pinned) over a new ``R`` in this
+        system's storage form: on the sparse backend, one CSR
         stacked from this system's kept rows and the added rows, never a
         dense copy.  On the sparse backend its Gram Cholesky factor is
         seeded by rank-1 update/downdate of this system's factor whenever
@@ -261,6 +249,32 @@ class LinearSystem:
     def stored_matrix(self) -> np.ndarray | scipy.sparse.csr_matrix:
         """``R`` as the backend stores it, CSR or dense (read-only; never densifies)."""
         return self._backend.matrix
+
+    def matches(self, matrix: np.ndarray) -> bool:
+        """True when this system is built over the dense array ``matrix``.
+
+        Exact, and compared in the stored form: a dense system runs
+        ``np.array_equal``; a sparse one checks ``matrix`` at the CSR's
+        positions and that it has no other nonzero, so it never builds
+        an m x n array.  The identity check comes first: a dense
+        scenario system holds its path set's own ``R``.
+        """
+        stored = self._backend.matrix
+        if stored is matrix:
+            return True
+        if not scipy.sparse.issparse(stored):
+            return np.array_equal(stored, matrix)
+        dense = np.asarray(matrix)
+        if dense.shape != stored.shape:
+            return False
+        if not stored.has_canonical_format:  # sum duplicate entries first
+            stored = stored.copy()
+            stored.sum_duplicates()
+        rows = np.repeat(np.arange(stored.shape[0]), np.diff(stored.indptr))
+        return bool(
+            np.array_equal(dense[rows, stored.indices], stored.data)
+            and np.count_nonzero(dense) == np.count_nonzero(stored.data)
+        )
 
     @property
     def num_paths(self) -> int:

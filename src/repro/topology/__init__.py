@@ -10,23 +10,15 @@ graphs with a *stable link indexing*, because network tomography identifies
 links by their column index in the routing matrix.
 """
 
-from repro.topology.graph import Link, Topology
 from repro.topology.analysis import (
     degree_histogram,
     is_connected,
     link_cut_between,
     node_connectivity_summary,
 )
-from repro.topology.serialization import (
-    topology_from_edge_list,
-    topology_from_json,
-    topology_to_edge_list,
-    topology_to_json,
-)
 from repro.topology.generators import (
     clique_topology,
     fat_tree_topology,
-    waxman_topology,
     grid_topology,
     ladder_topology,
     paper_example_network,
@@ -36,6 +28,14 @@ from repro.topology.generators import (
     star_topology,
     synthetic_rocketfuel,
     tree_topology,
+    waxman_topology,
+)
+from repro.topology.graph import Link, Topology
+from repro.topology.serialization import (
+    topology_from_edge_list,
+    topology_from_json,
+    topology_to_edge_list,
+    topology_to_json,
 )
 
 __all__ = [

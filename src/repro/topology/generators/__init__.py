@@ -9,6 +9,14 @@
   the extended-network mode used by the paper's wireless experiments.
 """
 
+from repro.topology.generators.extra import fat_tree_topology, waxman_topology
+from repro.topology.generators.geometric import random_geometric_topology
+from repro.topology.generators.isp import (
+    barabasi_albert_topology,
+    large_isp_topology,
+    load_rocketfuel_edges,
+    synthetic_rocketfuel,
+)
 from repro.topology.generators.simple import (
     clique_topology,
     grid_topology,
@@ -19,14 +27,6 @@ from repro.topology.generators.simple import (
     star_topology,
     tree_topology,
 )
-from repro.topology.generators.isp import (
-    barabasi_albert_topology,
-    large_isp_topology,
-    load_rocketfuel_edges,
-    synthetic_rocketfuel,
-)
-from repro.topology.generators.geometric import random_geometric_topology
-from repro.topology.generators.extra import fat_tree_topology, waxman_topology
 
 __all__ = [
     "clique_topology",

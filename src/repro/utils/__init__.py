@@ -1,17 +1,17 @@
 """Shared utilities: RNG handling, linear algebra, validation helpers."""
 
-from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.linalg import (
     column_rank,
     is_full_column_rank,
     nullspace,
     projector_onto_column_space,
 )
+from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.validation import (
     check_finite_vector,
     check_nonnegative_vector,
-    check_probability,
     check_positive,
+    check_probability,
 )
 
 __all__ = [

@@ -6,6 +6,15 @@ import pytest
 from repro.attacks.base import AttackContext, AttackOutcome
 from repro.exceptions import AttackConstraintError, ValidationError
 from repro.metrics.states import StateThresholds
+from repro.tomography.estimator_zoo import resolve_estimator
+from repro.tomography.linear_system import LinearSystem
+
+
+def _flipped(matrix: np.ndarray) -> np.ndarray:
+    """A 0/1 matrix of ``matrix``'s shape that differs in one entry."""
+    other = matrix.copy()
+    other[0, 0] = 1.0 - other[0, 0]
+    return other
 
 
 class TestAttackContext:
@@ -81,6 +90,49 @@ class TestAttackContext:
             fig1_scenario.path_set, fig1_scenario.true_metrics, ["B"]
         )
         assert context.thresholds == StateThresholds()
+
+
+class TestInjectedSystem:
+    """An injected kernel must be built over the path set's own ``R``."""
+
+    @staticmethod
+    def _context(scenario, **kwargs) -> AttackContext:
+        return AttackContext(scenario.path_set, scenario.true_metrics, ["B", "C"], **kwargs)
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_value_equal_systems_accepted(self, fig1_scenario, backend):
+        matrix = fig1_scenario.path_set.routing_matrix()
+        system = LinearSystem(matrix.copy(), backend=backend)
+        estimator = resolve_estimator("ls", system=LinearSystem(matrix.copy(), backend=backend))
+        context = self._context(fig1_scenario, system=system, estimator=estimator)
+        assert context.system is system
+        assert context.estimator is estimator
+
+    def test_sparse_system_not_densified(self, fig1_scenario):
+        system = LinearSystem(fig1_scenario.path_set.sparse_routing_matrix(), backend="sparse")
+        estimator = resolve_estimator("ls", system=system)
+        context = self._context(fig1_scenario, system=system, estimator=estimator)
+        assert context.system is system
+        assert "matrix" not in vars(system)
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_system_over_another_matrix_rejected(self, fig1_scenario, backend):
+        other = _flipped(fig1_scenario.path_set.routing_matrix())
+        with pytest.raises(ValidationError, match="does not match"):
+            self._context(fig1_scenario, system=LinearSystem(other, backend=backend))
+
+    def test_system_of_another_shape_rejected(self, fig1_scenario):
+        matrix = fig1_scenario.path_set.routing_matrix()
+        for other in (matrix[:-1], matrix[:, :-1]):
+            with pytest.raises(ValidationError, match="does not match"):
+                self._context(fig1_scenario, system=LinearSystem(other))
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_estimator_over_another_system_rejected(self, fig1_scenario, backend):
+        other = _flipped(fig1_scenario.path_set.routing_matrix())
+        estimator = resolve_estimator("ls", system=LinearSystem(other, backend=backend))
+        with pytest.raises(ValidationError, match="not built over"):
+            self._context(fig1_scenario, estimator=estimator)
 
 
 class TestAttackOutcome:

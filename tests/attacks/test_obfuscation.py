@@ -1,8 +1,7 @@
 """Tests for obfuscation attacks."""
 
-import pytest
-
 import numpy as np
+import pytest
 
 from repro.attacks.obfuscation import ObfuscationAttack, build_obfuscation_bands
 from repro.exceptions import ValidationError

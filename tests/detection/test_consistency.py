@@ -6,6 +6,15 @@ import pytest
 from repro.attacks.chosen_victim import ChosenVictimAttack
 from repro.detection.consistency import ConsistencyDetector
 from repro.exceptions import DetectionError
+from repro.tomography.estimator_zoo import resolve_estimator
+from repro.tomography.linear_system import LinearSystem
+
+
+def _flipped(matrix: np.ndarray) -> np.ndarray:
+    """A 0/1 matrix of ``matrix``'s shape that differs in one entry."""
+    other = matrix.copy()
+    other[0, 0] = 1.0 - other[0, 0]
+    return other
 
 
 class TestConstruction:
@@ -26,6 +35,47 @@ class TestConstruction:
     def test_redundant_matrix_not_blind(self, fig1_scenario):
         detector = ConsistencyDetector(fig1_scenario.path_set.routing_matrix())
         assert not detector.structurally_blind
+
+
+class TestInjectedSystem:
+    """An injected kernel must be built over the detector's own ``R``."""
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_value_equal_systems_accepted(self, fig1_scenario, backend):
+        matrix = fig1_scenario.path_set.routing_matrix()
+        system = LinearSystem(matrix.copy(), backend=backend)
+        estimator = resolve_estimator("ls", system=LinearSystem(matrix.copy(), backend=backend))
+        detector = ConsistencyDetector(matrix, system=system, estimator=estimator)
+        assert detector._system is system
+        assert detector.estimator is estimator
+
+    def test_sparse_system_not_densified(self, fig1_scenario):
+        matrix = fig1_scenario.path_set.routing_matrix()
+        system = LinearSystem(fig1_scenario.path_set.sparse_routing_matrix(), backend="sparse")
+        estimator = resolve_estimator("ls", system=system)
+        detector = ConsistencyDetector(matrix, system=system, estimator=estimator)
+        assert not detector.check(matrix @ fig1_scenario.true_metrics).detected
+        assert "matrix" not in vars(system)
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_system_over_another_matrix_rejected(self, fig1_scenario, backend):
+        matrix = fig1_scenario.path_set.routing_matrix()
+        system = LinearSystem(_flipped(matrix), backend=backend)
+        with pytest.raises(DetectionError, match="does not match"):
+            ConsistencyDetector(matrix, system=system)
+
+    def test_system_of_another_shape_rejected(self, fig1_scenario):
+        matrix = fig1_scenario.path_set.routing_matrix()
+        for other in (matrix[:-1], matrix[:, :-1]):
+            with pytest.raises(DetectionError, match="does not match"):
+                ConsistencyDetector(matrix, system=LinearSystem(other))
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_estimator_over_another_system_rejected(self, fig1_scenario, backend):
+        matrix = fig1_scenario.path_set.routing_matrix()
+        estimator = resolve_estimator("ls", system=LinearSystem(_flipped(matrix), backend=backend))
+        with pytest.raises(DetectionError, match="not built over"):
+            ConsistencyDetector(matrix, estimator=estimator)
 
 
 class TestChecks:

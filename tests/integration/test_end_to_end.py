@@ -16,8 +16,8 @@ from repro.attacks.obfuscation import ObfuscationAttack
 from repro.attacks.planner import compile_attack_plan
 from repro.detection.auditor import TomographyAuditor
 from repro.metrics.states import LinkState
-from repro.tomography.estimators import LeastSquaresEstimator
 from repro.tomography.diagnosis import diagnose
+from repro.tomography.estimators import LeastSquaresEstimator
 
 
 def _simulate_attack(scenario, attackers, outcome, probes=3, rng=0):

@@ -8,13 +8,13 @@ import pytest
 
 from repro.attacks.chosen_victim import ChosenVictimAttack
 from repro.exceptions import SerializationError
+from repro.scenarios.scenario import Scenario
 from repro.scenarios.serialization import (
     load_scenario,
     save_scenario,
     scenario_from_json,
     scenario_to_json,
 )
-from repro.scenarios.scenario import Scenario
 from repro.topology.generators.simple import grid_topology
 
 

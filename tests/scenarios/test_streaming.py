@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.attacks.chosen_victim import ChosenVictimAttack
+from repro.attacks.naive import NaiveDelayAttack
 from repro.exceptions import ValidationError
 from repro.measurement.noise import GaussianNoise
 from repro.scenarios.streaming import (
@@ -152,6 +153,26 @@ class TestAttackedStream:
         ]
         result = campaign.run(schedule, rng=0)
         assert result.replan_count >= 2  # initial plan + post-churn replan
+
+    def test_sparse_replans_leave_the_live_system_sparse(self, fig1_scenario):
+        """A replan checks the live sparse system against R without densifying it."""
+        planned_on = []
+
+        def naive(context):
+            planned_on.append(context.system)
+            return NaiveDelayAttack(context).run()
+
+        campaign = StreamingCampaign(
+            fig1_scenario, attacker_nodes=["B", "C"], attack_factory=naive, backend="sparse"
+        )
+        target = sorted(campaign._base_support)[0]
+        schedule = [ChurnEvent(), ChurnEvent(fail=(target,)), ChurnEvent(recover=(target,))]
+        result = campaign.run(schedule, rng=0)
+        assert result.replan_count == len(planned_on) >= 2
+        assert planned_on[-1] is campaign.detector.system
+        for system in planned_on:
+            assert system.backend_name == "sparse"
+            assert "matrix" not in vars(system)
 
     def test_active_epochs_subset(self, fig1_scenario):
         campaign = StreamingCampaign(fig1_scenario, attacker_nodes=["B", "C"])

@@ -2,12 +2,13 @@
 
 Two families:
 
-- **Digest memo** — each distinct routing matrix is hashed exactly once
-  per cache (the ``digest_compute`` white-box counter), and repeat
-  lookups for one scenario object rebuild nothing.
-- **Scenario staleness** — path churn under a memoised scenario re-keys
-  the memo, so a churned scenario is never served its pre-churn
-  factorization.
+- **Scenario kernel** — the cache serves each scenario's own
+  :attr:`~repro.scenarios.scenario.Scenario.system`: contexts and
+  auditors run on it, repeat lookups return the memoised auditor, and
+  repeat grid points factorize nothing.
+- **Scenario staleness** — path churn gives the scenario a new kernel,
+  and so new memo keys: a churned scenario is never served anything
+  built over its pre-churn matrix.
 
 The cache keeps factorizations in memory only; its ``store`` keyword
 accepts nothing but ``None``.
@@ -18,7 +19,6 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.obs import core as obs
-from repro.obs.summary import read_events
 from repro.sweep import FactorizationCache, SweepSpec, run_grid_point
 from repro.tomography.linear_system import LinearSystem
 
@@ -37,70 +37,84 @@ def _one_point_spec(seed: int = 9) -> SweepSpec:
     )
 
 
+def _factorizations(recorder) -> int:
+    return recorder.counters["svd"] + recorder.counters["gram_cholesky"]
+
+
 class TestStoreKeyword:
     def test_any_store_but_none_rejected(self):
         with pytest.raises(ValidationError, match="store must be None"):
             FactorizationCache(store=object())
 
 
-class TestDigestMemo:
-    def test_each_matrix_hashed_exactly_once(self):
-        """White-box: repeat lookups pay neither matrix build nor hashing."""
+class TestScenarioKernel:
+    def test_scenario_system_for_is_the_scenarios_system(self, fig1_scenario):
+        cache = FactorizationCache(store=None)
+        for _ in range(3):
+            assert cache.scenario_system_for(fig1_scenario) is fig1_scenario.system
+
+    def test_context_runs_on_the_scenario_system(self, fig1_scenario):
+        cache = FactorizationCache(store=None)
+        context = cache.context_for(fig1_scenario, ("B", "C"))
+        assert context.system is fig1_scenario.system
+        ridge = cache.context_for(fig1_scenario, ("B",), estimator="ridge")
+        assert ridge.system is fig1_scenario.system
+        assert ridge.estimator.system is fig1_scenario.system
+
+    def test_auditor_runs_on_the_scenario_system(self, fig1_scenario):
+        cache = FactorizationCache(store=None)
+        auditor = cache.auditor_for(fig1_scenario)
+        assert auditor.detector._system is fig1_scenario.system
+        for _ in range(3):
+            assert cache.auditor_for(fig1_scenario) is auditor
+        assert cache.stats["auditor_miss"] == 1
+
+    def test_repeat_points_factorize_once(self):
+        """White-box: the first point factorizes the scenario's R, no later one does."""
         spec = _one_point_spec()
         (point,) = spec.expand()
         cache = FactorizationCache(store=None)
         scenarios = {}
-        for _ in range(4):
-            run_grid_point(spec, point, cache=cache, scenarios=scenarios)
-        assert cache.stats["digest_compute"] == 1
-
-    def test_scenario_memo_skips_matrix_rebuild(self, fig1_scenario):
-        cache = FactorizationCache(store=None)
-        system = cache.scenario_system_for(fig1_scenario)
-        for _ in range(3):
-            assert cache.scenario_system_for(fig1_scenario) is system
-            assert cache.auditor_for(fig1_scenario) is cache.auditor_for(fig1_scenario)
-        assert cache.stats["digest_compute"] == 1
+        with obs.recording() as first:
+            record = run_grid_point(spec, point, cache=cache, scenarios=scenarios)
+        assert _factorizations(first) == 1
+        with obs.recording() as again:
+            for _ in range(3):
+                assert run_grid_point(spec, point, cache=cache, scenarios=scenarios) == record
+        assert _factorizations(again) == 0
 
 
 class TestScenarioStaleness:
     """Path churn under a memoised scenario must never serve stale factors."""
 
-    def test_churned_path_set_rekeys_the_memo(self, tmp_path):
+    def test_churned_path_set_rekeys_the_memo(self):
         from repro.scenarios.simple_network import paper_fig1_scenario
 
         scenario = paper_fig1_scenario()  # fresh: this test mutates it
         cache = FactorizationCache(store=None)
-        log_path = tmp_path / "run.jsonl"
-        with obs.enabled(log_path):
-            stale = cache.scenario_system_for(scenario)
-            assert cache.scenario_system_for(scenario) is stale
-            scenario.path_set.remove(0)
-            fresh = cache.scenario_system_for(scenario)
-        assert fresh is not stale
-        assert fresh.num_paths == stale.num_paths - 1
-        assert fresh.digest != stale.digest
-        assert cache.stats["scenario_stale_evict"] == 1
-        events = [
-            r
-            for r in read_events(log_path)
-            if r.get("name") == "sweep_cache_stale_evict"
-        ]
-        assert len(events) == 1
-        assert events[0]["stale_digest"] == stale.digest
-        assert events[0]["version"] > events[0]["stale_version"]
+        stale = scenario.system
+        stale_auditor = cache.auditor_for(scenario)
+        scenario.path_set.remove(0)
+        context = cache.context_for(scenario, ("B", "C"))
+        auditor = cache.auditor_for(scenario)
+        assert auditor is not stale_auditor
+        for system in (context.system, auditor.detector._system):
+            assert system is scenario.system
+            assert system is not stale
+            assert system.num_paths == stale.num_paths - 1
 
     def test_rebuilt_memo_is_stable_again(self):
         from repro.scenarios.simple_network import paper_fig1_scenario
 
         scenario = paper_fig1_scenario()
         cache = FactorizationCache(store=None)
-        cache.scenario_system_for(scenario)
+        cache.auditor_for(scenario)
         scenario.path_set.remove(1)
-        fresh = cache.scenario_system_for(scenario)
+        fresh = cache.auditor_for(scenario)
         for _ in range(3):
-            assert cache.scenario_system_for(scenario) is fresh
-        assert cache.stats["scenario_stale_evict"] == 1
+            assert cache.scenario_system_for(scenario) is scenario.system
+            assert cache.auditor_for(scenario) is fresh
+        assert cache.stats["auditor_miss"] == 2
 
     def test_estimates_follow_the_churned_matrix(self):
         from repro.scenarios.simple_network import paper_fig1_scenario
@@ -109,9 +123,14 @@ class TestScenarioStaleness:
         cache = FactorizationCache(store=None)
         cache.scenario_system_for(scenario)
         scenario.path_set.remove(0)
-        system = cache.scenario_system_for(scenario)
         reference = LinearSystem(scenario.path_set.routing_matrix())
-        observed = np.arange(system.num_paths, dtype=float)
-        assert np.abs(
-            system.estimate(observed) - reference.estimate(observed)
-        ).max() < 1e-8
+        observed = np.arange(reference.num_paths, dtype=float)
+        systems = (
+            cache.scenario_system_for(scenario),
+            cache.context_for(scenario, ("B", "C")).system,
+            cache.auditor_for(scenario).detector._system,
+        )
+        for system in systems:
+            assert np.abs(
+                system.estimate(observed) - reference.estimate(observed)
+            ).max() < 1e-8

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from repro.tomography.linear_system import (
     LinearSystem,
@@ -107,6 +108,61 @@ class TestLinearSystem:
     def test_non_2d_rejected(self):
         with pytest.raises(ValueError):
             LinearSystem(np.ones(4))
+
+
+class TestMatches:
+    """``matches`` is exact, in the stored form, and never densifies."""
+
+    @pytest.fixture(params=["dense", "sparse"])
+    def built(self, request, fig1_scenario):
+        matrix = fig1_scenario.path_set.routing_matrix()
+        return matrix, LinearSystem(matrix, backend=request.param)
+
+    def test_the_matrix_itself_and_an_equal_copy(self, built):
+        matrix, system = built
+        assert system.matches(matrix)
+        assert system.matches(system.stored_matrix)
+        assert system.matches(matrix.copy())
+        assert system.matches(matrix.astype(np.float32))
+        assert "matrix" not in vars(system)
+
+    def test_one_flipped_entry(self, built):
+        matrix, system = built
+        for i, j in (np.argwhere(matrix == 1.0)[0], np.argwhere(matrix == 0.0)[-1]):
+            flipped = matrix.copy()
+            flipped[i, j] = 1.0 - flipped[i, j]
+            assert not system.matches(flipped)
+        assert "matrix" not in vars(system)
+
+    def test_shape_mismatch(self, built):
+        matrix, system = built
+        for other in (matrix[:-1], matrix[:, :-1], matrix.T, matrix.ravel()):
+            assert not system.matches(other)
+
+    def test_csr_holding_an_explicit_zero(self):
+        stored = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        csr = scipy.sparse.csr_matrix(stored)
+        csr.data[0] = 0.0  # (0, 0) stays a stored position, now holding 0
+        stored[0, 0] = 0.0
+        system = LinearSystem(csr, backend="sparse")
+        assert system.stored_matrix.nnz == 3
+        assert system.matches(stored)
+        for i, j in ((0, 0), (1, 0)):  # at the explicit zero, and off the pattern
+            other = stored.copy()
+            other[i, j] = 1.0
+            assert not system.matches(other)
+        assert "matrix" not in vars(system)
+
+    def test_csr_holding_duplicate_entries(self):
+        # (0, 1) is stored twice; the entries sum, as in every scipy product.
+        csr = scipy.sparse.csr_matrix(
+            (np.array([0.5, 0.5, 1.0]), np.array([1, 1, 0]), np.array([0, 2, 3])),
+            shape=(2, 2),
+        )
+        system = LinearSystem(csr, backend="sparse")
+        assert system.matches(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert not system.matches(np.array([[0.0, 0.5], [1.0, 0.0]]))
+        assert system.stored_matrix.nnz == 3  # the stored form is left as it was
 
 
 class TestEstimatorOperator:
