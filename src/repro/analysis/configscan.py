@@ -10,9 +10,9 @@ Three disciplines are enforced across the package:
 1. **No bypass.**  ``os.environ`` / ``os.getenv`` reads of a ``REPRO_*``
    name anywhere outside the config module must go through an accessor.
 2. **No undeclared knob.**  Every name handed to ``config.raw`` /
-   ``get_bool`` / ``get_str`` / ``get_float`` / ``declared`` must be a
-   registry entry; names the analyzer cannot resolve to a string
-   constant are flagged as dynamic.
+   ``get_bool`` / ``get_str`` / ``declared`` must be a registry entry;
+   names the analyzer cannot resolve to a string constant are flagged as
+   dynamic.
 3. **No dead entry.**  A registry declaration with no accessor site in
    the package is itself a finding — stale knobs rot into folklore.
 
@@ -33,9 +33,6 @@ __all__ = ["ConfigRegistryRule", "declared_knobs"]
 
 #: Environment names the registry governs.
 _KNOB_PREFIX = "REPRO_"
-
-#: Accessor functions of the config module taking a knob name.
-_ACCESSORS = frozenset({"raw", "get_bool", "get_str", "get_float", "declared"})
 
 
 def declared_knobs(config_facts: ModuleFacts) -> dict[str, int]:
@@ -107,8 +104,6 @@ class ConfigRegistryRule(ProjectRule):
                     f"{config_module} registry (use config.raw or a typed getter)",
                 )
             for read in facts.config_reads:
-                if read["accessor"] not in _ACCESSORS:
-                    continue
                 knob = read["knob"]
                 if knob is None and read.get("unresolved"):
                     knob = project.resolve_constant(facts, read["unresolved"])

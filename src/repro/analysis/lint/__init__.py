@@ -1,24 +1,20 @@
-"""AST-based lint engine with repo-specific rules (RP001–RP005).
+"""The analysis engine and its per-file rules (RP001–RP005).
 
 Public surface:
 
-- :func:`lint_paths` / :func:`lint_file` — run the rules over files,
-- :func:`format_violations` — text/JSON report shaping,
 - :func:`all_rules` — the registry (feeds ``--select`` and the docs table),
+- :func:`collect_python_files` — the file walk every analysis run uses,
+- :func:`noqa_rules_for_line` — the one ``# repro: noqa`` parser,
 - :class:`Violation` — one finding.
 
-See :mod:`repro.analysis.lint.rules` for what each rule enforces and why.
+:func:`repro.analysis.lint.engine.analyze_paths` runs the rules; see
+:mod:`repro.analysis.lint.rules` for what each per-file rule enforces and
+why.
 """
 
 from __future__ import annotations
 
-from repro.analysis.lint.engine import (
-    collect_python_files,
-    format_violations,
-    lint_file,
-    lint_paths,
-    noqa_rules_for_line,
-)
+from repro.analysis.lint.engine import collect_python_files, noqa_rules_for_line
 from repro.analysis.lint.registry import (
     LintRule,
     ModuleSource,
@@ -34,9 +30,6 @@ __all__ = [
     "Violation",
     "all_rules",
     "collect_python_files",
-    "format_violations",
-    "lint_file",
-    "lint_paths",
     "noqa_rules_for_line",
     "register_rule",
     "resolve_selection",

@@ -1,20 +1,15 @@
-"""Lint engine: file walking, parsing, suppression, and report shaping.
+"""Analysis engine: file walking, parsing, suppression, and report shaping.
 
-The engine is deliberately dependency-free (stdlib ``ast`` only): it walks
-the given files/directories, parses each module once, hands the tree to
-every selected rule, and filters findings through per-line
-``# repro: noqa`` / ``# repro: noqa RP001,RP002`` suppressions.  Parse
-failures surface as ``RP000`` findings so a syntactically broken file
-fails the lint run instead of being skipped silently.
-
-Two entry points share this machinery:
-
-- :func:`lint_paths` — the per-file rules only, one module at a time.
-- :func:`analyze_paths` — the whole-program analyzer: each file is parsed
-  once, that one tree feeds both the per-file facts and the per-file
-  rules, and the project rules (RP006+) run over the assembled
-  :class:`~repro.analysis.project.ProjectModel`.  Results fold into an
-  :class:`AnalysisReport` carrying severities and baseline suppression.
+The engine is deliberately dependency-free (stdlib ``ast`` only).
+:func:`analyze_paths` is its one entry point: it walks the given
+files/directories and parses each module once; that one tree feeds both
+the per-file facts and the per-file rules (RP001-RP005), and the project
+rules (RP006+) run over the assembled
+:class:`~repro.analysis.project.ProjectModel`.  Findings on a line with a
+``# repro: noqa`` / ``# repro: noqa RP001,RP002`` comment are dropped,
+parse failures surface as ``RP000`` findings so a syntactically broken
+file fails the run instead of being skipped silently, and the results
+fold into an :class:`AnalysisReport` carrying severities.
 """
 
 from __future__ import annotations
@@ -26,14 +21,12 @@ import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.analysis.lint.registry import (
-    LintRule,
     ModuleSource,
     ProjectRule,
     Violation,
-    all_rules,
     resolve_selection,
 )
 from repro.exceptions import ValidationError
@@ -47,12 +40,7 @@ __all__ = [
     "analyze_paths",
     "collect_python_files",
     "format_analysis",
-    "format_violations",
-    "lint_file",
-    "lint_paths",
-    "load_baseline",
     "noqa_rules_for_line",
-    "write_baseline",
 ]
 
 #: Severity profiles: rules demoted to advisory per audience.  Library
@@ -88,20 +76,11 @@ def noqa_rules_for_line(line: str) -> frozenset[str] | None:
     return frozenset(code.strip().upper() for code in codes.split(","))
 
 
-def _suppressed(violation: Violation, lines: Sequence[str]) -> bool:
-    if not 1 <= violation.line <= len(lines):
-        return False
-    spec = noqa_rules_for_line(lines[violation.line - 1])
-    if spec is None:
-        return False
-    return not spec or violation.rule in spec
-
-
 def collect_python_files(paths: Iterable[str | Path]) -> list[Path]:
     """Expand files/directories into a sorted list of ``.py`` files.
 
     Raises :class:`~repro.exceptions.ValidationError` for paths that do not
-    exist — a typo'd path must not pass as "nothing to lint".
+    exist — a typo'd path must not pass as "nothing to analyze".
     """
     files: set[Path] = set()
     for raw in paths:
@@ -115,7 +94,7 @@ def collect_python_files(paths: Iterable[str | Path]) -> list[Path]:
         elif path.is_file():
             files.add(path)
         else:
-            raise ValidationError(f"lint path {raw!s} does not exist")
+            raise ValidationError(f"path {raw!s} does not exist")
     return sorted(files)
 
 
@@ -128,43 +107,11 @@ def _relative_to_root(path: Path, roots: Sequence[Path]) -> str:
     return path.as_posix()
 
 
-def lint_file(
-    path: Path, rules: Sequence[LintRule], *, rel_path: str | None = None
-) -> list[Violation]:
-    """Lint one file with the given rule instances."""
-    source = path.read_text(encoding="utf-8")
-    lines = source.splitlines()
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return [
-            Violation(
-                rule="RP000",
-                path=str(path),
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                message=f"syntax error: {exc.msg}",
-            )
-        ]
-    module = ModuleSource(
-        path=path,
-        rel_path=rel_path if rel_path is not None else path.as_posix(),
-        source=source,
-        tree=tree,
-        lines=lines,
-    )
-    found: list[Violation] = []
-    for rule in rules:
-        found.extend(v for v in rule.check(module) if not _suppressed(v, lines))
-    found.sort(key=lambda v: (v.line, v.col, v.rule))
-    return found
-
-
 def _apply_profile(violations: list[Violation], profile: str) -> list[Violation]:
     """Demote the profile's advisory rules; unknown profiles are errors."""
     if profile not in PROFILES:
         known = ", ".join(sorted(PROFILES))
-        raise ValidationError(f"unknown lint profile {profile!r} (known: {known})")
+        raise ValidationError(f"unknown profile {profile!r} (known: {known})")
     advisory = PROFILES[profile]
     if not advisory:
         return violations
@@ -174,81 +121,16 @@ def _apply_profile(violations: list[Violation], profile: str) -> list[Violation]
     ]
 
 
-def lint_paths(
-    paths: Iterable[str | Path],
-    *,
-    select: Iterable[str] | None = None,
-    profile: str = "src",
-) -> list[Violation]:
-    """Lint files/directories; returns all violations sorted by location.
-
-    ``select`` limits the run to the given rule ids (``None`` = all
-    registered rules); unknown ids raise
-    :class:`~repro.exceptions.ValidationError`.  ``profile`` picks the
-    severity profile (``tests`` demotes RP002/RP003 to advisory).
-    """
-    path_list = [Path(p) for p in paths]
-    resolved = resolve_selection(select)
-    if select is not None:
-        project_ids = [r.rule_id for r in resolved if isinstance(r, ProjectRule)]
-        if project_ids:
-            raise ValidationError(
-                f"rule(s) {', '.join(project_ids)} need the whole-program "
-                "analyzer: use `repro analyze`, not `repro lint`"
-            )
-    rules = [r for r in resolved if not isinstance(r, ProjectRule)]
-    roots = [p if p.is_dir() else p.parent for p in path_list]
-    violations: list[Violation] = []
-    for file_path in collect_python_files(path_list):
-        rel = _relative_to_root(file_path, roots)
-        violations.extend(lint_file(file_path, rules, rel_path=rel))
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return _apply_profile(violations, profile)
-
-
-def format_violations(
-    violations: Sequence[Violation], *, fmt: str = "text", select: Iterable[str] | None = None
-) -> str:
-    """Render violations as ``text`` or ``json`` (machine-readable report)."""
-    if fmt == "text":
-        if not violations:
-            return "repro lint: clean"
-        lines = [v.render() for v in violations]
-        lines.append(f"repro lint: {len(violations)} violation(s)")
-        return "\n".join(lines)
-    if fmt == "json":
-        selected = sorted(
-            {code.strip().upper() for code in select} if select else all_rules()
-        )
-        payload = {
-            "violations": [v.as_dict() for v in violations],
-            "count": len(violations),
-            "rules": selected,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-    raise ValidationError(f"unknown lint output format {fmt!r}")
-
-
-# ---------------------------------------------------------------------------
-# The whole-program analyzer
-# ---------------------------------------------------------------------------
-
-
 @dataclass
 class AnalysisReport:
     """Outcome of one :func:`analyze_paths` run.
 
-    ``violations`` holds the *active* findings (baseline-suppressed ones
-    are counted, not listed); ``expired`` lists baseline entries that no
-    current finding matches — stale acceptances to prune, reported but
-    never fatal.  ``project`` is the model the project rules ran over, so
-    a caller can render from it (the obs catalog) without re-parsing; it
-    is not part of the JSON report.
+    ``project`` is the model the project rules ran over, so a caller can
+    render from it (the obs catalog) without re-parsing; it is not part of
+    the JSON report.
     """
 
     violations: list[Violation] = field(default_factory=list)
-    suppressed: int = 0
-    expired: list[dict[str, Any]] = field(default_factory=list)
     files: int = 0
     root_package: str = "repro"
     rules: list[str] = field(default_factory=list)
@@ -266,51 +148,6 @@ class AnalysisReport:
     def exit_code(self) -> int:
         """0 clean (advisories allowed), 1 when any error-severity finding."""
         return 1 if self.error_count else 0
-
-
-def load_baseline(path: str | Path) -> dict[str, dict[str, Any]]:
-    """Accepted findings keyed by fingerprint.
-
-    The file is JSON: ``{"version": 1, "findings": [{"fingerprint": ...,
-    "rule": ..., "path": ..., "message": ...}]}``.  A missing or
-    malformed baseline is a usage error — silently analyzing without the
-    acceptances would flip the run's meaning.
-    """
-    baseline_path = Path(path)
-    try:
-        payload = json.loads(baseline_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"cannot read baseline {baseline_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"baseline {baseline_path} is not JSON: {exc}") from exc
-    findings = payload.get("findings") if isinstance(payload, dict) else None
-    if not isinstance(findings, list):
-        raise ValidationError(
-            f"baseline {baseline_path} must be an object with a findings list"
-        )
-    accepted: dict[str, dict[str, Any]] = {}
-    for entry in findings:
-        if not isinstance(entry, dict) or "fingerprint" not in entry:
-            raise ValidationError(
-                f"baseline {baseline_path}: every finding needs a fingerprint"
-            )
-        accepted[str(entry["fingerprint"])] = entry
-    return accepted
-
-
-def write_baseline(report: AnalysisReport, path: str | Path) -> None:
-    """Accept the report's current findings as the new baseline."""
-    entries = [
-        {
-            "fingerprint": v.fingerprint(),
-            "rule": v.rule,
-            "path": v.path,
-            "message": v.message,
-        }
-        for v in sorted(report.violations, key=lambda v: (v.rule, v.path, v.message))
-    ]
-    payload = {"version": 1, "findings": entries}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _detect_root_package(facts_list: list[ModuleFacts]) -> str:
@@ -341,7 +178,6 @@ def analyze_paths(
     profile: str = "src",
     layers_path: str | Path | None = None,
     root_package: str | None = None,
-    baseline: str | Path | None = None,
 ) -> AnalysisReport:
     """Run the whole-program analyzer over ``paths``.
 
@@ -407,30 +243,13 @@ def analyze_paths(
     violations = _apply_profile(violations, profile)
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
 
-    report = AnalysisReport(
+    return AnalysisReport(
+        violations=violations,
         files=len(facts_list),
         root_package=detected_root,
         rules=sorted(r.rule_id for r in rules),
         project=project,
     )
-    if baseline is not None:
-        accepted = load_baseline(baseline)
-        matched: set[str] = set()
-        active: list[Violation] = []
-        for violation in violations:
-            fingerprint = violation.fingerprint()
-            if fingerprint in accepted:
-                matched.add(fingerprint)
-            else:
-                active.append(violation)
-        report.suppressed = len(violations) - len(active)
-        report.violations = active
-        report.expired = [
-            accepted[fp] for fp in sorted(set(accepted) - matched)
-        ]
-    else:
-        report.violations = violations
-    return report
 
 
 def format_analysis(report: AnalysisReport, *, fmt: str = "text") -> str:
@@ -443,26 +262,13 @@ def format_analysis(report: AnalysisReport, *, fmt: str = "text") -> str:
             "violations": [v.as_dict() for v in report.violations],
             "errors": report.error_count,
             "advisories": report.advisory_count,
-            "baseline_suppressed": report.suppressed,
-            "baseline_expired": sorted(
-                str(entry.get("fingerprint")) for entry in report.expired
-            ),
         }
         return json.dumps(payload, indent=2, sort_keys=True)
     if fmt != "text":
         raise ValidationError(f"unknown analyze output format {fmt!r}")
     lines = [v.render() for v in report.violations]
-    for entry in report.expired:
-        lines.append(
-            "baseline entry no longer matches any finding "
-            f"(prune it): {entry.get('rule')} {entry.get('path')} "
-            f"[{entry.get('fingerprint')}]"
-        )
-    summary = (
+    lines.append(
         f"repro analyze: {report.files} file(s), "
         f"{report.error_count} error(s), {report.advisory_count} advisory"
     )
-    if report.suppressed:
-        summary += f", {report.suppressed} baseline-suppressed"
-    lines.append(summary)
     return "\n".join(lines)

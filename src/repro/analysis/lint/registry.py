@@ -1,10 +1,12 @@
-"""Rule registry for the repo lint engine.
+"""Rule registry for the analysis engine.
 
 Rules are small classes registered by decorator so the engine, the CLI's
 ``--select`` handling, and the documentation table all draw from one
-source of truth.  Each rule inspects one parsed module at a time and
-yields :class:`~repro.analysis.lint.engine.Violation` records; the engine
-owns file walking, ``# repro: noqa`` suppression, and output formatting.
+source of truth.  Each rule inspects one parsed module at a time (a
+:class:`ProjectRule` the whole project model) and yields
+:class:`Violation` records; the engine
+(:func:`~repro.analysis.lint.engine.analyze_paths`) owns file walking,
+``# repro: noqa`` suppression, and output formatting.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ __all__ = [
     "ProjectRule",
     "Violation",
     "all_rules",
-    "file_rules",
-    "project_rules",
     "register_rule",
     "resolve_selection",
 ]
@@ -67,24 +67,12 @@ class Violation:
             "severity": self.severity,
         }
 
-    def fingerprint(self) -> str:
-        """Location-independent identity used by baseline files.
-
-        Deliberately excludes ``line``/``col`` so reformatting a file does
-        not expire its accepted findings; rule + path + message is stable
-        until the finding itself changes.
-        """
-        import hashlib
-
-        key = f"{self.rule}|{self.path}|{self.message}"
-        return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
-
 
 @dataclass
 class ModuleSource:
     """One parsed module handed to every rule.
 
-    ``rel_path`` uses forward slashes relative to the lint root so rules
+    ``rel_path`` uses forward slashes relative to the analysis root so rules
     can express path-based exemptions (``obs/``, the linalg kernel)
     portably.
     """
@@ -103,9 +91,9 @@ class ModuleSource:
         """True when any path component equals ``name`` (e.g. ``obs``).
 
         Checks both the root-relative path and the filesystem path: when a
-        package directory is linted directly (``repro lint src/repro/obs``)
-        the lint root *is* that directory, so its name never appears in
-        ``rel_path`` — the real path still carries it.
+        package directory is analyzed directly (``repro analyze
+        src/repro/obs``) the analysis root *is* that directory, so its name
+        never appears in ``rel_path`` — the real path still carries it.
         """
         if name in self.rel_path.split("/")[:-1]:
             return True
@@ -188,29 +176,11 @@ def all_rules() -> dict[str, type[LintRule]]:
     return dict(sorted(_REGISTRY.items()))
 
 
-def file_rules() -> dict[str, type[LintRule]]:
-    """The registered per-file rules only."""
-    return {
-        rule_id: cls
-        for rule_id, cls in all_rules().items()
-        if not issubclass(cls, ProjectRule)
-    }
-
-
-def project_rules() -> dict[str, type[ProjectRule]]:
-    """The registered whole-program rules only."""
-    return {
-        rule_id: cls
-        for rule_id, cls in all_rules().items()
-        if issubclass(cls, ProjectRule)
-    }
-
-
 def resolve_selection(select: Iterable[str] | None = None) -> list[LintRule]:
     """Instantiate the selected rules (all when ``select`` is ``None``).
 
     Raises :class:`~repro.exceptions.ValidationError` on unknown ids so the
-    CLI can exit with a usage error rather than silently linting nothing.
+    CLI can exit with a usage error rather than silently analyzing nothing.
     """
     registry = all_rules()
     if select is None:

@@ -53,6 +53,9 @@ _DISPATCH_CALLEES = frozenset({"run_trials", "run_batched_trials", "iter_map_chu
 #: obs emission APIs catalogued by the schema pass (literal first argument).
 _OBS_APIS = frozenset({"event", "counter", "gauge", "span"})
 
+#: Accessors of the config registry taking a knob name (checked by RP007).
+_CONFIG_ACCESSORS = frozenset({"raw", "get_bool", "get_str", "declared"})
+
 
 def _attribute_chain(node: ast.AST) -> list[str] | None:
     """``a.b.c`` -> ``["a", "b", "c"]``; None for non-name chains."""
@@ -450,13 +453,7 @@ class _Extractor(ast.NodeVisitor):
         if not chain or len(chain) != 2:
             return
         owner, accessor = chain
-        if owner != "config" or accessor not in (
-            "raw",
-            "get_bool",
-            "get_str",
-            "get_float",
-            "declared",
-        ):
+        if owner != "config" or accessor not in _CONFIG_ACCESSORS:
             return
         knob = self._literal_str(node.args[0]) if node.args else None
         unresolved = None
@@ -538,7 +535,7 @@ def _scan_comments(source_lines: list[str], facts: ModuleFacts) -> None:
     from repro.analysis.lint.engine import noqa_rules_for_line
 
     for lineno, line in enumerate(source_lines, start=1):
-        if "repro:" not in line:
+        if "repro:" not in line.lower():
             continue
         spec = noqa_rules_for_line(line)
         if spec is not None:

@@ -41,7 +41,6 @@ from repro.attacks.hybrid import FrameAndBlurAttack
 from repro.attacks.lp import (
     IncrementalLpSolver,
     LpSolution,
-    resolve_unbounded_cap,
     solve_manipulation_lp,
     theorem1_manipulation,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "IncrementalLpSolver",
     "LpSolution",
     "PersistentLpSolver",
-    "resolve_unbounded_cap",
     "solve_manipulation_lp",
     "theorem1_manipulation",
     "ChosenVictimAttack",

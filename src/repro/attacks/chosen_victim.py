@@ -134,7 +134,6 @@ class ChosenVictimAttack:
                 if self.stealthy
                 else None
             ),
-            presolve=False,
         ).solve()
         if not solution.feasible or solution.manipulation is None:
             return AttackOutcome.infeasible(

@@ -88,7 +88,6 @@ class FrameAndBlurAttack:
             consistency_columns=(
                 context.residual_projector_support() if self.stealthy else None
             ),
-            presolve=False,
         ).solve()
         if not solution.feasible or solution.manipulation is None:
             return AttackOutcome.infeasible(

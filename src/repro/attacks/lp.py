@@ -30,14 +30,13 @@ tests hold damage to 1e-9 relative); the optimal vertex may differ when
 optima are non-unique.
 
 An unbounded LP (possible only with an infinite per-path cap) is reported
-as feasible with ``unbounded=True`` and re-solved under a large finite cap
-so callers still get a concrete vector (the warm path builds its model
-with that cap from the start), and the cap is configurable via
-:func:`resolve_unbounded_cap` (``REPRO_LP_RESOLVE_CAP`` or an explicit
-``resolve_cap=`` argument).  The reported ``damage`` is always the L1
-norm of the *returned* vector — unboundedness is signalled exclusively
-through the flag, never as an infinite damage value, so downstream
-aggregation (max-damage scans, reporting tables) stays finite.
+as feasible with ``unbounded=True`` and re-solved under a fixed large
+finite cap (``1e7``) so callers still get a concrete vector (the warm
+path builds its model with that cap from the start).  The reported
+``damage`` is always the L1 norm of the *returned* vector —
+unboundedness is signalled exclusively through the flag, never as an
+infinite damage value, so downstream aggregation (max-damage scans,
+reporting tables) stays finite.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from repro import config
 from repro.attacks.lp_engine import PersistentLpSolver, prune_capacities
 from repro.exceptions import AttackError, ValidationError
 from repro.obs import core as obs
@@ -60,53 +58,17 @@ __all__ = [
     "IncrementalLpSolver",
     "LpSolution",
     "PRESOLVE_STATUS_PREFIX",
-    "RESOLVE_CAP_ENV_VAR",
-    "resolve_unbounded_cap",
     "solve_manipulation_lp",
     "theorem1_manipulation",
 ]
 
-#: Default cap substituted when re-solving an unbounded LP to return a
-#: finite vector (override via ``REPRO_LP_RESOLVE_CAP`` or ``resolve_cap=``).
+#: Per-variable cap substituted for ``cap=None``, so an unbounded LP
+#: still returns a finite vector (pinned at this cap).
 _UNBOUNDED_RESOLVE_CAP = 1e7
-
-#: Environment variable overriding the unbounded re-solve cap.
-RESOLVE_CAP_ENV_VAR = "REPRO_LP_RESOLVE_CAP"
 
 #: Status prefix marking solutions rejected by the Constraint-1 presolve
 #: pruner without any LP being assembled or solved.
 PRESOLVE_STATUS_PREFIX = "presolve:"
-
-
-def resolve_unbounded_cap(explicit: float | None = None) -> float:
-    """The finite cap used to re-solve an unbounded LP.
-
-    Precedence: explicit argument, then the ``REPRO_LP_RESOLVE_CAP``
-    environment variable, then the library default (``1e7``).  The value
-    must be a positive finite number — a non-positive or unparseable cap
-    raises :class:`ValidationError` (a zero cap would silently turn every
-    unbounded instance into the trivial ``m = 0``).
-    """
-    if explicit is not None:
-        value, source = explicit, "resolve_cap argument"
-    else:
-        raw = (config.raw(RESOLVE_CAP_ENV_VAR) or "").strip()
-        if not raw:
-            return _UNBOUNDED_RESOLVE_CAP
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ValidationError(
-                f"{RESOLVE_CAP_ENV_VAR} must be a number, got {raw!r}"
-            ) from exc
-        source = f"{RESOLVE_CAP_ENV_VAR} environment variable"
-    value = float(value)
-    if not math.isfinite(value) or value <= 0:
-        raise ValidationError(
-            f"unbounded re-solve cap must be positive and finite, "
-            f"got {value} ({source})"
-        )
-    return value
 
 
 @dataclass
@@ -258,20 +220,14 @@ def _empty_support_solution(
     )
 
 
-def _pinned_at_cap(values: np.ndarray, cap: float) -> bool:
-    """True when any entry sits at ``cap`` up to solver round-off.
-
-    Uses a combined relative *and* absolute tolerance: a pure relative
-    test (``v >= cap * (1 - 1e-9)``) degenerates for tiny caps, where the
-    relative slack shrinks below the solver's absolute round-off.
-    """
-    tolerance = max(1e-9 * cap, 1e-12)
-    return bool(np.any(values >= cap - tolerance))
+def _pinned_at_cap(values: np.ndarray) -> bool:
+    """True when any entry sits at the unbounded re-solve cap up to solver
+    round-off (relative tolerance 1e-9)."""
+    tolerance = 1e-9 * _UNBOUNDED_RESOLVE_CAP
+    return bool(np.any(values >= _UNBOUNDED_RESOLVE_CAP - tolerance))
 
 
-def _unbounded_solution(
-    manipulation: np.ndarray, damage: float, large_cap: float
-) -> LpSolution:
+def _unbounded_solution(manipulation: np.ndarray, damage: float) -> LpSolution:
     """An infinite optimum, reported through its capped stand-in vector.
 
     The damage stays the L1 norm of the concrete (capped) vector handed
@@ -279,7 +235,11 @@ def _unbounded_solution(
     or tabulates damages.  The flag carries the infinity.
     """
     if obs.is_enabled():
-        obs.event("lp_unbounded_resolve", resolve_cap=large_cap, capped_damage=damage)
+        obs.event(
+            "lp_unbounded_resolve",
+            resolve_cap=_UNBOUNDED_RESOLVE_CAP,
+            capped_damage=damage,
+        )
     return LpSolution(
         feasible=True,
         manipulation=manipulation,
@@ -297,8 +257,6 @@ def _solve_assembled(
     a_eq: np.ndarray | None,
     b_eq: np.ndarray | None,
     cap: float | None,
-    *,
-    resolve_cap: float | None = None,
 ) -> LpSolution:
     """One cold :func:`scipy.optimize.linprog` call on assembled constraints.
 
@@ -307,8 +265,7 @@ def _solve_assembled(
     infeasible when variables are uncapped — and infers unboundedness
     from variables pinned at that cap.
     """
-    large_cap = resolve_unbounded_cap(resolve_cap) if cap is None else None
-    var_cap = cap if large_cap is None else large_cap
+    var_cap = _UNBOUNDED_RESOLVE_CAP if cap is None else cap
     k = len(support_list)
     obs.counter("lp_solve")
     with obs.span("lp_solve"):
@@ -343,8 +300,8 @@ def _solve_assembled(
     m = np.zeros(num_paths)
     m[support_list] = np.maximum(result.x, 0.0)  # clip solver round-off
     damage = float(m.sum())
-    if large_cap is not None and _pinned_at_cap(m, large_cap):
-        return _unbounded_solution(m, damage, large_cap)
+    if cap is None and _pinned_at_cap(m):
+        return _unbounded_solution(m, damage)
     return LpSolution(
         feasible=True,
         manipulation=m,
@@ -394,7 +351,6 @@ def solve_manipulation_lp(
     consistency_matrix: np.ndarray | None = None,
     sub_operator: np.ndarray | None = None,
     consistency_columns: np.ndarray | None = None,
-    resolve_cap: float | None = None,
 ) -> LpSolution:
     """Maximise ``sum(m)`` subject to Constraint 1, ``m <= cap`` and bands.
 
@@ -415,7 +371,8 @@ def solve_manipulation_lp(
         Estimate bands encoding the strategy's state constraints.
     cap:
         Per-path manipulation cap in metric units (paper: 2000 ms).
-        ``None`` means unlimited.
+        ``None`` means unlimited: the LP is solved under the fixed
+        ``1e7`` cap, and a solution pinned at it is flagged ``unbounded``.
     consistency_matrix:
         Optional *stealth* constraint ``C m = 0`` (|P| x |P|).  Passing the
         residual projector ``I - R R⁺`` restricts the attacker to
@@ -432,10 +389,6 @@ def solve_manipulation_lp(
     consistency_columns:
         Pre-sliced stealth block ``C[:, support]`` (|P| x k); same idea
         for the residual projector.
-    resolve_cap:
-        Finite cap substituted when an uncapped LP turns out unbounded
-        (default: ``REPRO_LP_RESOLVE_CAP`` or ``1e7``); see
-        :func:`resolve_unbounded_cap`.
 
     This one-shot entry point is the cold reference — one
     :func:`scipy.optimize.linprog` call per solve.  Tests compare the
@@ -472,9 +425,7 @@ def solve_manipulation_lp(
             consistency_matrix, support_list, num_paths, columns=consistency_columns
         )
 
-    return _solve_assembled(
-        support_list, num_paths, a_ub, b_ub, a_eq, b_eq, cap, resolve_cap=resolve_cap
-    )
+    return _solve_assembled(support_list, num_paths, a_ub, b_ub, a_eq, b_eq, cap)
 
 
 class IncrementalLpSolver:
@@ -521,16 +472,14 @@ class IncrementalLpSolver:
         sub_operator: np.ndarray | None = None,
         consistency_columns: np.ndarray | None = None,
         presolve: bool = True,
-        resolve_cap: float | None = None,
     ) -> None:
         self.num_paths = int(num_paths)
         self.cap = cap
         if cap is not None and cap < 0:
             raise ValidationError(f"cap must be non-negative or None, got {cap}")
+        #: The finite per-variable cap of every model this solver builds.
+        self._var_cap = _UNBOUNDED_RESOLVE_CAP if cap is None else cap
         self.presolve = bool(presolve)
-        self.resolve_cap = resolve_cap
-        if resolve_cap is not None:
-            resolve_unbounded_cap(resolve_cap)  # fail fast on bad values
         self.presolve_pruned = 0
         self._x_true = check_finite_vector(true_metrics, "true_metrics")
         self.num_links = int(self._x_true.shape[0])
@@ -559,7 +508,6 @@ class IncrementalLpSolver:
                 self._sub_operator
             )
         self._persistent: PersistentLpSolver | None = None
-        self._persistent_cap: float | None = None
         self._damage_bounds: dict[frozenset[int], float] = {}
 
     def presolve_prune_reason(
@@ -614,20 +562,15 @@ class IncrementalLpSolver:
                         )
         return None
 
-    def _var_upper(self) -> float:
-        """The finite per-variable cap of every model this solver builds."""
-        return self.cap if self.cap is not None else resolve_unbounded_cap(self.resolve_cap)
-
     def _warm_solver(self) -> PersistentLpSolver:
         """The persistent HiGHS model (built once per solver instance)."""
         if self._persistent is None:
-            self._persistent_cap = self._var_upper()
             self._persistent = PersistentLpSolver(
                 self._sub_operator,
                 self._base_lower - self._x_true,
                 self._base_upper - self._x_true,
                 eq_rows=self._a_eq,
-                var_upper=self._persistent_cap,
+                var_upper=self._var_cap,
             )
         return self._persistent
 
@@ -720,8 +663,8 @@ class IncrementalLpSolver:
         m = np.zeros(self.num_paths)
         m[self._support] = np.maximum(raw.values, 0.0)  # clip solver round-off
         damage = float(m.sum())
-        if self.cap is None and _pinned_at_cap(m[self._support], self._persistent_cap):
-            return _unbounded_solution(m, damage, self._persistent_cap)
+        if self.cap is None and _pinned_at_cap(m[self._support]):
+            return _unbounded_solution(m, damage)
         return LpSolution(
             feasible=True, manipulation=m, damage=damage, status=raw.status
         )
@@ -756,7 +699,7 @@ class IncrementalLpSolver:
                 lower - self._x_true,
                 upper - self._x_true,
                 eq_rows=self._a_eq,
-                var_upper=self._var_upper(),
+                var_upper=self._var_cap,
             ).solve()
             bound = (
                 float(np.maximum(raw.values, 0.0).sum())

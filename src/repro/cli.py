@@ -16,12 +16,9 @@ without writing any code:
   topology x attacker count) from a JSON spec, sharded and resumable;
 - ``reproduce`` — regenerate every Section V-B case study (Figs. 4-6,
   the naive baseline, and the loss-domain variant) into a directory;
-- ``lint`` — run the per-file repo lint rules (RP001-RP005) over source
-  trees;
-- ``analyze`` — run the whole-program analyzer (per-file rules plus the
-  cross-module passes RP006-RP010: layer contract, config registry,
-  worker-state discipline, obs schema, dead code) with baseline-file
-  support;
+- ``analyze`` — run the repo's static analyzer (the per-file rules
+  RP001-RP005 plus the cross-module passes RP006-RP010: layer contract,
+  config registry, worker-state discipline, obs schema, dead code);
 - ``obs`` — inspect structured observability logs (``obs summarize``).
 
 All output is plain text on stdout; exit status 0 on success, 1 on
@@ -168,42 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     summarize.add_argument("log", help="path to a run .jsonl written with REPRO_OBS=1")
 
-    lint = sub.add_parser(
-        "lint", help="run the repo lint rules (RP001-RP005) over source trees"
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    lint.add_argument(
-        "--format",
-        dest="fmt",
-        choices=["text", "json"],
-        default="text",
-        help="report format",
-    )
-    lint.add_argument(
-        "--select",
-        default=None,
-        help="comma-separated rule ids to run (e.g. RP001,RP004); default: all",
-    )
-    lint.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the registered rules and exit",
-    )
-    lint.add_argument(
-        "--profile",
-        choices=["src", "tests"],
-        default="src",
-        help="severity profile (tests demotes RP002/RP003 to advisory)",
-    )
-
     analyze = sub.add_parser(
         "analyze",
-        help="run the whole-program analyzer (RP001-RP010)",
+        help="run the repo's static analyzer (RP001-RP010)",
     )
     analyze.add_argument(
         "paths",
@@ -234,23 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["src", "tests"],
         default="src",
         help="severity profile (tests demotes RP002/RP003 to advisory)",
-    )
-    analyze.add_argument(
-        "--baseline",
-        default=None,
-        help="JSON baseline of accepted findings (suppressed, not fatal)",
-    )
-    analyze.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="PATH",
-        help="accept the current findings: write them as a baseline and exit 0",
-    )
-    analyze.add_argument(
-        "--layers",
-        default=None,
-        help="layer contract TOML (default: the contract shipped in "
-        "repro/analysis/layers.toml)",
     )
     analyze.add_argument(
         "--obs-catalog",
@@ -703,28 +650,8 @@ def _parse_select(raw: str | None) -> list[str] | None:
     return [code for code in raw.split(",") if code.strip()]
 
 
-def _cmd_lint(args) -> int:
-    from repro.analysis.lint import format_violations, lint_paths
-    from repro.exceptions import ValidationError
-
-    if args.list_rules:
-        return _print_rule_listing()
-    select = _parse_select(args.select)
-    try:
-        violations = lint_paths(args.paths, select=select, profile=args.profile)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(format_violations(violations, fmt=args.fmt, select=select))
-    return 1 if any(v.severity == "error" for v in violations) else 0
-
-
 def _cmd_analyze(args) -> int:
-    from repro.analysis.lint.engine import (
-        analyze_paths,
-        format_analysis,
-        write_baseline,
-    )
+    from repro.analysis.lint.engine import analyze_paths, format_analysis
     from repro.exceptions import ValidationError
 
     if args.list_rules:
@@ -734,8 +661,6 @@ def _cmd_analyze(args) -> int:
             args.paths,
             select=_parse_select(args.select),
             profile=args.profile,
-            layers_path=args.layers,
-            baseline=args.baseline,
         )
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -751,14 +676,6 @@ def _cmd_analyze(args) -> int:
         else:
             Path(args.obs_catalog).write_text(catalog, encoding="utf-8")
             print(f"wrote obs catalog to {args.obs_catalog}", file=sys.stderr)
-    if args.write_baseline is not None:
-        write_baseline(report, args.write_baseline)
-        print(
-            f"accepted {len(report.violations)} finding(s) into "
-            f"{args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
     print(format_analysis(report, fmt=args.fmt))
     return report.exit_code
 
@@ -782,8 +699,6 @@ def _dispatch(args) -> int:
         return _cmd_sweep(args)
     if args.command == "obs":
         return _cmd_obs(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
     if args.command == "analyze":
         return _cmd_analyze(args)
     raise RuntimeError(f"unhandled command {args.command!r}")  # pragma: no cover

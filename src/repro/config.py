@@ -3,8 +3,8 @@
 Every environment variable the library reads is declared here — name,
 type, default, allowed values, and a one-line doc string — and every
 dispatch site reads it *through* this module (:func:`raw` for sites that
-own their parsing and error text, :func:`get_bool` / :func:`get_str` /
-:func:`get_float` for plain typed reads).  The whole-program analyzer
+own their parsing and error text, :func:`get_bool` / :func:`get_str` for
+plain typed reads).  The whole-program analyzer
 (rule RP007, :mod:`repro.analysis.configscan`) enforces the discipline
 statically: an ``os.environ`` read of a ``REPRO_*`` name anywhere else,
 a knob name passed to an accessor that the registry does not declare,
@@ -35,7 +35,6 @@ __all__ = [
     "REGISTRY",
     "declared",
     "get_bool",
-    "get_float",
     "get_str",
     "knobs",
     "raw",
@@ -49,7 +48,7 @@ _TRUTHY = frozenset({"1", "true", "yes", "on"})
 class Knob:
     """Declaration of one environment knob.
 
-    ``kind`` is ``"bool"`` / ``"str"`` / ``"float"`` / ``"choice"``;
+    ``kind`` is ``"bool"`` / ``"str"`` / ``"choice"``;
     ``choices`` constrains ``"choice"`` knobs; ``default`` is the parsed
     value used when the variable is unset or empty.  ``doc`` is the
     operator-facing one-liner rendered into the analyzer's reports.
@@ -107,12 +106,6 @@ REGISTRY: dict[str, Knob] = {
                 "(ls = the paper's least squares, stays bit-identical)"
             ),
         ),
-        Knob(
-            name="REPRO_LP_RESOLVE_CAP",
-            kind="float",
-            default=1e7,
-            doc="finite variable cap used to re-solve an unbounded manipulation LP",
-        ),
     )
 }
 
@@ -140,8 +133,8 @@ def raw(name: str) -> str | None:
     """The raw environment value of a declared knob (None when unset).
 
     For dispatch sites that own their parsing, precedence rules, and
-    error text (the backend resolver, the LP re-solve cap); plain typed reads use
-    :func:`get_bool` / :func:`get_str` / :func:`get_float` instead.
+    error text (the backend resolver); plain typed reads use
+    :func:`get_bool` / :func:`get_str` instead.
     """
     declared(name)
     return os.environ.get(name)
@@ -173,16 +166,3 @@ def get_str(name: str) -> str:
         )
     return stripped
 
-
-def get_float(name: str) -> float:
-    """A float knob: parsed value, or the default when unset/empty."""
-    knob = declared(name)
-    if knob.kind != "float":
-        raise ValidationError(f"knob {name} is {knob.kind}-typed, not float")
-    value = os.environ.get(name)
-    if value is None or not value.strip():
-        return float(knob.default)  # type: ignore[arg-type]
-    try:
-        return float(value.strip())
-    except ValueError as exc:
-        raise ValidationError(f"{name} must be a number, got {value!r}") from exc

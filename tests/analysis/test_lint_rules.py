@@ -1,29 +1,26 @@
-"""Per-rule fixture tests: each rule must fire on a violating snippet and
-stay silent on the clean twin."""
+"""Per-rule fixture tests: each per-file rule must fire on a violating
+snippet and stay silent on the clean twin."""
 
 from __future__ import annotations
 
+import tempfile
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import (
-    all_rules,
-    lint_file,
-    lint_paths,
-    noqa_rules_for_line,
-    resolve_selection,
-)
+from repro.analysis.lint import all_rules, noqa_rules_for_line, resolve_selection
+from repro.analysis.lint.engine import analyze_paths
 from repro.exceptions import ValidationError
 
 
-def _lint_snippet(tmp_path, source, *, select, rel_path=None):
-    path = tmp_path / (rel_path or "snippet.py")
+def _lint_snippet(tmp_path, source, *, select, rel_path="snippet.py"):
+    """Analyze one snippet at ``rel_path`` under a fresh analysis root."""
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = root / rel_path
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source))
-    return lint_file(
-        path, resolve_selection(select), rel_path=rel_path or "snippet.py"
-    )
+    return analyze_paths([root], select=select).violations
 
 
 # One (violating, clean) snippet pair per rule.
@@ -117,13 +114,16 @@ def test_rule_silent_on_clean_snippet(tmp_path, rule_id):
 
 
 def test_all_rules_registered():
-    from repro.analysis.lint.registry import file_rules, project_rules
+    from repro.analysis.lint.registry import ProjectRule
 
-    assert sorted(file_rules()) == sorted(RULE_FIXTURES)
+    rules = all_rules()
+    file_rules = {
+        rule_id for rule_id, cls in rules.items() if not issubclass(cls, ProjectRule)
+    }
+    assert sorted(file_rules) == sorted(RULE_FIXTURES)
     # The whole-program rules register alongside (exercised in
     # tests/analysis/test_analyze.py).
-    assert {"RP006", "RP007", "RP008", "RP009", "RP010"} <= set(project_rules())
-    assert set(all_rules()) == set(file_rules()) | set(project_rules())
+    assert {"RP006", "RP007", "RP008", "RP009", "RP010"} <= set(rules) - file_rules
 
 
 class TestPathExemptions:
@@ -197,6 +197,9 @@ class TestNoqa:
             return np.linalg.pinv(matrix)  # repro: noqa
         """
         assert _lint_snippet(tmp_path, source, select=["RP001"]) == []
+        # The marker is case-insensitive.
+        shouted = source.replace("# repro: noqa", "# REPRO: NOQA")
+        assert _lint_snippet(tmp_path, shouted, select=["RP001"]) == []
 
     def test_targeted_noqa_suppresses_only_named_rule(self, tmp_path):
         source = """
@@ -223,12 +226,12 @@ class TestEngine:
     def test_syntax_error_reported_as_rp000(self, tmp_path):
         bad = tmp_path / "broken.py"
         bad.write_text("def broken(:\n")
-        found = lint_paths([bad])
+        found = analyze_paths([bad]).violations
         assert [v.rule for v in found] == ["RP000"]
 
     def test_missing_path_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
-            lint_paths([tmp_path / "nope"])
+            analyze_paths([tmp_path / "nope"])
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValidationError):
@@ -239,4 +242,4 @@ class TestEngine:
         cache.mkdir()
         (cache / "stale.py").write_text("import random\n")
         (tmp_path / "ok.py").write_text("x = 1\n")
-        assert lint_paths([tmp_path]) == []
+        assert analyze_paths([tmp_path]).violations == []

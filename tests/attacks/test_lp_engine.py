@@ -24,7 +24,6 @@ from repro.attacks.lp import (
     PRESOLVE_STATUS_PREFIX,
     BandConstraints,
     IncrementalLpSolver,
-    resolve_unbounded_cap,
     solve_manipulation_lp,
 )
 from repro.attacks.lp_engine import PersistentLpSolver, prune_capacities
@@ -321,6 +320,10 @@ class TestEngineParity:
         cold = solve_manipulation_lp(operator, x, [0, 1], 23, bands, cap=None)
         warm = IncrementalLpSolver(operator, x, [0, 1], 23, bands, cap=None).solve()
         assert cold.unbounded and warm.unbounded
+        # Both paths re-solve under the fixed 1e7 cap, and the concrete
+        # vector each hands back is pinned at it.
+        for solution in (cold, warm):
+            assert float(solution.manipulation.max()) == pytest.approx(1e7, rel=1e-6)
         assert math.isfinite(warm.damage)
         assert warm.damage == pytest.approx(cold.damage, rel=1e-9, abs=1e-9)
         assert warm.damage == pytest.approx(
@@ -487,53 +490,6 @@ class TestPresolvePruner:
                 operator, x, support, num_paths, bands, cap=cap
             )
             assert not reference.feasible
-
-
-class TestResolveCapConfig:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LP_RESOLVE_CAP", raising=False)
-        assert resolve_unbounded_cap() == 1e7
-
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LP_RESOLVE_CAP", "500")
-        assert resolve_unbounded_cap(123.0) == 123.0
-        assert resolve_unbounded_cap() == 500.0
-
-    @pytest.mark.parametrize("bad", ["0", "-3", "inf", "nan", "banana"])
-    def test_bad_env_values_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_LP_RESOLVE_CAP", bad)
-        with pytest.raises(ValidationError):
-            resolve_unbounded_cap()
-
-    def test_bad_explicit_value_rejected(self):
-        with pytest.raises(ValidationError, match="positive"):
-            resolve_unbounded_cap(-1.0)
-
-    def test_threaded_through_unbounded_resolve(self, fig1_system_operator):
-        operator, x = fig1_system_operator
-        bands = BandConstraints.unbounded(10)
-        solution = solve_manipulation_lp(
-            operator, x, [0, 1], 23, bands, cap=None, resolve_cap=250.0
-        )
-        assert solution.unbounded
-        # The concrete vector is capped at the configured resolve cap.
-        assert float(solution.manipulation.max()) == pytest.approx(250.0, rel=1e-6)
-
-    def test_env_threaded_through(self, monkeypatch, fig1_system_operator):
-        operator, x = fig1_system_operator
-        monkeypatch.setenv("REPRO_LP_RESOLVE_CAP", "125.0")
-        bands = BandConstraints.unbounded(10)
-        solution = solve_manipulation_lp(operator, x, [0, 1], 23, bands, cap=None)
-        assert solution.unbounded
-        assert float(solution.manipulation.max()) == pytest.approx(125.0, rel=1e-6)
-
-    def test_solver_rejects_bad_resolve_cap(self, fig1_system_operator):
-        operator, x = fig1_system_operator
-        bands = BandConstraints.unbounded(10)
-        with pytest.raises(ValidationError):
-            IncrementalLpSolver(
-                operator, x, [0], 23, bands, cap=None, resolve_cap=0.0
-            )
 
 
 class TestRebase:

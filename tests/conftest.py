@@ -122,7 +122,6 @@ def _cold_lp_reference():
                     "consistency_matrix",
                     "sub_operator",
                     "consistency_columns",
-                    "resolve_cap",
                 )
                 if key in kwargs
             },

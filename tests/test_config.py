@@ -16,7 +16,6 @@ KNOWN_KNOBS = {
     "REPRO_CONTRACTS",
     "REPRO_BACKEND",
     "REPRO_ESTIMATOR",
-    "REPRO_LP_RESOLVE_CAP",
 }
 
 
@@ -26,7 +25,7 @@ class TestRegistry:
         for knob in config.REGISTRY.values():
             assert isinstance(knob, Knob)
             assert knob.doc
-            assert knob.kind in ("bool", "str", "float", "choice")
+            assert knob.kind in ("bool", "str", "choice")
 
     def test_knobs_listing_is_sorted(self):
         assert list(config.knobs()) == sorted(KNOWN_KNOBS)
@@ -68,22 +67,11 @@ class TestTypedAccessors:
         with pytest.raises(ValidationError, match="must be one of"):
             config.get_str("REPRO_BACKEND")
 
-    def test_float_default_parse_and_error(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LP_RESOLVE_CAP", raising=False)
-        assert config.get_float("REPRO_LP_RESOLVE_CAP") == 1e7
-        monkeypatch.setenv("REPRO_LP_RESOLVE_CAP", "2.5")
-        assert config.get_float("REPRO_LP_RESOLVE_CAP") == 2.5
-        monkeypatch.setenv("REPRO_LP_RESOLVE_CAP", "many")
-        with pytest.raises(ValidationError, match="must be a number"):
-            config.get_float("REPRO_LP_RESOLVE_CAP")
-
     def test_wrong_typed_accessor_rejected(self):
         with pytest.raises(ValidationError, match="not bool"):
             config.get_bool("REPRO_BACKEND")
-        with pytest.raises(ValidationError, match="not float"):
-            config.get_float("REPRO_OBS")
         with pytest.raises(ValidationError, match="not str"):
-            config.get_str("REPRO_LP_RESOLVE_CAP")
+            config.get_str("REPRO_OBS")
 
     def test_raw_returns_unparsed_value(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)

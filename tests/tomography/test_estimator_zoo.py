@@ -366,7 +366,7 @@ class TestRp001Fixture:
     LinearSystem kernel — must trip the analyzer's RP001 rule."""
 
     def test_bypassing_the_kernel_trips_rp001(self, tmp_path):
-        from repro.analysis.lint import lint_file, resolve_selection
+        from repro.analysis.lint.engine import analyze_paths
 
         rogue = textwrap.dedent(
             """
@@ -383,24 +383,15 @@ class TestRp001Fixture:
         path = tmp_path / "tomography" / "rogue.py"
         path.parent.mkdir(parents=True)
         path.write_text(rogue)
-        findings = lint_file(
-            path, resolve_selection(["RP001"]), rel_path="tomography/rogue.py"
-        )
+        findings = analyze_paths([tmp_path], select=["RP001"]).violations
         assert findings and all(f.rule == "RP001" for f in findings)
 
     def test_the_real_zoo_module_is_clean(self):
         from pathlib import Path
 
-        from repro.analysis.lint import lint_file, resolve_selection
+        from repro.analysis.lint.engine import analyze_paths
 
         import repro.tomography.estimator_zoo as zoo
 
         path = Path(zoo.__file__)
-        assert (
-            lint_file(
-                path,
-                resolve_selection(["RP001"]),
-                rel_path="tomography/estimator_zoo.py",
-            )
-            == []
-        )
+        assert analyze_paths([path], select=["RP001"]).violations == []
