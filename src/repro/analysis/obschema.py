@@ -26,6 +26,7 @@ catalog plus every instrumentation call site in the package — via
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -255,8 +256,9 @@ class ObsSchemaRule(ProjectRule):
 def render_obs_catalog(project: ProjectModel) -> str:
     """The ``docs/OBS_EVENTS.md`` markdown: record kinds + call sites.
 
-    Sites are named by each file's path as the analyzer was given it
-    (``src/repro/...`` for ``repro analyze src``), not root-relative.
+    A site is ``path::Qualname`` of the enclosing function (``<module>``
+    outside any), not a line, so moving lines leaves the catalog as it
+    is; the path is as the analyzer was given it (``src/repro/...``).
     """
     root = project.root_package
     core = project.by_module.get(f"{root}.obs.core")
@@ -293,22 +295,24 @@ def render_obs_catalog(project: ProjectModel) -> str:
             open_mark = "yes" if entry.open_ended else ""
             lines.append(f"| `{kind}` | {fields} | {open_mark} | {reads or '—'} |")
         lines.append("")
-    emits: list[tuple[str, str, str, int]] = []
+    emits: Counter[tuple[str, str, str]] = Counter()
     for facts in project.package_files():
         for emit in facts.obs_emits:
-            if emit["name"] is None:
-                continue
-            emits.append((emit["api"], emit["name"], facts.path, emit["lineno"]))
+            if emit["name"] is not None:
+                site = f"{facts.path}::{emit['function'] or '<module>'}"
+                emits[(emit["api"], emit["name"], site)] += 1
     if emits:
         lines += [
             "## Instrumentation sites",
             "",
-            "Every named `obs` emission call in the package.",
+            "Every named `obs` emission call in the package, by enclosing",
+            "function, so moving lines within a file leaves this table as it is.",
             "",
             "| api | name | site |",
             "|-----|------|------|",
         ]
-        for api, name, rel, lineno in sorted(emits, key=lambda e: (e[0], e[1], e[2])):
-            lines.append(f"| `{api}` | `{name}` | `{rel}:{lineno}` |")
+        for (api, name, site), calls in sorted(emits.items()):
+            count = f" ({calls} calls)" if calls > 1 else ""
+            lines.append(f"| `{api}` | `{name}` | `{site}`{count} |")
         lines.append("")
     return "\n".join(lines)

@@ -163,6 +163,13 @@ class _Extractor(ast.NodeVisitor):
     def _current(self) -> FunctionFacts | None:
         return self._function_stack[-1] if self._function_stack else None
 
+    def _qualname(self) -> str | None:
+        """The enclosing function's dotted name (None outside any)."""
+        if not self._function_stack:
+            return None
+        outer, *inner = self._function_stack
+        return ".".join([outer.qualname, *(fn.name for fn in inner)])
+
     def _literal_str(self, node: ast.expr | None) -> str | None:
         """A string literal, or a module-level str constant's value."""
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -478,15 +485,8 @@ class _Extractor(ast.NodeVisitor):
         if node.args and isinstance(node.args[0], ast.Constant):
             if isinstance(node.args[0].value, str):
                 name = node.args[0].value
-        fields = [kw.arg for kw in node.keywords if kw.arg is not None]
         self.facts.obs_emits.append(
-            {
-                "api": api,
-                "owner": owner,
-                "name": name,
-                "fields": fields,
-                "lineno": node.lineno,
-            }
+            {"api": api, "name": name, "function": self._qualname()}
         )
 
     def _record_dispatch(self, node: ast.Call, chain: list[str] | None) -> None:

@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -439,9 +440,11 @@ class IncrementalLpSolver:
     once, and serves every :meth:`solve` on one
     :class:`~repro.attacks.lp_engine.PersistentLpSolver` (built at the
     first solve): a candidate edits only its overridden links' row bounds
-    and re-solves from the previous simplex basis.  Optimal damage agrees
-    with the cold reference :func:`solve_manipulation_lp` to solver
-    tolerance; the optimal vertex may differ where optima are non-unique.
+    and re-solves from the previous simplex basis.  When the base bands
+    cover every link, the first solve without overrides decides
+    feasibility before it optimizes.  Optimal damage agrees with the
+    cold reference :func:`solve_manipulation_lp` to solver tolerance;
+    the optimal vertex may differ where optima are non-unique.
 
     ``presolve=True`` (default) rejects overrides whose required
     estimate shift provably exceeds what any Constraint-1 manipulation
@@ -502,13 +505,14 @@ class IncrementalLpSolver:
                 num_paths,
                 columns=consistency_columns,
             )
-            # Presolve capacities: what any Constraint-1 manipulation can
-            # do to each link's estimate (see lp_engine.prune_capacities).
-            self._pos_capacity, self._neg_capacity = prune_capacities(
-                self._sub_operator
-            )
         self._persistent: PersistentLpSolver | None = None
         self._damage_bounds: dict[frozenset[int], float] = {}
+
+    @cached_property
+    def _capacities(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`~repro.attacks.lp_engine.prune_capacities`, computed at
+        the first override check (a one-shot solve has none)."""
+        return prune_capacities(self._sub_operator)
 
     def presolve_prune_reason(
         self, overrides: Mapping[int, tuple[float, float]]
@@ -527,11 +531,12 @@ class IncrementalLpSolver:
         are always left to the LP.
         """
         cap = self.cap
+        pos_capacity, neg_capacity = self._capacities
         for j, (lower, upper) in overrides.items():
             if np.isfinite(lower):
                 need = float(lower) - float(self._x_true[j])
                 if need > 0:
-                    capacity = float(self._pos_capacity[j])
+                    capacity = float(pos_capacity[j])
                     if capacity <= 0.0:
                         available = 0.0
                     elif cap is None:
@@ -547,7 +552,7 @@ class IncrementalLpSolver:
             if np.isfinite(upper):
                 need = float(self._x_true[j]) - float(upper)
                 if need > 0:
-                    capacity = float(self._neg_capacity[j])
+                    capacity = float(neg_capacity[j])
                     if capacity <= 0.0:
                         available = 0.0
                     elif cap is None:
@@ -573,41 +578,6 @@ class IncrementalLpSolver:
                 var_upper=self._var_cap,
             )
         return self._persistent
-
-    def rebase(self, true_metrics: np.ndarray, base_bands: BandConstraints) -> None:
-        """Move the solver onto new baseline metrics and band bounds.
-
-        A churn epoch that leaves the attacker's support columns intact
-        (the manipulable paths did not change — only the baseline
-        estimate and hence the band rows moved) does not need a new
-        solver: the sub-operator, the consistency block and the presolve
-        capacities are all functions of ``Q[:, support]`` alone.  Only
-        the persistent model's row bounds depend on ``x_true``/``bands``,
-        so those are re-derived in place — the warm-started HiGHS model
-        (and its simplex basis) survives via ``changeRowBounds`` instead
-        of being rebuilt from scratch.
-        """
-        x_true = check_finite_vector(true_metrics, "true_metrics")
-        if x_true.shape[0] != self.num_links:
-            raise ValidationError(
-                f"rebase true_metrics length ({x_true.shape[0]}) must match "
-                f"the solver's link count ({self.num_links})"
-            )
-        base_bands.validate()
-        lower = np.array(base_bands.lower, dtype=float)
-        upper = np.array(base_bands.upper, dtype=float)
-        if lower.shape != (self.num_links,) or upper.shape != (self.num_links,):
-            raise ValidationError(
-                "rebase bands must have one bound per link "
-                f"({self.num_links}), got {lower.shape} / {upper.shape}"
-            )
-        obs.counter("lp_rebase")
-        self._x_true = x_true
-        self._base_lower = lower
-        self._base_upper = upper
-        self._damage_bounds.clear()
-        if self._persistent is not None:
-            self._persistent.update_base_bounds(lower - x_true, upper - x_true)
 
     def solve(
         self, overrides: Mapping[int, tuple[float, float]] | None = None
@@ -677,8 +647,8 @@ class IncrementalLpSolver:
         :meth:`solve` whose overrides touch only these links.  The LP
         runs on a throwaway model built from the already-sliced arrays,
         so the warm model and its basis are untouched; only the float is
-        kept, memoised per freed set until :meth:`rebase`.  ``math.inf``
-        when that LP is not optimal (no bound).
+        kept, memoised per freed set.  ``math.inf`` when that LP is not
+        optimal (no bound).
         """
         key = frozenset(int(j) for j in free_links)
         bound = self._damage_bounds.get(key)

@@ -22,7 +22,7 @@ solved on one HiGHS model kept alive across the scan:
 
 The model is built by :func:`repro.utils.highs.row_wise_model` on the
 HiGHS API scipy vendors, in one call of its array ``passModel``
-overload, with no probe and no fallback.
+overload, with no bindings probe and no fallback.
 
 The module deliberately knows nothing about :class:`~repro.attacks.lp`
 solution types: it consumes arrays and returns a raw
@@ -50,6 +50,11 @@ __all__ = [
 
 #: HiGHS' infinity, used for open row bounds.
 _INF = float(highs.kHighsInf)
+
+#: A feasibility run's ``Infeasible`` is kept only when its end point misses
+#: a constraint by more than this (metric units); closer calls are left to
+#: the optimizing solve (docs/THEORY.md, "Feasibility first").
+_PROBE_MARGIN = 1e-3
 
 
 def prune_capacities(sub_operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +116,14 @@ class PersistentLpSolver:
     Each :meth:`solve` call edits only the overridden links' row bounds,
     runs HiGHS (which reuses the previous basis), restores the base
     bounds, and returns a :class:`PersistentSolveResult`.  The model is
-    never rebuilt and never re-presolved from scratch.
+    never rebuilt.
+
+    When every link row is banded (finite on at least one side), a
+    one-shot LP is mostly a feasibility question, so the first solve
+    without overrides runs once with zero cost and presolve off.  Its
+    ``Infeasible`` (clear of :data:`_PROBE_MARGIN`) is returned as it
+    stands; any other verdict clears the solver state and runs the
+    ordinary solve, as on a fresh model.
     """
 
     def __init__(
@@ -133,7 +145,17 @@ class PersistentLpSolver:
             raise ValidationError(
                 f"var_upper must be finite and non-negative, got {var_upper}"
             )
-        self._base_lower, self._base_upper = self._row_bounds(row_lower, row_upper)
+        lower = np.asarray(row_lower, dtype=float)
+        upper = np.asarray(row_upper, dtype=float)
+        if lower.shape != (self.num_links,) or upper.shape != (self.num_links,):
+            raise ValidationError(
+                "row bounds must have one entry per link "
+                f"({self.num_links}), got {lower.shape} / {upper.shape}"
+            )
+        # Base bounds never change after construction.
+        self._banded = bool(np.all(np.isfinite(lower) | np.isfinite(upper)))
+        self._base_lower = np.where(np.isfinite(lower), lower, -_INF)
+        self._base_upper = np.where(np.isfinite(upper), upper, _INF)
 
         block = sub
         if eq_rows is not None:
@@ -155,44 +177,34 @@ class PersistentLpSolver:
         obs.counter("lp_model_build")
         self.solves = 0
 
-    def _row_bounds(
-        self, row_lower: np.ndarray, row_upper: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-link bounds in HiGHS' convention (``±kHighsInf`` when open)."""
-        lower = np.asarray(row_lower, dtype=float)
-        upper = np.asarray(row_upper, dtype=float)
-        if lower.shape != (self.num_links,) or upper.shape != (self.num_links,):
-            raise ValidationError(
-                "row bounds must have one entry per link "
-                f"({self.num_links}), got {lower.shape} / {upper.shape}"
-            )
-        return (
-            np.where(np.isfinite(lower), lower, -_INF),
-            np.where(np.isfinite(upper), upper, _INF),
-        )
+    def _run(self) -> tuple[highs.HighsModelStatus, highs.HighsInfo]:
+        """Run HiGHS; status and info, read before a model edit resets them."""
+        self._model.run()
+        return self._model.getModelStatus(), self._model.getInfo()
 
-    def update_base_bounds(self, row_lower: np.ndarray, row_upper: np.ndarray) -> int:
-        """Rebase the per-link band rows in place; returns rows changed.
+    def _decide_feasibility(self) -> tuple[str, highs.HighsModelStatus, highs.HighsInfo]:
+        """One run with zero cost and presolve off, then both put back.
 
-        A churn epoch that only moves the baseline estimate (and hence
-        the shifted band bounds) does not change the model's structure:
-        the same variables, the same coefficient matrix, the same
-        equality block.  Editing just the changed band rows via
-        ``changeRowBounds`` keeps the model — and its simplex basis —
-        alive, instead of paying a full rebuild.  Bounds follow the
-        constructor's convention (``±inf`` where the band is open).
+        With no objective the simplex stops at the first feasible basis or
+        proves infeasibility.  Unless the verdict is ``"infeasible"``, the
+        solver state is cleared for the ordinary solve that follows.
         """
-        new_lower, new_upper = self._row_bounds(row_lower, row_upper)
-        changed = np.flatnonzero(
-            (new_lower != self._base_lower) | (new_upper != self._base_upper)
-        )
-        for j in changed:
-            self._model.changeRowBounds(
-                int(j), float(new_lower[j]), float(new_upper[j])
-            )
-        self._base_lower = new_lower
-        self._base_upper = new_upper
-        return int(changed.size)
+        columns = np.arange(self.num_vars, dtype=np.int32)
+        self._model.changeColsCost(self.num_vars, columns, np.zeros(self.num_vars))
+        self._model.setOptionValue("presolve", "off")
+        try:
+            status, info = self._run()
+        finally:
+            self._model.changeColsCost(self.num_vars, columns, -np.ones(self.num_vars))
+            self._model.setOptionValue("presolve", "choose")
+        if status != highs.HighsModelStatus.kInfeasible:
+            verdict = "feasible"
+        elif info.max_primal_infeasibility <= _PROBE_MARGIN:
+            verdict = "borderline"
+        else:
+            return "infeasible", status, info
+        self._model.clearSolver()
+        return verdict, status, info
 
     def solve(
         self, row_overrides: Mapping[int, tuple[float, float]] | None = None
@@ -217,11 +229,14 @@ class PersistentLpSolver:
                 float(lower) if np.isfinite(lower) else -_INF,
                 float(upper) if np.isfinite(upper) else _INF,
             )
+        probe = "none"
         obs.counter("lp_solve")
         try:
             with obs.span("lp_solve"):
-                self._model.run()
-                status = self._model.getModelStatus()
+                if self._banded and self.solves == 0 and not overrides:
+                    probe, status, info = self._decide_feasibility()
+                if probe != "infeasible":
+                    status, info = self._run()
                 optimal = status == highs.HighsModelStatus.kOptimal
                 values = (
                     np.array(self._model.getSolution().col_value, dtype=float)
@@ -235,7 +250,7 @@ class PersistentLpSolver:
                     float(self._base_lower[j]),
                     float(self._base_upper[j]),
                 )
-        iterations = int(self._model.getInfo().simplex_iteration_count)
+        iterations = int(info.simplex_iteration_count)
         self.solves += 1
         result = PersistentSolveResult(
             optimal=optimal,
@@ -252,5 +267,6 @@ class PersistentLpSolver:
                 iterations=iterations,
                 rows_changed=result.rows_changed,
                 solves=self.solves,
+                feasibility_probe=probe,
             )
         return result

@@ -394,6 +394,65 @@ class TestObsSchema:
         assert len(report.violations) == 3
 
 
+class TestObsCatalogSites:
+    """Catalog rows name the enclosing function, never a line number."""
+
+    SOURCE = textwrap.dedent(
+        """\
+        from pkg import obs
+
+        obs.counter("loaded")
+
+
+        def work():
+            obs.counter("work")
+            obs.event("done")
+            obs.event("done")
+
+
+        class Engine:
+            def run(self):
+                def inner():
+                    obs.event("inner")
+
+                return inner
+        """
+    )
+
+    @staticmethod
+    def _catalog(tmp_path, source: str) -> str:
+        from repro.analysis.obschema import render_obs_catalog
+
+        tree = _write_tree(
+            tmp_path / "tree",
+            {"pkg/__init__.py": "", "pkg/obs.py": "", "pkg/work.py": source},
+        )
+        return render_obs_catalog(_analyze(tree, ["RP009"]).project)
+
+    def test_sites_name_the_enclosing_function(self, tmp_path):
+        rows = [
+            line.split("|")
+            for line in self._catalog(tmp_path, self.SOURCE).splitlines()
+            if line.startswith("| `")
+        ]
+        assert {row[2].strip(): row[3].strip().split("::", 1)[1] for row in rows} == {
+            "`loaded`": "<module>`",
+            "`work`": "work`",
+            "`done`": "work` (2 calls)",
+            "`inner`": "Engine.run.inner`",
+        }
+
+    def test_inserting_lines_above_an_emission_leaves_the_catalog_unchanged(
+        self, tmp_path
+    ):
+        shifted = "# a header comment\n\n" + self.SOURCE.replace(
+            '    obs.counter("work")', '    """Docstring."""\n\n    obs.counter("work")'
+        )
+        before = self._catalog(tmp_path, self.SOURCE)
+        assert "## Instrumentation sites" in before
+        assert self._catalog(tmp_path, shifted) == before
+
+
 # ---------------------------------------------------------------------------
 # RP010 — dead code (opt-in)
 # ---------------------------------------------------------------------------

@@ -293,7 +293,7 @@ class TestDamageBound:
             if solution.feasible:
                 assert solution.damage <= bound * (1 + 1e-10)
 
-    def test_memoised_until_rebase(self, fig1_system):
+    def test_memoised_per_freed_set(self, fig1_system):
         from repro.obs import PerfRecorder, recording
 
         solver = self._solver(fig1_system)
@@ -301,9 +301,6 @@ class TestDamageBound:
         with recording(PerfRecorder()) as recorder:
             assert solver.damage_bound([8, 9]) == bound
         assert recorder.counters.get("lp_solve", 0) == 0
-        _, _, x = fig1_system
-        solver.rebase(x + 1.0, TestIncrementalLpSolver._base_bands(x))
-        assert solver.damage_bound([8, 9]) != bound
 
     def test_empty_support_bound_is_zero(self, fig1_system):
         assert self._solver(fig1_system, support=()).damage_bound([9]) == 0.0

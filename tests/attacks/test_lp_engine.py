@@ -8,8 +8,10 @@ on *feasibility* and (for true LP-equivalent paths) on *optimal damage*
 to 1e-9 — across every strategy and both tomography backends.
 """
 
+import itertools
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.attacks import lp
 from repro.attacks.chosen_victim import ChosenVictimAttack, build_chosen_victim_bands
+from repro.attacks.cuts import perfectly_cut_links
 from repro.attacks.hybrid import FrameAndBlurAttack
 from repro.attacks.lp import (
     PRESOLVE_STATUS_PREFIX,
@@ -33,6 +36,7 @@ from repro.exceptions import ValidationError
 from repro.obs import core as obs
 from repro.sweep.cache import FactorizationCache
 from repro.tomography.linear_system import LinearSystem
+from repro.utils.highs import highs, row_wise_model
 
 
 def _context(fig1_scenario, backend: str):
@@ -135,11 +139,14 @@ class TestPersistentLpSolver:
             + fig1_context.margin
             - fig1_context.baseline_estimate[0]
         )
-        solver.solve({0: (abnormal, math.inf)})
+        cold = solver.solve({0: (abnormal, math.inf)})
         warm = solver.solve({0: (abnormal, math.inf)})
         # An identical re-solve from the previous basis is already optimal:
         # essentially zero simplex iterations (cold solves take several).
-        assert warm.iterations <= 2
+        # Both counts are read before the override is undone, which
+        # would reset them.
+        assert cold.iterations > 2
+        assert 0 <= warm.iterations <= 2
 
     def test_infeasible_override_reported(self, fig1_context):
         solver = self._solver(fig1_context)
@@ -419,6 +426,26 @@ class TestPresolvePruner:
         assert events[0]["reason"].startswith(PRESOLVE_STATUS_PREFIX)
         assert events[0]["pruned_total"] == 1
 
+    def test_capacities_computed_once_on_the_first_override(
+        self, fig1_system_operator, monkeypatch
+    ):
+        calls = []
+
+        def counting(sub):
+            calls.append(sub.shape)
+            return prune_capacities(sub)
+
+        monkeypatch.setattr(lp, "prune_capacities", counting)
+        operator, x = fig1_system_operator
+        bands = BandConstraints.unbounded(10)
+        solver = IncrementalLpSolver(operator, x, [0], 23, bands, cap=10.0)
+        solver.solve()  # a one-shot solve never reads them
+        assert calls == []
+        for j in (9, 8):
+            solver.solve({j: (float(x[j] + 1e9), math.inf)})
+        assert calls == [(10, 1)]
+        assert solver.presolve_pruned == 2
+
     def test_presolve_off_still_solves(self, fig1_system_operator):
         operator, x = fig1_system_operator
         bands = BandConstraints.unbounded(10)
@@ -492,72 +519,255 @@ class TestPresolvePruner:
             assert not reference.feasible
 
 
-class TestRebase:
-    """Bound-only churn epochs reuse the warm model via changeRowBounds."""
+class _Lp(NamedTuple):
+    """One chosen-victim LP in the engine's shifted form."""
 
-    def _solver(self, fig1_system_operator, **kwargs):
-        operator, x = fig1_system_operator
-        bands = BandConstraints.unbounded(10)
-        bands.require_at_most(9, float(x[9] + 50.0))
-        return IncrementalLpSolver(
-            operator, x, [0, 1, 2], 23, bands, cap=500.0, **kwargs
+    victim: int
+    mode: str
+    confined: bool
+    perfect_cut: bool
+    backend: str
+    stealthy: bool
+    sub: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    eq: np.ndarray | None
+    cap: float
+
+    @property
+    def banded(self) -> bool:
+        return bool(np.all(np.isfinite(self.lower) | np.isfinite(self.upper)))
+
+    def persistent(self, lower=None) -> PersistentLpSolver:
+        return PersistentLpSolver(
+            self.sub,
+            self.lower if lower is None else lower,
+            self.upper,
+            eq_rows=self.eq,
+            var_upper=self.cap,
         )
 
-    def test_rebase_matches_cold_solver(self, fig1_system_operator):
-        operator, x = fig1_system_operator
-        solver = self._solver(fig1_system_operator)
-        new_x = x + 3.0
-        new_bands = BandConstraints.unbounded(10)
-        new_bands.require_at_most(9, float(new_x[9] + 50.0))
-        solver.rebase(new_x, new_bands)
-        cold = IncrementalLpSolver(
-            operator, new_x, [0, 1, 2], 23, new_bands, cap=500.0
+    def fresh(self, lower=None, cost=None):
+        """The plain model (cost -1, presolve on) built by ``row_wise_model``
+        from the same arrays and run once: (optimal, status, values)."""
+        block = self.sub if self.eq is None else np.vstack([self.sub, self.eq])
+        num_eq = block.shape[0] - self.sub.shape[0]
+        rows, cols = np.nonzero(block)
+        model = row_wise_model(
+            -np.ones(self.sub.shape[1]) if cost is None else cost,
+            np.full(self.sub.shape[1], float(self.cap)),
+            np.concatenate([self.lower if lower is None else lower, np.zeros(num_eq)]),
+            np.concatenate([self.upper, np.zeros(num_eq)]),
+            np.searchsorted(rows, np.arange(block.shape[0] + 1)), cols, block[rows, cols],
         )
-        for overrides in ({}, {8: (float(new_x[8] + 801.0), math.inf)}):
-            a = solver.solve(overrides)
-            b = cold.solve(overrides)
-            assert a.feasible == b.feasible
-            if a.feasible:
-                assert a.damage == pytest.approx(b.damage, rel=1e-9, abs=1e-9)
+        model.run()
+        status = model.getModelStatus()
+        optimal = status == highs.HighsModelStatus.kOptimal
+        values = np.array(model.getSolution().col_value) if optimal else None
+        return optimal, str(model.modelStatusToString(status)), values
 
-    def test_warm_model_survives_rebase(self, fig1_system_operator):
-        from repro.obs import PerfRecorder, recording
 
-        operator, x = fig1_system_operator
-        solver = self._solver(fig1_system_operator)
-        solver.solve({})  # builds the persistent model
-        persistent = solver._persistent
-        assert persistent is not None
-        solves_before = persistent.solves
-        new_x = x + 5.0
-        new_bands = BandConstraints.unbounded(10)
-        new_bands.require_at_most(9, float(new_x[9] + 50.0))
-        with recording(PerfRecorder()) as recorder:
-            solver.rebase(new_x, new_bands)
-            solver.solve({})
-        # The same HiGHS model object kept solving: one rebase event, no
-        # model rebuild, and the solve counter continued from where it was.
-        assert recorder.counters["lp_rebase"] == 1
-        assert recorder.counters.get("lp_model_build", 0) == 0
-        assert solver._persistent is persistent
-        assert persistent.solves == solves_before + 1
+#: Attacker sets whose chosen-victim LPs include feasible, fully banded
+#: ones: perfect cuts under confinement (Theorem 1) and exclusive wins.
+_FIG1_ATTACKERS = (("B", "C"), ("A", "D"))
+_ISP_ATTACKERS = (("bb4",), ("agg1", "agg3"))
 
-    def test_rebase_before_warm_build_is_clean(self, fig1_system_operator):
-        from repro.obs import PerfRecorder, recording
 
-        operator, x = fig1_system_operator
-        solver = self._solver(fig1_system_operator)
-        new_x = x + 1.0
-        solver.rebase(new_x, BandConstraints.unbounded(10))
-        with recording(PerfRecorder()) as recorder:
-            solver.solve({})
-        # First solve after an early rebase builds the model exactly once,
-        # already on the rebased bounds.
-        assert recorder.counters["lp_model_build"] == 1
+@pytest.fixture(scope="module")
+def chosen_victim_lps(fig1_scenario, small_isp_scenario):
+    """Every chosen-victim LP of the Fig. 1 and mini-ISP attacker sets:
+    exclusive, confined and paper bands, stealthy on and off, dense and
+    sparse backends (contradictory bands never reach an LP, so they are
+    left out)."""
+    lps = []
+    for scenario, attacker_sets in (
+        (fig1_scenario, _FIG1_ATTACKERS),
+        (small_isp_scenario, _ISP_ATTACKERS),
+    ):
+        matrix = scenario.path_set.routing_matrix()
+        for backend, attackers in itertools.product(("dense", "sparse"), attacker_sets):
+            context = scenario.attack_context(
+                list(attackers), system=LinearSystem(matrix, backend=backend)
+            )
+            cut = set(perfectly_cut_links(scenario.path_set, attackers))
+            columns = context.residual_projector_support()
+            stealth_rows = columns[np.linalg.norm(columns, axis=1) > 1e-12]
+            x = context.baseline_estimate
+            for victim in range(context.num_links):
+                if victim in context.controlled_links:
+                    continue
+                for mode, confined, stealthy in itertools.product(
+                    ("exclusive", "paper"), (False, True), (False, True)
+                ):
+                    bands = build_chosen_victim_bands(
+                        context, (victim,), mode, confined=confined
+                    )
+                    if np.any(bands.lower > bands.upper):
+                        continue
+                    lps.append(
+                        _Lp(
+                            victim, mode, confined, victim in cut, backend, stealthy,
+                            context.support_operator, bands.lower - x, bands.upper - x,
+                            stealth_rows if stealthy else None, context.cap,
+                        )
+                    )
+    return lps
 
-    def test_rebase_validation(self, fig1_system_operator):
-        solver = self._solver(fig1_system_operator)
-        with pytest.raises(ValidationError, match="length"):
-            solver.rebase(np.ones(4), BandConstraints.unbounded(10))
-        with pytest.raises(ValidationError, match="per link"):
-            solver.rebase(np.ones(10), BandConstraints.unbounded(4))
+
+def _one_shot_solver(context, victim, mode, confined=False):
+    """The solver ``ChosenVictimAttack`` builds for one victim."""
+    bands = build_chosen_victim_bands(context, (victim,), mode, confined=confined)
+    return IncrementalLpSolver(
+        None,
+        context.baseline_estimate,
+        context.support,
+        context.num_paths,
+        bands,
+        cap=context.cap,
+        sub_operator=context.support_operator,
+    )
+
+
+@pytest.fixture()
+def probe_verdicts(monkeypatch):
+    """The verdict of every feasibility-first run, in call order."""
+    verdicts = []
+    decide = PersistentLpSolver._decide_feasibility
+
+    def recording_decide(self):
+        outcome = decide(self)
+        verdicts.append(outcome[0])
+        return outcome
+
+    monkeypatch.setattr(PersistentLpSolver, "_decide_feasibility", recording_decide)
+    return verdicts
+
+
+class TestFeasibilityFirst:
+    """A one-shot LP whose bands cover every link decides feasibility on a
+    zero-cost, presolve-off run first, and must still give exactly the
+    answer a fresh model gives."""
+
+    def test_first_solve_matches_a_fresh_model(self, chosen_victim_lps, probe_verdicts):
+        feasible_banded = 0
+        for lp_ in chosen_victim_lps:
+            probed = lp_.persistent().solve()
+            optimal, status, values = lp_.fresh()
+            assert (probed.optimal, probed.status) == (optimal, status), lp_[:6]
+            if optimal:
+                assert probed.values.tobytes() == values.tobytes(), lp_[:6]
+            if lp_.confined and lp_.perfect_cut:
+                assert optimal, lp_[:6]  # Theorem 1
+            feasible_banded += lp_.banded and optimal
+        assert feasible_banded >= 100
+        assert probe_verdicts.count("feasible") == feasible_banded
+        assert "infeasible" in probe_verdicts
+
+    def test_borderline_victim_band_gets_the_same_verdict(self, chosen_victim_lps):
+        """The victim must reach exactly (1 + delta) times the largest
+        estimate shift the other bands leave it."""
+        deltas = (0.0, 1e-10, -1e-10, 1e-8, -1e-8, 1e-6, -1e-6, 1e-3, -1e-3)
+        compared = 0
+        for lp_ in chosen_victim_lps:
+            if not lp_.banded or lp_.backend != "dense" or lp_.stealthy:
+                continue
+            freed = lp_.lower.copy()
+            freed[lp_.victim] = -math.inf  # the victim row is lower-bounded only
+            reachable, _, values = lp_.fresh(lower=freed, cost=-lp_.sub[lp_.victim])
+            reach = float(lp_.sub[lp_.victim] @ values) if reachable else 0.0
+            if reach <= 0:
+                continue
+            for delta in deltas:
+                lower = lp_.lower.copy()
+                lower[lp_.victim] = reach * (1 + delta)
+                _, status, _ = lp_.fresh(lower=lower)
+                assert lp_.persistent(lower=lower).solve().status == status, (
+                    lp_[:6], delta
+                )
+                compared += 1
+        assert compared >= 500
+
+    def test_probe_runs_only_on_a_first_override_free_banded_solve(
+        self, fig1_context, probe_verdicts
+    ):
+        context = fig1_context
+        abnormal = context.thresholds.upper + context.margin
+        for mode, confined in (("exclusive", False), ("paper", True)):
+            banded = _one_shot_solver(context, 0, mode, confined)
+            banded.solve()
+            assert len(probe_verdicts) == 1
+            banded.solve()  # a second solve
+            banded.solve({1: (abnormal, math.inf)})
+            assert len(probe_verdicts) == 1
+            probe_verdicts.clear()
+        _one_shot_solver(context, 0, "exclusive").solve({1: (abnormal, math.inf)})
+        _one_shot_solver(context, 0, "paper").solve()  # free rows
+        _one_shot_solver(context, 0, "exclusive").damage_bound([0, 1])  # freed rows
+        MaxDamageAttack(context, mode="exclusive").run()  # a warm scan
+        ChosenVictimAttack(context, [0]).run()  # paper mode
+        assert probe_verdicts == []
+        ChosenVictimAttack(context, [0], mode="exclusive").run()
+        assert len(probe_verdicts) == 1
+
+    def test_override_solve_after_an_infeasible_probe_is_unaffected(
+        self, fig1_scenario, small_isp_scenario, probe_verdicts
+    ):
+        sequences = 0
+        for scenario, attackers in (
+            (fig1_scenario, ("B", "C")),
+            (small_isp_scenario, ("agg1", "agg3")),
+        ):
+            context = scenario.attack_context(list(attackers))
+            abnormal = context.thresholds.upper + context.margin
+            victims = [
+                j for j in range(context.num_links) if j not in context.controlled_links
+            ]
+            for victim, other in itertools.product(victims, victims):
+                probed = _one_shot_solver(context, victim, "exclusive")
+                probe_verdicts.clear()
+                if probed.solve().feasible or probe_verdicts != ["infeasible"]:
+                    continue
+                overrides = {victim: (-math.inf, math.inf)}
+                if other != victim:
+                    overrides[other] = (abnormal, math.inf)
+                after = probed.solve(overrides)
+                reference = _one_shot_solver(context, victim, "exclusive").solve(overrides)
+                assert after.feasible == reference.feasible, (victim, other)
+                if reference.feasible:
+                    assert after.damage == pytest.approx(
+                        reference.damage, rel=1e-9, abs=1e-9
+                    ), (victim, other)
+                    sequences += reference.damage > 0
+        assert sequences >= 20
+
+    def test_warm_start_event_names_the_deciding_solve(self, tmp_path, fig1_context):
+        context = fig1_context
+        x = context.baseline_estimate
+
+        def events(name, bands, *overrides):
+            solver = PersistentLpSolver(
+                context.support_operator,
+                bands.lower - x,
+                bands.upper - x,
+                var_upper=context.cap,
+            )
+            path = tmp_path / f"{name}.jsonl"
+            with obs.enabled(path):
+                for override in overrides:
+                    solver.solve(override)
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            return [
+                (r["feasibility_probe"], r["status"])
+                for r in records
+                if r.get("name") == "lp_warm_start"
+            ]
+
+        infeasible = build_chosen_victim_bands(context, (0,), "exclusive")
+        infeasible.lower[0] = 1e9
+        assert events("infeasible", infeasible, None, None) == [
+            ("infeasible", "Infeasible"), ("none", "Infeasible")
+        ]
+        confined = build_chosen_victim_bands(context, (0,), "paper", confined=True)
+        assert events("confined", confined, None) == [("feasible", "Optimal")]
+        paper = build_chosen_victim_bands(context, (0,), "paper")
+        assert events("paper", paper, None) == [("none", "Optimal")]
