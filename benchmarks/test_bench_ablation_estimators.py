@@ -14,7 +14,6 @@ from repro.metrics.states import LinkState
 from repro.reporting.tables import format_table
 from repro.tomography.diagnosis import diagnose
 from repro.tomography.estimator_zoo import resolve_estimator
-from repro.tomography.estimators import LeastSquaresEstimator
 
 
 def test_ablation_estimators_vs_stealthy_attack(benchmark, fig1_scenario, record):
@@ -24,7 +23,7 @@ def test_ablation_estimators_vs_stealthy_attack(benchmark, fig1_scenario, record
         assert outcome.feasible
         matrix = fig1_scenario.path_set.routing_matrix()
         estimators = {
-            "least-squares (paper eq. 2)": LeastSquaresEstimator(matrix),
+            "least-squares (paper eq. 2)": resolve_estimator("ls", routing_matrix=matrix),
             "non-negative LS": resolve_estimator("nnls", routing_matrix=matrix),
             "ridge (lam=1e-3)": resolve_estimator(
                 "ridge", routing_matrix=matrix, lam=1e-3

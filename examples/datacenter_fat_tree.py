@@ -18,11 +18,8 @@ of probe-based tomography between ToR/edge switches.  On a k=4 fat tree:
 Run:  python examples/datacenter_fat_tree.py
 """
 
-import numpy as np
-
 from repro import (
     ChosenVictimAttack,
-    LeastSquaresEstimator,
     Scenario,
     compile_attack_plan,
     diagnose,
@@ -80,10 +77,7 @@ def main() -> None:
     sim = scenario.simulator(agents=plan.agents)
     record = sim.run_measurement(scenario.path_set, probes_per_path=3, rng=5)
     y = record.path_delay_vector()
-    estimator = LeastSquaresEstimator(
-        scenario.path_set.routing_matrix(), require_full_rank=False
-    )
-    operator_view = diagnose(estimator.estimate(y), scenario.thresholds)
+    operator_view = diagnose(scenario.system.estimate(y), scenario.thresholds)
     blamed = [scenario.topology.link(j) for j in operator_view.abnormal]
     print(
         "operator's diagnosis from probe timings:",

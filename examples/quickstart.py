@@ -18,7 +18,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import ChosenVictimAttack, LeastSquaresEstimator, compile_attack_plan, diagnose
+from repro import ChosenVictimAttack, compile_attack_plan, diagnose
 from repro.detection import TomographyAuditor
 from repro.reporting import format_link_series
 from repro.scenarios.simple_network import paper_fig1_scenario
@@ -31,10 +31,9 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 1-2. Honest tomography.
     # ------------------------------------------------------------------
-    matrix = scenario.path_set.routing_matrix()
-    estimator = LeastSquaresEstimator(matrix)
+    system = scenario.system  # least squares, x_hat = R⁺ y (eq. 2)
     honest_y = scenario.honest_measurements()
-    honest_report = diagnose(estimator.estimate(honest_y), scenario.thresholds)
+    honest_report = diagnose(system.estimate(honest_y), scenario.thresholds)
     print("\nhonest round: abnormal links =", list(honest_report.abnormal) or "none")
 
     # ------------------------------------------------------------------
@@ -99,7 +98,7 @@ def main() -> None:
         f"({sum(len(a.actions) for a in plan.agents.values())} per-path agent rules "
         f"at nodes {sorted(plan.agents)})"
     )
-    packet_report = diagnose(estimator.estimate(y_sim), scenario.thresholds)
+    packet_report = diagnose(system.estimate(y_sim), scenario.thresholds)
     print(
         "operator diagnosis from simulated packets: abnormal =",
         [j + 1 for j in packet_report.abnormal],

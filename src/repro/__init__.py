@@ -86,11 +86,7 @@ from repro.routing import (
     select_identifiable_paths,
 )
 from repro.scenarios import Scenario, StreamingCampaign
-from repro.tomography import (
-    LeastSquaresEstimator,
-    LinearSystem,
-    diagnose,
-)
+from repro.tomography import LinearSystem, diagnose
 from repro.topology import (
     Link,
     Topology,
@@ -145,7 +141,6 @@ __all__ = [
     "NetworkSimulator",
     "PathManipulationAgent",
     # tomography
-    "LeastSquaresEstimator",
     "LinearSystem",
     "diagnose",
     # attacks

@@ -213,13 +213,7 @@ def analyze_paths(
             continue
         facts = extract_facts(file_path, rel_path=rel, source=source, tree=tree)
         facts_list.append(facts)
-        module = ModuleSource(
-            path=file_path,
-            rel_path=rel,
-            source=source,
-            tree=tree,
-            lines=source.splitlines(),
-        )
+        module = ModuleSource(path=file_path, rel_path=rel, tree=tree)
         for rule in file_rule_instances:
             violations.extend(
                 v for v in rule.check(module) if not _suppressed_by_noqa(v, facts.noqa)

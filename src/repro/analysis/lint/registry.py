@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, ClassVar
 
@@ -79,9 +79,7 @@ class ModuleSource:
 
     path: Path
     rel_path: str
-    source: str
     tree: ast.Module
-    lines: list[str] = field(default_factory=list)
 
     def matches(self, *suffixes: str) -> bool:
         """True when the module path ends with any of ``suffixes``."""

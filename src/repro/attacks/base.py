@@ -94,10 +94,6 @@ class AttackContext:
         self.thresholds = thresholds if thresholds is not None else StateThresholds()
         if margin < 0:
             raise ValidationError(f"margin must be non-negative, got {margin}")
-        if self.thresholds.is_two_state and margin == 0:
-            # Two-state thresholds with zero margin make "normal" and
-            # "abnormal" bands touch; allow it (closed-band semantics).
-            pass
         self.cap = cap
         self.margin = float(margin)
 

@@ -533,38 +533,27 @@ class IncrementalLpSolver:
         cap = self.cap
         pos_capacity, neg_capacity = self._capacities
         for j, (lower, upper) in overrides.items():
-            if np.isfinite(lower):
-                need = float(lower) - float(self._x_true[j])
-                if need > 0:
-                    capacity = float(pos_capacity[j])
-                    if capacity <= 0.0:
-                        available = 0.0
-                    elif cap is None:
-                        available = math.inf
-                    else:
-                        available = float(cap) * capacity
-                    if need > available * (1 + 1e-9) + 1e-6:
-                        return (
-                            f"{PRESOLVE_STATUS_PREFIX} link {j} needs an estimate "
-                            f"raise of {need:.6g} but the Constraint-1 support "
-                            f"can deliver at most {available:.6g}"
-                        )
-            if np.isfinite(upper):
-                need = float(self._x_true[j]) - float(upper)
-                if need > 0:
-                    capacity = float(neg_capacity[j])
-                    if capacity <= 0.0:
-                        available = 0.0
-                    elif cap is None:
-                        available = math.inf
-                    else:
-                        available = float(cap) * capacity
-                    if need > available * (1 + 1e-9) + 1e-6:
-                        return (
-                            f"{PRESOLVE_STATUS_PREFIX} link {j} needs an estimate "
-                            f"drop of {need:.6g} but the Constraint-1 support "
-                            f"can deliver at most {available:.6g}"
-                        )
+            x_true = float(self._x_true[j])
+            # A finite lower bound may need a raise, a finite upper a drop.
+            for bound, need, capacities, word in (
+                (lower, float(lower) - x_true, pos_capacity, "raise"),
+                (upper, x_true - float(upper), neg_capacity, "drop"),
+            ):
+                if not np.isfinite(bound) or need <= 0:
+                    continue
+                capacity = float(capacities[j])
+                if capacity <= 0.0:
+                    available = 0.0
+                elif cap is None:
+                    available = math.inf
+                else:
+                    available = float(cap) * capacity
+                if need > available * (1 + 1e-9) + 1e-6:
+                    return (
+                        f"{PRESOLVE_STATUS_PREFIX} link {j} needs an estimate "
+                        f"{word} of {need:.6g} but the Constraint-1 support "
+                        f"can deliver at most {available:.6g}"
+                    )
         return None
 
     def _warm_solver(self) -> PersistentLpSolver:

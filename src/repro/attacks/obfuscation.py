@@ -26,6 +26,10 @@ from repro.exceptions import AttackError, ValidationError
 
 __all__ = ["ObfuscationAttack", "build_obfuscation_bands"]
 
+#: Candidate strengths at most this far apart are tied, and a tie goes to
+#: the lower link index (docs/THEORY.md, "Obfuscation ties").
+STRENGTH_TIE_ATOL = 1e-9
+
 
 def build_obfuscation_bands(
     context: AttackContext,
@@ -62,6 +66,22 @@ def build_obfuscation_bands(
                 bands.require_at_least(j, value)
                 bands.require_at_most(j, value)
     return bands
+
+
+def _rank_by_strength(candidates: list[int], strength: np.ndarray) -> tuple[int, ...]:
+    """``candidates`` strongest first; a tie goes to the lower link index.
+
+    Sorted descending, the strengths split into tie groups wherever two
+    neighbours differ by more than :data:`STRENGTH_TIE_ATOL`, so roundoff
+    (the dense SVD and the sparse Gram solve disagree in the last bits)
+    cannot reorder candidates that are equal in exact arithmetic.
+    """
+    if not candidates:
+        return ()
+    links = np.asarray(candidates, dtype=int)
+    order = np.argsort(-strength, kind="stable")
+    group = np.cumsum(np.r_[0.0, -np.diff(strength[order])] > STRENGTH_TIE_ATOL)
+    return tuple(int(j) for j in links[order][np.lexsort((links[order], group))])
 
 
 class ObfuscationAttack:
@@ -139,12 +159,11 @@ class ObfuscationAttack:
         # Rank by manipulability: the largest positive estimator coefficient
         # over supported paths — easiest links first keeps the greedy scan
         # productive.
-        if context.support:
-            sub = context.support_operator
-            strength = {j: float(np.max(sub[j])) for j in candidates}
+        if context.support and candidates:
+            strength = np.max(context.support_operator[candidates], axis=1)
         else:
-            strength = {j: 0.0 for j in candidates}
-        self.candidates = tuple(sorted(candidates, key=lambda j: -strength[j]))
+            strength = np.zeros(len(candidates))
+        self.candidates = _rank_by_strength(candidates, strength)
 
     def _trial_solver(self) -> IncrementalLpSolver:
         """Shared incremental solver for the greedy growth.

@@ -155,7 +155,7 @@ class ConsistencyDetector:
             )
         if not np.all(np.isfinite(block)):
             raise DetectionError("observed measurements must be finite")
-        estimates = self.estimator.estimate_batch(block)
+        estimates = self.estimator.estimate(block)
         residuals = self._matrix @ estimates - block
         residual_l1 = np.abs(residuals).sum(axis=0)
         return [

@@ -22,7 +22,6 @@ __all__ = [
     "MonitorPlacementError",
     "MeasurementError",
     "TomographyError",
-    "SingularSystemError",
     "AttackError",
     "InfeasibleAttackError",
     "AttackConstraintError",
@@ -106,10 +105,6 @@ class MeasurementError(ReproError):
 
 class TomographyError(ReproError):
     """Base class for estimation errors."""
-
-
-class SingularSystemError(TomographyError):
-    """The normal equations are singular and no fallback was permitted."""
 
 
 class AttackError(ReproError):

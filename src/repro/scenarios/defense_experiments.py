@@ -29,7 +29,6 @@ from repro.routing.selection import (
 )
 from repro.scenarios.montecarlo import run_trials
 from repro.scenarios.scenario import Scenario
-from repro.tomography.estimators import LeastSquaresEstimator
 
 __all__ = ["robust_recovery_experiment", "path_selection_defense_experiment"]
 
@@ -51,7 +50,6 @@ def robust_recovery_experiment(
     Returns per-``k`` aggregates.
     """
     matrix = scenario.path_set.routing_matrix()
-    ls = LeastSquaresEstimator(matrix, require_full_rank=False)
     tls = TrimmedLeastSquares(matrix, residual_tolerance=residual_tolerance)
     honest = scenario.honest_measurements()
     rows = []
@@ -64,7 +62,7 @@ def robust_recovery_experiment(
             y = honest.copy()
             y[tampered] += rng.uniform(magnitude / 2, magnitude, size=k)
             ls_error = float(
-                np.max(np.abs(ls.estimate(y) - scenario.true_metrics))
+                np.max(np.abs(scenario.system.estimate(y) - scenario.true_metrics))
             )
             robust = tls.estimate(y)
             robust_error = float(

@@ -33,7 +33,6 @@ from repro.metrics.link_metrics import loss_rate_to_log_metric
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.simple_network import _fig1_paths
 from repro.tomography.diagnosis import diagnose
-from repro.tomography.estimators import LeastSquaresEstimator
 from repro.topology.generators.simple import (
     PAPER_EXAMPLE_ATTACKERS,
     PAPER_EXAMPLE_MONITORS,
@@ -145,8 +144,7 @@ def loss_chosen_victim_case_study(
         scenario.path_set, probes_per_path=probes_per_path, rng=seed
     )
     observed = delivery_to_log_measurements(sim_record.delivery_ratio_vector())
-    estimator = LeastSquaresEstimator(scenario.path_set.routing_matrix())
-    measured = diagnose(estimator.estimate(observed), scenario.thresholds)
+    measured = diagnose(scenario.system.estimate(observed), scenario.thresholds)
     planned = outcome.diagnosis
 
     record.update(

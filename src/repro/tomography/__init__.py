@@ -2,11 +2,9 @@
 
 - :mod:`~repro.tomography.linear_system` — residuals, consistency, and the
   estimator operator ``R⁺``;
-- :mod:`~repro.tomography.estimators` — the paper's least-squares estimator
-  (eq. 2) with a rank check;
 - :mod:`~repro.tomography.estimator_zoo` — the registry-dispatched estimator
-  families (``ls`` / ``bayes-map`` / ``ridge`` / ``nnls`` / ``l1``) behind
-  the ``REPRO_ESTIMATOR`` knob;
+  families behind the ``REPRO_ESTIMATOR`` knob: ``ls`` (the paper's least
+  squares, eq. 2) / ``bayes-map`` / ``ridge`` / ``nnls`` / ``l1``;
 - :mod:`~repro.tomography.diagnosis` — turn an estimate into the link-state
   report a network operator would act on.
 """
@@ -18,7 +16,6 @@ from repro.tomography.estimator_zoo import (
     estimator_names,
     resolve_estimator,
 )
-from repro.tomography.estimators import LeastSquaresEstimator
 from repro.tomography.linear_system import (
     LinearSystem,
     estimator_operator,
@@ -28,7 +25,6 @@ from repro.tomography.linear_system import (
 
 __all__ = [
     "Estimator",
-    "LeastSquaresEstimator",
     "calibrated_alpha",
     "estimator_names",
     "resolve_estimator",

@@ -50,7 +50,7 @@ from scipy.sparse.linalg import lsmr
 from repro import config
 from repro.exceptions import ValidationError
 from repro.obs import core as obs
-from repro.utils.linalg import compact_svd, pinv_from_svd
+from repro.utils.linalg import DEFAULT_RANK_TOL, compact_svd, pinv_from_svd
 from repro.utils.updates import (
     cholesky_append,
     cholesky_delete,
@@ -127,11 +127,11 @@ def resolve_backend_name(
 class DenseBackend:
     """The historical dense kernel: one SVD, dense derived operators.
 
-    ``matrix`` is the dense ``R`` (|P| x |L|) and ``rank_tol`` the
-    rank cutoff of the :class:`~repro.tomography.linear_system.LinearSystem`
-    this backend serves.  The backend holds no reference back to that
-    system, so a dropped system and its factors are freed by reference
-    counting, not left for the cycle collector.  Every quantity here is
+    ``matrix`` is the dense ``R`` (|P| x |L|) of the
+    :class:`~repro.tomography.linear_system.LinearSystem` this backend
+    serves.  The backend holds no reference back to that system, so a
+    dropped system and its factors are freed by reference counting, not
+    left for the cycle collector.  Every quantity here is
     assembled from the one shared :func:`compact_svd` factorisation,
     exactly as before the backend split — existing results are
     bit-identical.  It has no incremental path: an evolved dense system
@@ -140,14 +140,13 @@ class DenseBackend:
 
     name = "dense"
 
-    def __init__(self, matrix: np.ndarray, rank_tol: float) -> None:
+    def __init__(self, matrix: np.ndarray) -> None:
         self.matrix = matrix
-        self.rank_tol = rank_tol
 
     @cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """``(u, s, vt, rank)`` — the one factorisation everything shares."""
-        return compact_svd(self.matrix, rank_tol=self.rank_tol)
+        return compact_svd(self.matrix)
 
     @property
     def rank(self) -> int:
@@ -178,40 +177,32 @@ class DenseBackend:
         _, _, vt, rank = self.factors
         return vt[rank:].T.copy()
 
-    def estimate(self, y: np.ndarray) -> np.ndarray:
-        return self.estimator @ y
+    # Every operation takes a vector or a column block (one column per
+    # right-hand side): one GEMV or one GEMM on the shared operators.
 
-    def estimate_many(self, ys: np.ndarray) -> np.ndarray:
-        """Multi-RHS estimate: one GEMM for a whole chunk of trials."""
+    def estimate(self, ys: np.ndarray) -> np.ndarray:
         return self.estimator @ ys
 
-    def regularized_estimate_many(self, ys: np.ndarray, lam: float) -> np.ndarray:
+    def regularized_estimate(self, ys: np.ndarray, lam: float) -> np.ndarray:
         """Tikhonov solve ``(R^T R + lam I)^{-1} R^T y`` off the shared SVD.
 
         With ``R = U S V^T`` the regularized operator is
         ``V diag(s / (s^2 + lam)) U^T`` — assembled from the one cached
-        factorisation, no second factorisation path (RP001).  Handles 1-D
-        vectors and (|P| x k) blocks alike; ``lam -> 0`` recovers the
-        pseudo-inverse (zero singular values contribute nothing either
-        way).
+        factorisation, no second factorisation path (RP001).  ``lam -> 0``
+        recovers the pseudo-inverse (zero singular values contribute
+        nothing either way).
         """
         u, s, vt, _ = self.factors
         k = s.shape[0]
         coef = s / (s * s + float(lam))
-        uty = u.T @ np.asarray(ys, dtype=float)
+        uty = u.T @ ys
         scaled = coef * uty if uty.ndim == 1 else coef[:, None] * uty
         return vt[:k].T @ scaled
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
-    def predict_many(self, xs: np.ndarray) -> np.ndarray:
+    def predict(self, xs: np.ndarray) -> np.ndarray:
         return self.matrix @ xs
 
-    def residual(self, y: np.ndarray) -> np.ndarray:
-        return self.column_space_projector @ y - y
-
-    def residual_many(self, ys: np.ndarray) -> np.ndarray:
+    def residual(self, ys: np.ndarray) -> np.ndarray:
         return self.column_space_projector @ ys - ys
 
     def estimator_columns(self, cols: np.ndarray) -> np.ndarray:
@@ -224,9 +215,9 @@ class DenseBackend:
 class SparseBackend:
     """Matrix-free sparse kernel: CSR storage, Gram/LSMR solves.
 
-    ``matrix`` is ``R`` in CSR form (|P| x |L|) and ``rank_tol`` the rank
-    cutoff of the :class:`~repro.tomography.linear_system.LinearSystem`
-    this backend serves.  As with :class:`DenseBackend`, the backend holds
+    ``matrix`` is ``R`` in CSR form (|P| x |L|) of the
+    :class:`~repro.tomography.linear_system.LinearSystem` this backend
+    serves.  As with :class:`DenseBackend`, the backend holds
     no reference back to that system, so a dropped system and its factors
     are freed by reference counting, not left for the cycle collector.
 
@@ -242,9 +233,8 @@ class SparseBackend:
 
     name = "sparse"
 
-    def __init__(self, matrix: scipy.sparse.csr_matrix, rank_tol: float) -> None:
+    def __init__(self, matrix: scipy.sparse.csr_matrix) -> None:
         self.matrix = matrix
-        self.rank_tol = rank_tol
         self._regularized_factors: dict[float, tuple] = {}
 
     # -- storage ----------------------------------------------------------
@@ -257,7 +247,7 @@ class SparseBackend:
     @cached_property
     def _dense_fallback(self) -> DenseBackend:
         """Dense twin used for irreducibly dense quantities."""
-        return DenseBackend(self.matrix.toarray(), self.rank_tol)
+        return DenseBackend(self.matrix.toarray())
 
     # -- small-side Gram factorisation ------------------------------------
 
@@ -332,7 +322,7 @@ class SparseBackend:
         s_max = float(s[-1])
         if s_max == 0.0:
             return 0
-        cutoff = self.rank_tol * max(m, n) * s_max
+        cutoff = DEFAULT_RANK_TOL * max(m, n) * s_max
         # Resolution floor of the Gram spectrum in singular-value units:
         # eigenvalues carry O(k * eps * lam_max) absolute error.
         noise = s_max * np.sqrt(64.0 * k * np.finfo(float).eps)
@@ -406,34 +396,27 @@ class SparseBackend:
             x = x + correction
         return x
 
-    def estimate(self, y: np.ndarray) -> np.ndarray:
-        obs.counter("sparse_solve")
-        if self._cholesky is not None:
-            m, n = self.matrix.shape
-            solve = self._solve_gram_tall if m >= n else self._solve_gram_wide
-            return solve(np.asarray(y, dtype=float))
-        return self._solve_lsmr(np.asarray(y, dtype=float))
+    # Every operation takes a vector or a column block (one column per
+    # right-hand side).
 
-    def estimate_many(self, ys: np.ndarray) -> np.ndarray:
-        """Multi-RHS estimate: one Gram solve per chunk when certified.
+    def estimate(self, ys: np.ndarray) -> np.ndarray:
+        """Min-norm least squares: one Gram solve per call when certified.
 
-        With a certified full-rank Gram the whole block is one LAPACK
-        triangular multi-solve; otherwise each column runs LSMR (the
-        min-norm path has no blocked equivalent in scipy).
+        With a certified full-rank Gram a block is one LAPACK triangular
+        multi-solve; otherwise each column runs LSMR (the min-norm path
+        has no blocked equivalent in scipy).
         """
-        block = np.asarray(ys, dtype=float)
         obs.counter("sparse_solve")
-        if block.ndim == 2 and block.shape[1] == 0:
-            return np.zeros((self.matrix.shape[1], 0))
         if self._cholesky is not None:
             m, n = self.matrix.shape
             solve = self._solve_gram_tall if m >= n else self._solve_gram_wide
-            return solve(block)
-        if block.ndim == 1:
-            return self._solve_lsmr(block)
-        return np.stack(
-            [self._solve_lsmr(block[:, j]) for j in range(block.shape[1])], axis=1
-        )
+            return solve(ys)
+        if ys.ndim == 1:
+            return self._solve_lsmr(ys)
+        out = np.empty((self.matrix.shape[1], ys.shape[1]))
+        for j in range(ys.shape[1]):
+            out[:, j] = self._solve_lsmr(ys[:, j])
+        return out
 
     def _regularized_cholesky(self, lam: float) -> tuple:
         """Cholesky of the shifted small-side Gram ``G + lam I`` (memoised).
@@ -452,7 +435,7 @@ class SparseBackend:
             self._regularized_factors[float(lam)] = factor
         return factor
 
-    def regularized_estimate_many(self, ys: np.ndarray, lam: float) -> np.ndarray:
+    def regularized_estimate(self, ys: np.ndarray, lam: float) -> np.ndarray:
         """Tikhonov solve via the small-side Gram, matrix-free either way.
 
         Tall systems solve ``(R^T R + lam I) x = R^T y`` directly; wide
@@ -462,44 +445,35 @@ class SparseBackend:
         recovers direct-solve accuracy, matching the dense SVD path to
         well below the library parity tolerance.
         """
-        block = np.asarray(ys, dtype=float)
         obs.counter("sparse_solve")
         factor = self._regularized_cholesky(lam)
         shifted = self._gram + float(lam) * np.eye(self._gram.shape[0])
         m, n = self.matrix.shape
         if m >= n:
-            rhs = self.matrix_t @ block
+            rhs = self.matrix_t @ ys
             x = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
             for _ in range(_REFINE_STEPS):
                 residual = rhs - shifted @ x
                 x = x + scipy.linalg.cho_solve(factor, residual, check_finite=False)
             return x
-        z = scipy.linalg.cho_solve(factor, block, check_finite=False)
+        z = scipy.linalg.cho_solve(factor, ys, check_finite=False)
         for _ in range(_REFINE_STEPS):
-            residual = block - shifted @ z
+            residual = ys - shifted @ z
             z = z + scipy.linalg.cho_solve(factor, residual, check_finite=False)
         return self.matrix_t @ z
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
-    def predict_many(self, xs: np.ndarray) -> np.ndarray:
+    def predict(self, xs: np.ndarray) -> np.ndarray:
         return self.matrix @ xs
 
-    def residual(self, y: np.ndarray) -> np.ndarray:
+    def residual(self, ys: np.ndarray) -> np.ndarray:
         """``R x_hat - y`` via sparse matvecs — no dense projector."""
-        y = np.asarray(y, dtype=float)
-        return self.matrix @ self.estimate(y) - y
-
-    def residual_many(self, ys: np.ndarray) -> np.ndarray:
-        ys = np.asarray(ys, dtype=float)
-        return self.matrix @ self.estimate_many(ys) - ys
+        return self.matrix @ self.estimate(ys) - ys
 
     def estimator_columns(self, cols: np.ndarray) -> np.ndarray:
         """Selected columns of ``R⁺`` via batched unit-vector solves.
 
         ``R⁺[:, j] = R⁺ e_j``, so the requested columns are one
-        :meth:`estimate_many` over the corresponding identity columns —
+        :meth:`estimate` over the corresponding identity columns —
         the full dense pseudo-inverse is never formed.
         """
         m, n = self.matrix.shape
@@ -507,7 +481,7 @@ class SparseBackend:
             return np.zeros((n, 0))
         unit = np.zeros((m, cols.size))
         unit[cols, np.arange(cols.size)] = 1.0
-        return self.estimate_many(unit)
+        return self.estimate(unit)
 
     def residual_projector_columns(self, cols: np.ndarray) -> np.ndarray:
         """Selected columns of ``I - R R⁺`` without the dense projector."""
@@ -516,7 +490,7 @@ class SparseBackend:
             return np.zeros((m, 0))
         unit = np.zeros((m, cols.size))
         unit[cols, np.arange(cols.size)] = 1.0
-        return unit - (self.matrix @ self.estimate_many(unit))
+        return unit - (self.matrix @ self.estimate(unit))
 
     # -- incremental evolution (LinearSystem.evolve seam) ------------------
 

@@ -82,9 +82,8 @@ class Estimator(Protocol):
     @property
     def params_digest(self) -> str: ...
 
-    def estimate(self, observed: np.ndarray) -> np.ndarray: ...
-
-    def estimate_batch(self, observed_block: np.ndarray) -> np.ndarray: ...
+    def estimate(self, observed: np.ndarray) -> np.ndarray:
+        """A vector (|P|,) -> (|L|,), a block (|P|, k) -> (|L|, k)."""
 
 
 #: Registered estimator families, keyed by registry name.
@@ -172,7 +171,7 @@ def calibrated_alpha(
 
 
 class _ZooEstimator:
-    """Shared plumbing: validation, the obs event, batch fallback."""
+    """Shared plumbing: validation, the obs event, the column loop."""
 
     name = ""
 
@@ -204,57 +203,37 @@ class _ZooEstimator:
     # -- the numerical core each family supplies ---------------------------
 
     def _solve(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Solve a vector or a block; by default a block column by column.
 
-    def _solve_batch(self, block: np.ndarray) -> np.ndarray:
-        """Default batch path: looped single solves (vector families override)."""
-        return np.stack(
-            [self._solve(block[:, j]) for j in range(block.shape[1])], axis=1
-        )
+        Families with a multi-RHS kernel call (ls, bayes-map, ridge)
+        override this; the others supply :meth:`_solve_column`.
+        """
+        if y.ndim == 1:
+            return self._solve_column(y)
+        return np.stack([self._solve_column(y[:, j]) for j in range(y.shape[1])], axis=1)
+
+    def _solve_column(self, y: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
     # -- the Estimator protocol surface ------------------------------------
 
     def estimate(self, observed: np.ndarray) -> np.ndarray:
-        """Estimate the link-metric vector from one measurement vector."""
-        y = check_finite_vector(observed, "observed", length=self.system.num_paths)
+        """Link metrics from a measurement vector (|P|,) or block (|P|, k).
+
+        A block gives its columns' estimates side by side (|L| x k),
+        verdict-identical to estimating each column on its own.
+        """
+        y = self.system._operand(observed)
         x_hat = self._solve(y)
         if obs.is_enabled():
             obs.event(
                 "estimator_solve",
                 estimator=self.name,
-                batch=1,
+                batch=1 if y.ndim == 1 else int(y.shape[1]),
                 paths=self.system.num_paths,
                 links=self.system.num_links,
             )
         return x_hat
-
-    def estimate_batch(self, observed_block: np.ndarray) -> np.ndarray:
-        """Column-wise estimates of a measurement block (|P| x k -> |L| x k).
-
-        Verdict-identical to looping :meth:`estimate` over the columns;
-        vectorised families (ls, bayes-map, ridge) pay one multi-RHS
-        kernel call for the whole block.
-        """
-        block = np.asarray(observed_block, dtype=float)
-        if block.ndim == 1:
-            return self.estimate(block)
-        if block.ndim != 2 or block.shape[0] != self.system.num_paths:
-            raise ValidationError(
-                f"expected a ({self.system.num_paths}, k) measurement block, "
-                f"got shape {block.shape}"
-            )
-        if not np.all(np.isfinite(block)):
-            raise ValidationError("measurement block must be finite")
-        out = self._solve_batch(block)
-        if obs.is_enabled():
-            obs.event(
-                "estimator_solve",
-                estimator=self.name,
-                batch=int(block.shape[1]),
-                paths=self.system.num_paths,
-                links=self.system.num_links,
-            )
-        return out
 
 
 @register_estimator("ls")
@@ -271,9 +250,6 @@ class LeastSquaresZooEstimator(_ZooEstimator):
         # backend skips LinearSystem.estimate's identical re-validation,
         # keeping the zoo's default path within noise of the raw kernel.
         return self.system._factorized.estimate(y)
-
-    def _solve_batch(self, block: np.ndarray) -> np.ndarray:
-        return self.system._factorized.estimate_many(block)
 
 
 @register_estimator("bayes-map")
@@ -337,12 +313,10 @@ class BayesMapEstimator(_ZooEstimator):
         }
 
     def _solve(self, y: np.ndarray) -> np.ndarray:
-        shifted = y - self._prior_prediction
-        return self.prior_mean + self.system.regularized_estimate(shifted, self.lam)
-
-    def _solve_batch(self, block: np.ndarray) -> np.ndarray:
-        shifted = block - self._prior_prediction[:, None]
-        return self.prior_mean[:, None] + self.system.regularized_estimate_many(
+        # Column vectors: a (|P|,) vector stays 1-D, a block broadcasts.
+        column = (-1,) + (1,) * (y.ndim - 1)
+        shifted = y - self._prior_prediction.reshape(column)
+        return self.prior_mean.reshape(column) + self.system.regularized_estimate(
             shifted, self.lam
         )
 
@@ -364,7 +338,7 @@ class RidgeZooEstimator(BayesMapEstimator):
 class NonNegativeZooEstimator(_ZooEstimator):
     """Non-negative least squares (Lawson-Hanson active set)."""
 
-    def _solve(self, y: np.ndarray) -> np.ndarray:
+    def _solve_column(self, y: np.ndarray) -> np.ndarray:
         from scipy.optimize import nnls
 
         solution, _ = nnls(self.system.matrix, y)
@@ -423,7 +397,7 @@ class L1SparseEstimator(_ZooEstimator):
             matrix.indptr, matrix.indices, matrix.data,
         )
 
-    def _solve(self, y: np.ndarray) -> np.ndarray:
+    def _solve_column(self, y: np.ndarray) -> np.ndarray:
         if self._model is None:
             self._build_model()
         model = self._model

@@ -41,7 +41,6 @@ from repro.tomography.backends import (
     SparseBackend,
     resolve_backend_name,
 )
-from repro.utils.linalg import DEFAULT_RANK_TOL
 from repro.utils.validation import check_finite_vector
 
 __all__ = [
@@ -60,9 +59,6 @@ class LinearSystem:
     routing_matrix:
         The 0/1 measurement matrix ``R`` (|P| x |L|) — a dense array or a
         ``scipy.sparse`` matrix.
-    rank_tol:
-        Relative singular-value cutoff for rank decisions (the library-wide
-        :data:`repro.utils.linalg.DEFAULT_RANK_TOL` by default).
     backend:
         ``"dense"``, ``"sparse"``, ``"auto"`` or ``None``.  ``None`` defers
         to the ``REPRO_BACKEND`` environment variable and then the auto
@@ -72,7 +68,9 @@ class LinearSystem:
     ``R`` is stored once, converted at most once here: to CSR when the
     backend resolves to sparse, to a dense array when it resolves to
     dense.  The backend holds that storage and no reference back to the
-    system, so a dropped system is freed by reference counting.
+    system, so a dropped system is freed by reference counting.  Every
+    rank decision uses the library-wide cutoff
+    :data:`repro.utils.linalg.DEFAULT_RANK_TOL`.
 
     Factorisation is lazy: nothing numerical happens until the first
     derived quantity is requested, and each derived operator is then
@@ -89,7 +87,6 @@ class LinearSystem:
         self,
         routing_matrix: np.ndarray,
         *,
-        rank_tol: float = DEFAULT_RANK_TOL,
         backend: str | None = None,
     ) -> None:
         from repro.routing.routing_matrix import density
@@ -101,7 +98,6 @@ class LinearSystem:
             matrix = np.asarray(routing_matrix, dtype=float)
             if matrix.ndim != 2:
                 raise ValueError(f"routing matrix must be 2-D, got ndim={matrix.ndim}")
-        self._rank_tol = float(rank_tol)
         name = resolve_backend_name(
             backend,
             shape=matrix.shape,
@@ -109,11 +105,9 @@ class LinearSystem:
             sparse_input=sparse_input,
         )
         if name == "sparse":
-            self._backend = SparseBackend(scipy.sparse.csr_matrix(matrix), self._rank_tol)
+            self._backend = SparseBackend(scipy.sparse.csr_matrix(matrix))
         else:
-            self._backend = DenseBackend(
-                matrix.toarray() if sparse_input else matrix, self._rank_tol
-            )
+            self._backend = DenseBackend(matrix.toarray() if sparse_input else matrix)
 
     # -- backend plumbing --------------------------------------------------
 
@@ -121,11 +115,6 @@ class LinearSystem:
     def backend_name(self) -> str:
         """Which numerical core serves this system (``dense``/``sparse``)."""
         return self._backend.name
-
-    @property
-    def rank_tol(self) -> float:
-        """Relative singular-value cutoff shared by every rank decision."""
-        return self._rank_tol
 
     @cached_property
     def _factorized(self) -> object:
@@ -168,10 +157,9 @@ class LinearSystem:
         ``remove_indices`` name rows of *this* system's matrix (unique,
         in range); ``add_rows`` are appended after the removals, in
         order.  The evolved system is a fresh :class:`LinearSystem` (same
-        ``rank_tol``, same backend pinned) over a new ``R`` in this
-        system's storage form: on the sparse backend, one CSR
-        stacked from this system's kept rows and the added rows, never a
-        dense copy.  On the sparse backend its Gram Cholesky factor is
+        backend pinned) over a new ``R`` in this system's storage form:
+        on the sparse backend, one CSR stacked from this system's kept
+        rows and the added rows, never a dense copy.  On the sparse backend its Gram Cholesky factor is
         seeded by rank-1 update/downdate of this system's factor whenever
         the incremental chain can be certified — the cold factorization
         then never runs.
@@ -210,9 +198,7 @@ class LinearSystem:
             evolved = np.delete(matrix, removals, axis=0)
             if added:
                 evolved = np.vstack([evolved, np.asarray(added)])
-        new_system = LinearSystem(
-            evolved, rank_tol=self._rank_tol, backend=self.backend_name
-        )
+        new_system = LinearSystem(evolved, backend=self.backend_name)
         with obs.span("system_evolve"):
             obs.counter("system_evolve")
             incremental = self.backend_name == "sparse" and (
@@ -351,30 +337,32 @@ class LinearSystem:
         )
 
     # -- operations -------------------------------------------------------
+    #
+    # Each operation takes a vector or a column block and makes one
+    # backend call: a vector meets a 1-D right-hand side, a (rows, k)
+    # block one multi-RHS solve (a single GEMM on the dense backend, one
+    # batched Gram solve on the sparse one).
+
+    def _operand(self, values: np.ndarray, noun: str = "measurement") -> np.ndarray:
+        """``values`` as a finite float vector ``(rows,)`` or block ``(rows, k)``.
+
+        Measurements have a row per path, metrics (``noun="metric"``) a
+        row per link.
+        """
+        rows = self.num_links if noun == "metric" else self.num_paths
+        arr = np.asarray(values, dtype=float)
+        if arr.ndim not in (1, 2) or arr.shape[0] != rows:
+            raise ValidationError(
+                f"expected a ({rows},) {noun} vector or a ({rows}, k) {noun} "
+                f"block, got shape {arr.shape}"
+            )
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{noun} values must be finite")
+        return arr
 
     def estimate(self, observed: np.ndarray) -> np.ndarray:
-        """Least-squares estimate ``x_hat = R⁺ y`` (eq. 2)."""
-        y = check_finite_vector(observed, "observed", length=self.num_paths)
-        return self._factorized.estimate(y)
-
-    def estimate_many(self, observed: np.ndarray) -> np.ndarray:
-        """Column-wise estimates of a measurement block (|P| x k -> |L| x k).
-
-        One multi-RHS solve — a single GEMM on the dense backend, one
-        batched Gram solve on the sparse backend — so Monte-Carlo chunks
-        cost one kernel call instead of a Python loop of matvecs.
-        """
-        block = np.asarray(observed, dtype=float)
-        if block.ndim == 1:
-            return self.estimate(block)
-        if block.ndim != 2 or block.shape[0] != self.num_paths:
-            raise ValueError(
-                f"expected a ({self.num_paths}, k) measurement block, "
-                f"got shape {block.shape}"
-            )
-        if not np.all(np.isfinite(block)):
-            raise ValueError("measurement block must be finite")
-        return self._factorized.estimate_many(block)
+        """Least-squares estimate ``x_hat = R⁺ y`` (eq. 2), column-wise."""
+        return self._factorized.estimate(self._operand(observed))
 
     def regularized_estimate(self, observed: np.ndarray, lam: float) -> np.ndarray:
         """Tikhonov estimate ``(R^T R + lam I)^{-1} R^T y`` (``lam > 0``).
@@ -386,65 +374,30 @@ class LinearSystem:
         """
         if not (lam > 0) or not np.isfinite(lam):
             raise ValueError(f"regularization lam must be positive and finite, got {lam}")
-        y = check_finite_vector(observed, "observed", length=self.num_paths)
-        return self._factorized.regularized_estimate_many(y, float(lam))
-
-    def regularized_estimate_many(self, observed: np.ndarray, lam: float) -> np.ndarray:
-        """Column-wise regularized estimates of a block (|P| x k -> |L| x k)."""
-        block = np.asarray(observed, dtype=float)
-        if block.ndim == 1:
-            return self.regularized_estimate(block, lam)
-        if not (lam > 0) or not np.isfinite(lam):
-            raise ValueError(f"regularization lam must be positive and finite, got {lam}")
-        if block.ndim != 2 or block.shape[0] != self.num_paths:
-            raise ValueError(
-                f"expected a ({self.num_paths}, k) measurement block, "
-                f"got shape {block.shape}"
-            )
-        if not np.all(np.isfinite(block)):
-            raise ValueError("measurement block must be finite")
-        return self._factorized.regularized_estimate_many(block, float(lam))
+        y = self._operand(observed)
+        return self._factorized.regularized_estimate(y, float(lam))
 
     def predict(self, metrics: np.ndarray) -> np.ndarray:
-        """Forward model ``y = R x`` (eq. 1)."""
-        x = check_finite_vector(metrics, "metrics", length=self.num_links)
-        return self._factorized.predict(x)
-
-    def predict_many(self, metrics: np.ndarray) -> np.ndarray:
-        """Forward model over a block of metric columns (|L| x k -> |P| x k)."""
-        block = np.asarray(metrics, dtype=float)
-        if block.ndim == 1:
-            return self.predict(block)
-        return self._factorized.predict_many(block)
+        """Forward model ``y = R x`` (eq. 1), column-wise."""
+        return self._factorized.predict(self._operand(metrics, "metric"))
 
     def residual(self, observed: np.ndarray) -> np.ndarray:
-        """Per-path residual ``R x_hat - y`` of the observed vector.
+        """Per-path residual ``R x_hat - y`` of the observed vector or block.
 
         The dense backend computes ``(P - I) y`` from the shared
         column-space projector; the sparse backend estimates and
         re-predicts with two sparse matvecs — same vector, no dense
         projector.
         """
-        y = check_finite_vector(observed, "observed", length=self.num_paths)
-        return self._factorized.residual(y)
+        return self._factorized.residual(self._operand(observed))
 
-    def residual_many(self, observed: np.ndarray) -> np.ndarray:
-        """Per-path residuals of a measurement block (|P| x k -> |P| x k)."""
-        block = np.asarray(observed, dtype=float)
-        if block.ndim == 1:
-            return self.residual(block)
-        if block.ndim != 2 or block.shape[0] != self.num_paths:
-            raise ValueError(
-                f"expected a ({self.num_paths}, k) measurement block, "
-                f"got shape {block.shape}"
-            )
-        if not np.all(np.isfinite(block)):
-            raise ValueError("measurement block must be finite")
-        return self._factorized.residual_many(block)
+    def residual_l1(self, observed: np.ndarray) -> float | np.ndarray:
+        """The detector statistic ``||R x_hat - y'||_1`` of Remark 4.
 
-    def residual_l1(self, observed: np.ndarray) -> float:
-        """The detector statistic ``||R x_hat - y'||_1`` of Remark 4."""
-        return float(np.abs(self.residual(observed)).sum())
+        A float for a vector, one value per column for a block.
+        """
+        l1 = np.abs(self.residual(observed)).sum(axis=0)
+        return float(l1) if l1.ndim == 0 else l1
 
 
 @contract(routing_matrix=check_routing_matrix)

@@ -39,15 +39,13 @@ def _as_matrix(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def compact_svd(
-    matrix: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def compact_svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """One SVD, one cutoff: returns ``(u, s, vt, rank)``.
 
     ``u`` has ``min(m, n)`` columns (economy form), while ``vt`` is always
     the *complete* ``n x n`` right-singular basis so the trailing rows span
     the nullspace even for wide matrices.  ``rank`` counts singular values
-    above ``rank_tol * max(m, n) * s_max`` — the same convention
+    above ``DEFAULT_RANK_TOL * max(m, n) * s_max`` — the same convention
     :func:`nullspace` has always used, now shared by every derived
     operator.
     """
@@ -60,7 +58,7 @@ def compact_svd(
     # economy factorisation would truncate the right-singular basis needed
     # for the nullspace.
     u, s, vt = np.linalg.svd(mat, full_matrices=m < n)
-    cutoff = rank_tol * max(m, n) * (s[0] if s.size else 1.0)
+    cutoff = DEFAULT_RANK_TOL * max(m, n) * (s[0] if s.size else 1.0)
     rank = int(np.sum(s > cutoff))
     return u, s, vt, rank
 
@@ -99,7 +97,7 @@ def pinv_from_svd(
     return (vt[:rank].T / s[:rank]) @ u[:, :rank].T
 
 
-def nullspace(matrix: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def nullspace(matrix: np.ndarray) -> np.ndarray:
     """Return an orthonormal basis of the (right) null space as columns.
 
     The null space of the routing matrix characterises the set of link-metric
@@ -108,7 +106,7 @@ def nullspace(matrix: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     mat = _as_matrix(matrix)
     if mat.size == 0:
         return np.eye(mat.shape[1])
-    _, _, vt, rank = compact_svd(mat, rank_tol=tol)
+    _, _, vt, rank = compact_svd(mat)
     return vt[rank:].T.copy()
 
 

@@ -17,7 +17,6 @@ from repro.attacks.planner import compile_attack_plan
 from repro.detection.auditor import TomographyAuditor
 from repro.metrics.states import LinkState
 from repro.tomography.diagnosis import diagnose
-from repro.tomography.estimators import LeastSquaresEstimator
 
 
 def _simulate_attack(scenario, attackers, outcome, probes=3, rng=0):
@@ -60,8 +59,7 @@ class TestOperatorViewFromSimulatedPackets:
         context = fig1_scenario.attack_context(["B", "C"])
         outcome = ChosenVictimAttack(context, [9], mode="exclusive").run()
         y_sim = _simulate_attack(fig1_scenario, ["B", "C"], outcome)
-        estimator = LeastSquaresEstimator(fig1_scenario.path_set.routing_matrix())
-        report = diagnose(estimator.estimate(y_sim), fig1_scenario.thresholds)
+        report = diagnose(fig1_scenario.system.estimate(y_sim), fig1_scenario.thresholds)
         assert report.abnormal == (9,)
         for j in context.controlled_links:
             assert report.state_of(j) is LinkState.NORMAL
@@ -92,10 +90,7 @@ class TestLadderScenario:
             pytest.skip("no feasible victim on this ladder draw")
         y_sim = _simulate_attack(ladder_scenario, attackers, outcome)
         assert np.allclose(y_sim, outcome.observed_measurements, atol=1e-9)
-        estimator = LeastSquaresEstimator(
-            ladder_scenario.path_set.routing_matrix(), require_full_rank=False
-        )
-        report = diagnose(estimator.estimate(y_sim), ladder_scenario.thresholds)
+        report = diagnose(ladder_scenario.system.estimate(y_sim), ladder_scenario.thresholds)
         assert set(outcome.victim_links) <= set(report.abnormal)
 
 

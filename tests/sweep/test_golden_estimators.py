@@ -113,7 +113,6 @@ def _diff(expected: dict, actual: dict) -> list[str]:
     return problems
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
 def test_estimator_golden_fixture(estimator, tmp_path):
     fixture = GOLDEN_DIR / f"estimator_{estimator.replace('-', '_')}.json"

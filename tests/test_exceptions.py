@@ -46,6 +46,6 @@ class TestHierarchy:
         with pytest.raises(exceptions.ReproError):
             raise exceptions.AttackConstraintError("x")
         with pytest.raises(exceptions.ReproError):
-            raise exceptions.SingularSystemError("x")
+            raise exceptions.TomographyError("x")
         with pytest.raises(exceptions.ReproError):
             raise exceptions.SerializationError("x")

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.detection.online import OnlineConsistencyDetector
 from repro.exceptions import ValidationError
+from repro.obs.core import recording
 from repro.tomography.backends import (
     AUTO_DENSITY_THRESHOLD,
     AUTO_SIZE_THRESHOLD,
@@ -106,19 +107,55 @@ class TestParity:
         seed=st.integers(0, 10_000),
         width=st.integers(1, 6),
     )
-    def test_estimate_many_matches_per_column(self, num_paths, num_links, hops, seed, width):
+    def test_block_operations_match_per_column(
+        self, num_paths, num_links, hops, seed, width
+    ):
         matrix = _incidence(num_paths, num_links, hops, seed)
         dense, sparse = _pair(matrix)
         rng = np.random.default_rng(seed + 2)
         block = rng.uniform(0.0, 100.0, size=(num_paths, width))
-
-        dense_block = dense.estimate_many(block)
-        sparse_block = sparse.estimate_many(block)
-        np.testing.assert_allclose(dense_block, sparse_block, atol=PARITY_TOL)
-        for j in range(width):
-            np.testing.assert_allclose(
-                sparse_block[:, j], dense.estimate(block[:, j]), atol=PARITY_TOL
+        metrics = rng.uniform(0.0, 100.0, size=(num_links, width))
+        operations = {
+            "estimate": (lambda system, v: system.estimate(v), block),
+            "regularized_estimate": (
+                lambda system, v: system.regularized_estimate(v, 1e-3),
+                block,
+            ),
+            "predict": (lambda system, v: system.predict(v), metrics),
+            "residual": (lambda system, v: system.residual(v), block),
+        }
+        for name, (operation, operand) in operations.items():
+            dense_block = operation(dense, operand)
+            sparse_block = operation(sparse, operand)
+            assert dense_block.shape == sparse_block.shape == (
+                operation(dense, operand[:, 0]).shape[0],
+                width,
             )
+            np.testing.assert_allclose(
+                dense_block, sparse_block, atol=PARITY_TOL, err_msg=name
+            )
+            for j in range(width):
+                column = operation(dense, operand[:, j])
+                for result in (dense_block, sparse_block):
+                    np.testing.assert_allclose(
+                        result[:, j], column, atol=PARITY_TOL, err_msg=name
+                    )
+        np.testing.assert_allclose(
+            sparse.residual_l1(block),
+            [dense.residual_l1(block[:, j]) for j in range(width)],
+            atol=PARITY_TOL * num_paths,
+        )
+
+    def test_operations_validate_vectors_and_blocks_alike(self):
+        system = LinearSystem(np.eye(3))
+        for bad in (np.ones(4), np.ones((4, 2)), np.ones((3, 2, 1)), 1.0):
+            with pytest.raises(ValidationError, match="measurement block"):
+                system.estimate(bad)
+        with pytest.raises(ValidationError, match="metric block"):
+            system.predict(np.ones((2, 2)))
+        for bad in (np.full(3, np.nan), np.full((3, 2), np.inf)):
+            with pytest.raises(ValidationError, match="finite"):
+                system.residual(bad)
 
     @settings(
         max_examples=25,
@@ -172,6 +209,30 @@ class TestParity:
             dense.residual_projector[:, path_cols],
             atol=PARITY_TOL,
         )
+
+
+class TestRankFallback:
+    def test_ambiguous_gram_spectrum_takes_the_dense_svd(self):
+        """``SparseBackend.rank``'s last resort, forced and checked.
+
+        ``R = Q diag(1, 1, 2e-6) Q^T`` with a dense orthogonal ``Q`` (a
+        Householder reflection): the Gram's condition number (~2.5e11)
+        fails the Cholesky round-trip certificate, and 2e-6 lies within a
+        factor 4 of the spectral decision threshold (~1.6e-6 for a 3 x 3
+        Gram), so the eigenvalue rule cannot certify either side and the
+        dense SVD decides.
+        """
+        v = np.array([1.0, 2.0, 3.0])
+        q = np.eye(3) - 2.0 * np.outer(v, v) / (v @ v)
+        matrix = q @ np.diag([1.0, 1.0, 2e-6]) @ q.T
+        dense, sparse = _pair(matrix)
+        with recording() as recorder:
+            rank = sparse.rank
+        assert sparse._backend._cholesky is None
+        assert "_dense_fallback" in vars(sparse._backend)
+        assert recorder.counters["gram_eigh"] == 1
+        assert recorder.counters["svd"] == 1
+        assert rank == dense.rank == 3
 
 
 class TestDispatch:

@@ -8,7 +8,7 @@ The contracts, over random 0/1 path-incidence matrices:
 - ``l1`` exactly recovers k-sparse ground truth on identifiable
   (full-column-rank) systems;
 - every family is dense/sparse-backend consistent to 1e-8;
-- ``estimate_batch`` matches the looped single-vector path.
+- ``estimate`` of a block matches the looped single-vector path.
 
 Plus: registry dispatch and the ``REPRO_ESTIMATOR`` knob, the rejection
 of routing matrices without a path or a link, per-estimator threshold
@@ -127,7 +127,7 @@ class TestLsParity:
         block = rng.uniform(0.0, 100.0, size=(num_paths, 5))
         zoo = resolve_estimator("ls", system=system)
         assert np.array_equal(zoo.estimate(observed), system.estimate(observed))
-        assert np.array_equal(zoo.estimate_batch(block), system.estimate_many(block))
+        assert np.array_equal(zoo.estimate(block), system.estimate(block))
 
 
 class TestBayesMap:
@@ -297,7 +297,7 @@ class TestBatchMatchesLooped:
         block = rng.uniform(0.0, 100.0, size=(num_paths, width))
         for name in estimator_names():
             estimator = resolve_estimator(name, system=system)
-            batched = estimator.estimate_batch(block)
+            batched = estimator.estimate(block)
             looped = np.stack(
                 [estimator.estimate(block[:, j]) for j in range(width)], axis=1
             )
@@ -323,9 +323,9 @@ class TestBatchMatchesLooped:
     def test_batch_shape_and_finiteness_validated(self):
         estimator = resolve_estimator("ls", routing_matrix=np.eye(3))
         with pytest.raises(ValidationError, match="measurement block"):
-            estimator.estimate_batch(np.ones((4, 2)))
+            estimator.estimate(np.ones((4, 2)))
         with pytest.raises(ValidationError, match="finite"):
-            estimator.estimate_batch(np.full((3, 2), np.nan))
+            estimator.estimate(np.full((3, 2), np.nan))
 
 
 class TestDegenerateSystems:

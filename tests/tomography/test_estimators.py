@@ -1,12 +1,15 @@
-"""Tests for the least-squares estimator and the nnls/ridge zoo families."""
+"""Tests for the zoo's least-squares, nnls and ridge families."""
 
 import numpy as np
 import pytest
 
-from repro.exceptions import SingularSystemError, TomographyError, ValidationError
+from repro.exceptions import TomographyError, ValidationError
 from repro.metrics.link_metrics import uniform_delay_metrics
 from repro.tomography.estimator_zoo import resolve_estimator
-from repro.tomography.estimators import LeastSquaresEstimator
+
+
+def _ls(matrix):
+    return resolve_estimator("ls", routing_matrix=matrix)
 
 
 def _nnls(matrix):
@@ -20,35 +23,31 @@ def _ridge(matrix, lam):
 class TestLeastSquares:
     def test_recovers_truth_on_fig1(self, fig1_scenario):
         matrix = fig1_scenario.path_set.routing_matrix()
-        estimator = LeastSquaresEstimator(matrix)
+        estimator = _ls(matrix)
         x = fig1_scenario.true_metrics
         assert np.allclose(estimator.estimate(matrix @ x), x)
 
     def test_equals_normal_equations(self, fig1_scenario):
         matrix = fig1_scenario.path_set.routing_matrix()
-        estimator = LeastSquaresEstimator(matrix)
+        estimator = _ls(matrix)
         expected = np.linalg.inv(matrix.T @ matrix) @ matrix.T
-        assert np.allclose(estimator.operator, expected)
+        assert np.allclose(estimator.system.estimator, expected)
 
-    def test_rank_deficient_rejected_by_default(self):
+    def test_rank_deficient_gives_minimum_norm(self):
         mat = np.array([[1.0, 1.0]])
-        with pytest.raises(SingularSystemError):
-            LeastSquaresEstimator(mat)
-
-    def test_rank_deficient_allowed_explicitly(self):
-        mat = np.array([[1.0, 1.0]])
-        estimator = LeastSquaresEstimator(mat, require_full_rank=False)
+        estimator = _ls(mat)
+        assert not estimator.system.is_full_column_rank
         # Minimum-norm solution splits the sum evenly.
         assert np.allclose(estimator.estimate(np.array([4.0])), [2.0, 2.0])
 
     def test_degenerate_shapes_rejected(self):
         with pytest.raises(TomographyError):
-            LeastSquaresEstimator(np.zeros((0, 3)))
-        with pytest.raises(TomographyError):
-            LeastSquaresEstimator(np.zeros(4))
+            _ls(np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="2-D"):
+            _ls(np.zeros(4))
 
     def test_measurement_length_checked(self, fig1_scenario):
-        estimator = LeastSquaresEstimator(fig1_scenario.path_set.routing_matrix())
+        estimator = _ls(fig1_scenario.path_set.routing_matrix())
         with pytest.raises(ValidationError):
             estimator.estimate(np.ones(3))
 
