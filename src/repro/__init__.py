@@ -48,9 +48,7 @@ from repro.detection import (
 from repro.exceptions import (
     AttackConstraintError,
     AttackError,
-    ContractViolation,
     DetectionError,
-    IdentifiabilityError,
     InfeasibleAttackError,
     MeasurementError,
     MonitorPlacementError,
@@ -102,7 +100,6 @@ __all__ = [
     # exceptions
     "ReproError",
     "TopologyError",
-    "IdentifiabilityError",
     "MonitorPlacementError",
     "MeasurementError",
     "TomographyError",
@@ -111,7 +108,6 @@ __all__ = [
     "InfeasibleAttackError",
     "DetectionError",
     "ValidationError",
-    "ContractViolation",
     # topology
     "Link",
     "Topology",

@@ -14,13 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.contracts import (
-    check_constraint1,
-    check_routing_matrix,
-    contract,
-    contracts_enabled,
+from repro.attacks.constraints import (
+    attacker_links,
+    manipulable_paths,
+    validate_manipulation_vector,
 )
-from repro.attacks.constraints import attacker_links, manipulable_paths
 from repro.exceptions import AttackConstraintError, ValidationError
 from repro.metrics.states import StateThresholds
 from repro.routing.paths import PathSet
@@ -98,8 +96,6 @@ class AttackContext:
         self.margin = float(margin)
 
         self.routing_matrix = path_set.routing_matrix()
-        if contracts_enabled():
-            check_routing_matrix(self.routing_matrix, "routing_matrix")
         #: Shared SVD kernel: one factorisation of ``R`` backs the
         #: estimator operator, the residual projector, and any rank query.
         matrix = self.routing_matrix
@@ -191,20 +187,17 @@ class AttackContext:
             self._honest_measurements = self.routing_matrix @ self.true_metrics
         return self._honest_measurements
 
-    @contract(
-        lambda arguments: check_constraint1(
-            arguments["manipulation"],
-            arguments["self"].support,
-            arguments["self"].num_paths,
-        )
-    )
     def observed_measurements(self, manipulation: np.ndarray) -> np.ndarray:
         """``y' = y + m`` (eq. 3).
 
-        Under active contracts the manipulation is checked against
-        Constraint 1 (non-negative, supported only on attacker paths).
+        ``m`` must obey Constraint 1: finite, non-negative and zero on
+        every path without an attacker, each to within 1e-9
+        (:func:`~repro.attacks.constraints.validate_manipulation_vector`);
+        otherwise :class:`~repro.exceptions.AttackConstraintError`.  The
+        per-path cap is not checked here: an LP vertex may exceed it by
+        the solver's tolerance.
         """
-        m = check_finite_vector(manipulation, "manipulation", length=self.num_paths)
+        m = validate_manipulation_vector(manipulation, self.support, self.num_paths)
         return self.honest_measurements() + m
 
     def predicted_estimate(self, manipulation: np.ndarray) -> np.ndarray:
@@ -329,8 +322,13 @@ class AttackOutcome:
         status: str,
         extras: dict | None = None,
     ) -> "AttackOutcome":
-        """Build a successful outcome, deriving estimate and diagnosis."""
-        estimate = context.predicted_estimate(manipulation)
+        """Build a successful outcome, deriving estimate and diagnosis.
+
+        ``y'`` is built and validated once; the estimate is what
+        :meth:`AttackContext.predicted_estimate` returns for it.
+        """
+        observed = context.observed_measurements(manipulation)
+        estimate = context.estimator.estimate(observed)
         return cls(
             strategy=strategy,
             feasible=True,
@@ -339,7 +337,7 @@ class AttackOutcome:
             victim_links=tuple(sorted(victim_links)),
             predicted_estimate=estimate,
             diagnosis=diagnose(estimate, context.thresholds),
-            observed_measurements=context.observed_measurements(manipulation),
+            observed_measurements=observed,
             status=status,
             extras=extras or {},
         )

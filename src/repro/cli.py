@@ -227,7 +227,7 @@ def _cmd_info() -> int:
         ("repro.detection", "consistency detector, robust estimation"),
         ("repro.scenarios", "case studies and Monte-Carlo experiments"),
         ("repro.obs", "instrumentation: run logs, counters, manifests"),
-        ("repro.analysis", "lint rules and runtime algebra contracts"),
+        ("repro.analysis", "static analysis: per-file and whole-program rules"),
     ]
     for name, what in inventory:
         print(f"  {name:<20} {what}")

@@ -84,12 +84,6 @@ REGISTRY: dict[str, Knob] = {
             doc="directory for timestamped run logs when REPRO_OBS_PATH is unset",
         ),
         Knob(
-            name="REPRO_CONTRACTS",
-            kind="bool",
-            default=False,
-            doc="validate the y = R x algebra contracts at public entry points",
-        ),
-        Knob(
             name="REPRO_BACKEND",
             kind="choice",
             default="auto",

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.contracts import check_routing_matrix, contract
 from repro.exceptions import DetectionError
 from repro.tomography.estimator_zoo import resolve_estimator
-from repro.tomography.linear_system import LinearSystem, measurement_residual
+from repro.tomography.linear_system import LinearSystem
 
 __all__ = ["DetectionResult", "ConsistencyDetector"]
 
@@ -67,7 +66,6 @@ class ConsistencyDetector:
     :attr:`structurally_blind`.
     """
 
-    @contract(routing_matrix=check_routing_matrix)
     def __init__(
         self,
         routing_matrix: np.ndarray,
@@ -117,9 +115,9 @@ class ConsistencyDetector:
     def check(self, observed: np.ndarray) -> DetectionResult:
         """Run the detector on one observed measurement vector.
 
-        Estimate and residual both come from the shared kernel — under
-        the sparse backend this is two sparse matvecs per check, never a
-        dense operator.
+        The estimate comes from the shared kernel (matrix-free under the
+        sparse backend); the residual is one product with the detector's
+        dense ``R``, as in :meth:`check_batch`.
         """
         y = np.asarray(observed, dtype=float)
         if y.shape != (self._matrix.shape[0],):
@@ -129,7 +127,7 @@ class ConsistencyDetector:
         if not np.all(np.isfinite(y)):
             raise DetectionError("observed measurements must be finite")
         estimate = self.estimator.estimate(y)
-        residual = measurement_residual(self._matrix, estimate, y)
+        residual = self._matrix @ estimate - y
         residual_l1 = float(np.abs(residual).sum())
         return DetectionResult(
             detected=bool(residual_l1 > self.alpha),

@@ -18,7 +18,6 @@ __all__ = [
     "RoutingError",
     "InvalidPathError",
     "NoPathError",
-    "IdentifiabilityError",
     "MonitorPlacementError",
     "MeasurementError",
     "TomographyError",
@@ -28,7 +27,6 @@ __all__ = [
     "DetectionError",
     "SerializationError",
     "ValidationError",
-    "ContractViolation",
 ]
 
 
@@ -38,16 +36,6 @@ class ReproError(Exception):
 
 class ValidationError(ReproError, ValueError):
     """An argument failed validation (wrong shape, range, or type)."""
-
-
-class ContractViolation(ValidationError):
-    """A runtime algebra contract failed at a public entry point.
-
-    Raised by :mod:`repro.analysis.contracts` decorators (active under
-    pytest / ``REPRO_CONTRACTS=1``) when structural invariants of the
-    ``y = R x`` model are broken: a non-0/1 routing matrix, a manipulation
-    vector violating Constraint 1, or out-of-order state bands.
-    """
 
 
 class TopologyError(ReproError):
@@ -91,10 +79,6 @@ class NoPathError(RoutingError):
         self.target = target
 
 
-class IdentifiabilityError(RoutingError):
-    """The selected paths cannot identify the requested link metrics."""
-
-
 class MonitorPlacementError(ReproError):
     """Monitor placement failed (e.g. not enough nodes, no identifiable set)."""
 
@@ -127,7 +111,9 @@ class AttackConstraintError(AttackError, ValueError):
     """An attack specification violates a structural constraint.
 
     Examples: a victim link overlapping the attacker-controlled set
-    (violates eq. 7 of the paper), or an empty attacker set.
+    (violates eq. 7 of the paper), an empty attacker set, or a
+    manipulation vector that breaks Constraint 1 (a negative entry, or a
+    non-zero entry on a path without an attacker).
     """
 
 

@@ -21,11 +21,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.exceptions import IdentifiabilityError, NoPathError, ValidationError
+from repro.exceptions import NoPathError, ValidationError
 from repro.routing.ksp import all_simple_paths, k_shortest_paths
 from repro.routing.paths import MeasurementPath, PathSet
 from repro.topology.graph import NodeId, Topology
-from repro.utils.linalg import column_rank
 from repro.utils.rng import ensure_rng
 
 __all__ = [
@@ -150,7 +149,6 @@ def select_identifiable_paths(
     redundancy: int = 3,
     max_per_pair: int = 20,
     max_hops: int | None = None,
-    require_full_rank: bool = False,
     pair_budget: int | None = None,
     rng: object = None,
 ) -> PathSet:
@@ -163,10 +161,6 @@ def select_identifiable_paths(
     append up to ``redundancy`` additional distinct paths that do *not*
     increase rank — these redundant rows are what give the scapegoating
     detector its consistency checks.
-
-    Raises :class:`IdentifiabilityError` when ``require_full_rank`` is set
-    and the candidates cannot span all links (too few monitors, or monitors
-    badly placed).
     """
     if redundancy < 0:
         raise ValidationError(f"redundancy must be >= 0, got {redundancy}")
@@ -184,16 +178,6 @@ def select_identifiable_paths(
     shuffled = [candidates[i] for i in order]
 
     core = select_paths_rank_greedy(topology, shuffled)
-    if require_full_rank:
-        # Only pay for the rank check when the caller asked for the
-        # guarantee — the greedy core already tracks rank incrementally.
-        rank = column_rank(core.routing_matrix())
-        if rank < topology.num_links:
-            raise IdentifiabilityError(
-                f"monitors {list(monitors)!r} can only identify rank {rank} of "
-                f"{topology.num_links} links"
-            )
-
     chosen = {path.key() for path in core}
     extras_added = 0
     for path in shuffled:

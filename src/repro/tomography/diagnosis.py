@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.contracts import check_band_bounds, contract
 from repro.metrics.states import LinkState, StateThresholds, state_codes
 
 __all__ = ["DiagnosisReport", "diagnose"]
@@ -68,7 +67,6 @@ class DiagnosisReport:
         }
 
 
-@contract(thresholds=check_band_bounds)
 def diagnose(estimate: np.ndarray, thresholds: StateThresholds) -> DiagnosisReport:
     """Classify an estimated metric vector into a :class:`DiagnosisReport`."""
     values = np.asarray(estimate, dtype=float)

@@ -33,7 +33,6 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from repro.analysis.contracts import check_routing_matrix, contract
 from repro.exceptions import ValidationError
 from repro.obs import core as obs
 from repro.tomography.backends import (
@@ -80,9 +79,6 @@ class LinearSystem:
     never materialise a dense operator at all.
     """
 
-    # NOTE: no 0/1 contract here — the kernel is deliberately generic (the
-    # parity suite feeds it arbitrary dense matrices).  The routing-matrix
-    # contract sits on the tomography entry points that *mean* ``R``.
     def __init__(
         self,
         routing_matrix: np.ndarray,
@@ -400,7 +396,6 @@ class LinearSystem:
         return float(l1) if l1.ndim == 0 else l1
 
 
-@contract(routing_matrix=check_routing_matrix)
 def estimator_operator(routing_matrix: np.ndarray) -> np.ndarray:
     """The measurement-to-estimate operator ``R⁺`` (|L| x |P|).
 
@@ -415,7 +410,6 @@ def estimator_operator(routing_matrix: np.ndarray) -> np.ndarray:
     return LinearSystem(routing_matrix).estimator
 
 
-@contract(routing_matrix=check_routing_matrix)
 def measurement_residual(
     routing_matrix: np.ndarray, estimate: np.ndarray, observed: np.ndarray
 ) -> np.ndarray:

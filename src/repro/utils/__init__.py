@@ -2,7 +2,6 @@
 
 from repro.utils.linalg import (
     column_rank,
-    is_full_column_rank,
     nullspace,
     projector_onto_column_space,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "ensure_rng",
     "spawn_rngs",
     "column_rank",
-    "is_full_column_rank",
     "nullspace",
     "projector_onto_column_space",
     "check_finite_vector",

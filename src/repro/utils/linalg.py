@@ -5,12 +5,12 @@ tolerance conventions used throughout the tomography and attack code.  The
 routing matrices produced by this library are small dense 0/1 matrices, so
 dense SVD-based routines are appropriate.
 
-Everything rank-related funnels through :func:`compact_svd` — one SVD with
-one cutoff convention — so the derived operators (pseudo-inverse,
-projectors, nullspace) are mutually consistent.  Callers that need several
-operators of the *same* matrix should use
-:class:`repro.tomography.linear_system.LinearSystem`, which factorises
-once and derives them all from the shared factors.
+Every rank decision, :func:`column_rank`'s included, uses the one cutoff
+convention of :func:`compact_svd`, and the derived operators
+(pseudo-inverse, projectors, nullspace) come from its one SVD, so they are
+mutually consistent.  Callers that need several operators of the *same*
+matrix should use :class:`repro.tomography.linear_system.LinearSystem`,
+which factorises once and derives them all from the shared factors.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.obs import core as obs
 __all__ = [
     "column_rank",
     "compact_svd",
-    "is_full_column_rank",
     "nullspace",
     "projector_onto_column_space",
     "DEFAULT_RANK_TOL",
@@ -58,34 +57,28 @@ def compact_svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     # economy factorisation would truncate the right-singular basis needed
     # for the nullspace.
     u, s, vt = np.linalg.svd(mat, full_matrices=m < n)
-    cutoff = DEFAULT_RANK_TOL * max(m, n) * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > cutoff))
-    return u, s, vt, rank
+    return u, s, vt, _rank(s, mat.shape)
 
 
-def column_rank(matrix: np.ndarray, tol: float | None = None) -> int:
+def _rank(s: np.ndarray, shape: tuple[int, int]) -> int:
+    """How many of the descending singular values ``s`` of an ``m x n``
+    matrix exceed ``DEFAULT_RANK_TOL * max(m, n) * s_max``."""
+    cutoff = DEFAULT_RANK_TOL * max(shape) * (s[0] if s.size else 1.0)
+    return int(np.sum(s > cutoff))
+
+
+def column_rank(matrix: np.ndarray) -> int:
     """Return the numerical rank of ``matrix``.
 
-    ``tol`` is an absolute singular-value threshold; when ``None`` numpy's
-    default (machine-precision scaled) threshold is used.
+    Counts singular values above :func:`compact_svd`'s cutoff, so it
+    agrees with :attr:`repro.tomography.linear_system.LinearSystem.rank`
+    on a dense system; no singular vectors are computed.
     """
     mat = _as_matrix(matrix)
     if mat.size == 0:
         return 0
     obs.counter("svd")
-    return int(np.linalg.matrix_rank(mat, tol=tol))
-
-
-def is_full_column_rank(matrix: np.ndarray, tol: float | None = None) -> bool:
-    """True when ``matrix`` has linearly independent columns.
-
-    A routing matrix with full column rank makes every link metric
-    identifiable from path measurements (eq. 2 of the paper is well posed).
-    """
-    mat = _as_matrix(matrix)
-    if mat.shape[1] == 0:
-        return True
-    return column_rank(mat, tol=tol) == mat.shape[1]
+    return _rank(np.linalg.svd(mat, compute_uv=False), mat.shape)
 
 
 def pinv_from_svd(

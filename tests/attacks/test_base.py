@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.attacks.base import AttackContext, AttackOutcome
+from repro.attacks.constraints import validate_manipulation_vector
 from repro.exceptions import AttackConstraintError, ValidationError
 from repro.metrics.states import StateThresholds
 from repro.tomography.estimator_zoo import resolve_estimator
@@ -92,6 +93,57 @@ class TestAttackContext:
         assert context.thresholds == StateThresholds()
 
 
+class TestConstraint1:
+    """``observed_measurements`` checks Constraint 1 on every call, in
+    production as under pytest, to within 1e-9."""
+
+    @staticmethod
+    def _off_support(context) -> int:
+        return next(i for i in range(context.num_paths) if i not in context.support)
+
+    def test_off_support_manipulation_rejected(self, fig1_context):
+        m = np.zeros(fig1_context.num_paths)
+        m[self._off_support(fig1_context)] = 50.0
+        with pytest.raises(AttackConstraintError, match="contains no attacker"):
+            fig1_context.observed_measurements(m)
+
+    def test_negative_manipulation_rejected(self, fig1_context):
+        m = np.zeros(fig1_context.num_paths)
+        m[fig1_context.support[0]] = -5.0
+        with pytest.raises(AttackConstraintError, match="non-negative"):
+            fig1_context.observed_measurements(m)
+
+    def test_supported_manipulation_accepted(self, fig1_context):
+        m = np.zeros(fig1_context.num_paths)
+        m[list(fig1_context.support)] = 100.0
+        observed = fig1_context.observed_measurements(m)
+        assert observed.shape == (fig1_context.num_paths,)
+        assert np.array_equal(observed, fig1_context.honest_measurements() + m)
+
+    def test_solver_roundoff_tolerated(self, fig1_context):
+        m = np.zeros(fig1_context.num_paths)
+        m[fig1_context.support[0]] = -1e-9
+        m[self._off_support(fig1_context)] = 1e-9
+        fig1_context.observed_measurements(m)
+        m[fig1_context.support[0]] = -1e-8
+        with pytest.raises(AttackConstraintError):
+            fig1_context.observed_measurements(m)
+
+    def test_cap_is_not_checked(self, fig1_context):
+        """An LP vertex may exceed the cap by the solver's tolerance."""
+        m = np.zeros(fig1_context.num_paths)
+        m[fig1_context.support[0]] = fig1_context.cap + 1e-6
+        fig1_context.observed_measurements(m)
+
+    def test_wrong_length_and_non_finite_rejected(self, fig1_context):
+        with pytest.raises(AttackConstraintError, match="shape"):
+            fig1_context.observed_measurements(np.zeros(fig1_context.num_paths - 1))
+        m = np.zeros(fig1_context.num_paths)
+        m[fig1_context.support[0]] = np.nan
+        with pytest.raises(AttackConstraintError, match="finite"):
+            fig1_context.observed_measurements(m)
+
+
 class TestInjectedSystem:
     """An injected kernel must be built over the path set's own ``R``."""
 
@@ -157,3 +209,18 @@ class TestAttackOutcome:
         assert np.allclose(
             outcome.observed_measurements, context.observed_measurements(m)
         )
+
+    def test_from_manipulation_validates_once(self, fig1_context, monkeypatch):
+        """``y'`` is built once; the estimate is ``predicted_estimate``'s."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return validate_manipulation_vector(*args, **kwargs)
+
+        m = np.zeros(fig1_context.num_paths)
+        m[list(fig1_context.support)] = 10.0
+        monkeypatch.setattr("repro.attacks.base.validate_manipulation_vector", counting)
+        outcome = AttackOutcome.from_manipulation("test", fig1_context, m, (9,), "ok")
+        assert len(calls) == 1
+        assert np.array_equal(outcome.predicted_estimate, fig1_context.predicted_estimate(m))

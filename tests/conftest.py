@@ -13,7 +13,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.analysis.contracts import disable_contracts, enable_contracts
 from repro.attacks.lp import BandConstraints, IncrementalLpSolver, solve_manipulation_lp
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.simple_network import paper_fig1_scenario
@@ -23,19 +22,6 @@ from repro.topology.generators.simple import (
     ladder_topology,
     paper_example_network,
 )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _contracts_active():
-    """Run the whole suite with the algebra contracts validating.
-
-    Production keeps the decorators as no-ops; under pytest every public
-    entry point checks its ``y = R x`` invariants (0/1 routing matrices,
-    Constraint-1 manipulation support, ordered state bands).
-    """
-    enable_contracts()
-    yield
-    disable_contracts()
 
 
 @pytest.fixture()

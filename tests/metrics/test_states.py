@@ -28,6 +28,12 @@ class TestThresholds:
         with pytest.raises(ValidationError):
             StateThresholds(lower=float("nan"), upper=5.0)
 
+    def test_out_of_order_bands_rejected(self):
+        """Band order is checked once, when the bands are built, so
+        ``diagnose`` never sees ``b_u < b_l``."""
+        with pytest.raises(ValidationError, match="must be >= lower bound"):
+            StateThresholds(lower=800.0, upper=100.0)
+
     def test_two_state_factory(self):
         t = StateThresholds.two_state(100.0)
         assert t.is_two_state

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import IdentifiabilityError, ValidationError
+from repro.exceptions import ValidationError
 from repro.routing.paths import MeasurementPath
 from repro.routing.selection import (
     enumerate_candidate_paths,
@@ -127,12 +127,6 @@ class TestSelectIdentifiable:
         a = select_identifiable_paths(topo, ["M1", "M2", "M3"], rng=5)
         b = select_identifiable_paths(topo, ["M1", "M2", "M3"], rng=5)
         assert [p.nodes for p in a] == [p.nodes for p in b]
-
-    def test_require_full_rank_raises_when_impossible(self):
-        # Two monitors at the ends of a path cannot separate interior links.
-        topo = path_topology(4)
-        with pytest.raises(IdentifiabilityError):
-            select_identifiable_paths(topo, [0, 3], require_full_rank=True, rng=0)
 
     def test_partial_rank_tolerated_by_default(self):
         topo = path_topology(4)

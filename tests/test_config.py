@@ -13,7 +13,6 @@ KNOWN_KNOBS = {
     "REPRO_OBS",
     "REPRO_OBS_PATH",
     "REPRO_OBS_DIR",
-    "REPRO_CONTRACTS",
     "REPRO_BACKEND",
     "REPRO_ESTIMATOR",
 }
@@ -82,7 +81,7 @@ class TestTypedAccessors:
     def test_reads_happen_at_call_time(self, monkeypatch):
         """Monkeypatching after import must take effect — no import-time
         caching of environment values."""
-        monkeypatch.setenv("REPRO_CONTRACTS", "1")
-        assert config.get_bool("REPRO_CONTRACTS") is True
-        monkeypatch.setenv("REPRO_CONTRACTS", "0")
-        assert config.get_bool("REPRO_CONTRACTS") is False
+        monkeypatch.setenv("REPRO_OBS", "1")
+        assert config.get_bool("REPRO_OBS") is True
+        monkeypatch.setenv("REPRO_OBS", "0")
+        assert config.get_bool("REPRO_OBS") is False

@@ -19,7 +19,7 @@ class TestHierarchy:
 
     def test_routing_error_is_the_routing_family_base(self):
         """``except RoutingError`` must catch every routing failure mode."""
-        for name in ("InvalidPathError", "NoPathError", "IdentifiabilityError"):
+        for name in ("InvalidPathError", "NoPathError"):
             assert issubclass(getattr(exceptions, name), exceptions.RoutingError)
 
     def test_node_not_found_is_key_error(self):

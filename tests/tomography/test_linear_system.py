@@ -175,6 +175,10 @@ class TestEstimatorOperator:
         matrix = fig1_scenario.path_set.routing_matrix()
         assert estimator_operator(matrix).shape == (matrix.shape[1], matrix.shape[0])
 
+    def test_binary_matrix_accepted(self):
+        matrix = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        assert estimator_operator(matrix).shape == (3, 2)
+
 
 class TestResidual:
     def test_consistent_measurements_have_zero_residual(self, fig1_scenario):

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from repro.tomography.linear_system import LinearSystem
 from repro.utils.linalg import (
     column_rank,
-    is_full_column_rank,
     nullspace,
     projector_onto_column_space,
 )
@@ -33,17 +32,25 @@ class TestColumnRank:
         with pytest.raises(ValueError):
             column_rank(np.zeros(3))
 
+    def test_shares_the_kernel_cutoff(self):
+        """A singular value below ``DEFAULT_RANK_TOL * max(m, n) * s_max``
+        does not count, exactly as in ``LinearSystem.rank``."""
+        mat = np.diag([1.0, 1.0, 1e-12])
+        assert column_rank(mat) == LinearSystem(mat).rank == 2
+
 
 class TestFullColumnRank:
+    # The identifiability test now exists only as
+    # ``LinearSystem.is_full_column_rank``, under the kernel's cutoff.
     def test_tall_full_rank(self):
         mat = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        assert is_full_column_rank(mat)
+        assert LinearSystem(mat).is_full_column_rank
 
     def test_wide_matrix_never_full(self):
-        assert not is_full_column_rank(np.ones((2, 3)))
+        assert not LinearSystem(np.ones((2, 3))).is_full_column_rank
 
     def test_no_columns_vacuously_true(self):
-        assert is_full_column_rank(np.zeros((3, 0)))
+        assert LinearSystem(np.zeros((3, 0))).is_full_column_rank
 
 
 class TestPinv:
