@@ -494,7 +494,7 @@ class SparseBackend:
 
     # -- incremental evolution (LinearSystem.evolve seam) ------------------
 
-    def seed_evolution(self, target, remove_indices, add_rows) -> bool:
+    def seed_evolution(self, target, remove_indices, add_rows) -> dict | None:
         """Install an incrementally patched Cholesky into ``target``.
 
         ``target`` is the fresh sparse backend of the evolved
@@ -510,19 +510,22 @@ class SparseBackend:
           the factor with ``b``, the dot products of ``target.matrix``'s
           leading rows — the rows live at that step — with the new row.
 
-        Only the certified-Cholesky regime evolves: the LSMR
-        (rank-deficient) regime has no factor to patch, and a system that
-        was never solved has nothing worth carrying over.  On success the
+        Only the certified-Cholesky regime evolves.  On success the
         target's ``_cholesky`` and ``_rank`` caches are pre-seeded (full
         small-side rank, certified below), so its first estimate pays no
-        ``cho_factor``; its ``matrix_t`` stays lazy.  Returns ``False``
-        for a cold rebuild whenever the chain leaves the certified
-        regime: no factor to evolve from, a failed downdate or append, a
-        small-side orientation flip, or a final round-trip probe out of
-        tolerance.
+        ``cho_factor``; its ``matrix_t`` stays lazy.  Returns ``None``
+        then, and otherwise ``{"reason": step}`` for a cold rebuild, where
+        ``step`` left the certified chain: ``unwarmed`` (no factor yet),
+        ``rank_deficient`` (an LSMR parent has no factor to patch),
+        ``orientation_flip`` (the small side changes), ``exhausted_pivot``
+        (a failed tall downdate), ``dependent_row`` (a failed append or
+        replace) or ``certification`` (the final round-trip probe, whose
+        maximum error is added as ``probe_error``).
         """
-        if self.__dict__.get("_cholesky") is None:
-            return False
+        if "_cholesky" not in self.__dict__:
+            return {"reason": "unwarmed"}
+        if self._cholesky is None:
+            return {"reason": "rank_deficient"}
         chol = self._cholesky[0]
         evolved = target.matrix
         if remove_indices or add_rows:
@@ -537,18 +540,18 @@ class SparseBackend:
                 b = (evolved @ row)[: m - 1]
                 chol = cholesky_replace(chol, index, b, float(row @ row))
                 if chol is None:
-                    return False
+                    return {"reason": "dependent_row"}
                 removals, additions = [], []
             for index in removals:
                 if m >= n:
                     # Tall: hyperbolic downdate of the R^T R factor, which
                     # fails when the removal exhausts a pivot.
                     if m - 1 < n:
-                        return False
+                        return {"reason": "orientation_flip"}
                     row = self.matrix[index].toarray().ravel()
                     chol = cholesky_downdate(chol, row)
                     if chol is None:
-                        return False
+                        return {"reason": "exhausted_pivot"}
                 else:
                     # Wide: drop one dimension of the R R^T factor.
                     chol = cholesky_delete(chol, index)
@@ -560,20 +563,21 @@ class SparseBackend:
                 else:
                     # Wide: border the R R^T factor by one dimension.
                     if m + 1 >= n:
-                        return False
+                        return {"reason": "orientation_flip"}
                     b = (evolved @ row)[:m]
                     chol = cholesky_append(chol, b, float(row @ row))
                     if chol is None:
-                        return False
+                        return {"reason": "dependent_row"}
                 m += 1
-            if not self._certify_state(evolved, chol):
-                return False
+            probe_error = self._certify_state(evolved, chol)
+            if probe_error is not None:
+                return {"reason": "certification", "probe_error": probe_error}
         target._cholesky = (chol, False)
         target._rank = min(evolved.shape)
-        return True
+        return None
 
     @staticmethod
-    def _certify_state(matrix, chol) -> bool:
+    def _certify_state(matrix, chol) -> float | None:
         """Probe the patched factor against the evolved matrix itself.
 
         The round trip ``chol^{-T} chol^{-1} (G p)`` — with ``G p``
@@ -581,24 +585,23 @@ class SparseBackend:
         not any incrementally maintained copy — bounds the accumulated
         drift of the whole update chain in one shot; the pivot floor
         rejects factors that survived the chain numerically but are too
-        ill-conditioned to solve with.
+        ill-conditioned to solve with.  Returns ``None`` when the factor
+        is certified, and otherwise the probe's maximum error (infinite
+        when the factor is empty or fails the pivot floor).
         """
         m, n = matrix.shape
         k = chol.shape[0]
-        if k == 0 or min(m, n) != k:
-            return False
         diag = np.abs(np.diagonal(chol))
-        if diag.min() <= 1e-12 * max(diag.max(), 1.0):
-            return False
+        if k == 0 or min(m, n) != k or diag.min() <= 1e-12 * max(diag.max(), 1.0):
+            return np.inf
         p = np.cos(np.arange(k, dtype=float))
         if m >= n:
             rhs = matrix.T @ (matrix @ p)
         else:
             rhs = matrix @ (matrix.T @ p)
         back = scipy.linalg.cho_solve((chol, False), rhs, check_finite=False)
-        if float(np.abs(back - p).max()) > 1e-8 * max(1.0, float(np.abs(p).max())):
-            return False
-        return True
+        error = float(np.abs(back - p).max())  # max |p| = cos(0) = 1
+        return error if error > 1e-8 else None
 
     # -- irreducibly dense operators (exact dense fallback) ---------------
 

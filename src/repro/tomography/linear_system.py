@@ -155,21 +155,16 @@ class LinearSystem:
         order.  The evolved system is a fresh :class:`LinearSystem` (same
         backend pinned) over a new ``R`` in this system's storage form:
         on the sparse backend, one CSR stacked from this system's kept
-        rows and the added rows, never a dense copy.  On the sparse backend its Gram Cholesky factor is
-        seeded by rank-1 update/downdate of this system's factor whenever
-        the incremental chain can be certified — the cold factorization
-        then never runs.
-        Chains that cannot be certified (no cached factor yet, a
-        rank-deficient parent, a degenerate downdate, a dependent added
-        row, a small-side orientation flip) fall back transparently: the
-        returned system simply factorizes cold on first use.  A dense
-        evolved system always does — one SVD on first use, which on the
-        paper's scenarios costs less than patching and gives the rank
-        exactly.
-
-        The result's ``evolved_incrementally`` attribute records which
-        path was taken; a ``system_evolve`` obs event is emitted either
-        way.  This system is never mutated.
+        rows and the added rows, never a dense copy.  A sparse evolve
+        patches this system's Gram Cholesky factor when the chain can be
+        certified; otherwise, and always on the dense backend, the
+        returned system factorizes cold on first use (at the paper's
+        scale one dense SVD costs less than patching, and gives the rank
+        exactly).  ``evolved_incrementally`` records which path ran, and
+        the ``system_evolve`` obs event's ``reason`` says why a rebuild
+        is cold: ``dense``, or the step named by
+        :meth:`~repro.tomography.backends.SparseBackend.seed_evolution`
+        (``None`` when incremental).  This system is never mutated.
         """
         matrix = self._backend.matrix
         m, n = matrix.shape
@@ -197,10 +192,12 @@ class LinearSystem:
         new_system = LinearSystem(evolved, backend=self.backend_name)
         with obs.span("system_evolve"):
             obs.counter("system_evolve")
-            incremental = self.backend_name == "sparse" and (
+            fallback = (
                 self._backend.seed_evolution(new_system._backend, removals, added)
+                if self.backend_name == "sparse"
+                else {"reason": "dense"}
             )
-        new_system.evolved_incrementally = incremental
+        new_system.evolved_incrementally = fallback is None
         if obs.is_enabled():
             obs.event(
                 "system_evolve",
@@ -208,8 +205,9 @@ class LinearSystem:
                 rows_added=len(added),
                 paths=new_system.num_paths,
                 links=new_system.num_links,
-                incremental=incremental,
+                incremental=fallback is None,
                 backend=new_system.backend_name,
+                **(fallback or {"reason": None}),
             )
         return new_system
 

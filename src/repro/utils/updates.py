@@ -8,14 +8,11 @@ order ``k``; these kernels patch its upper-triangular Cholesky factor in
 ``O(k^2)`` instead:
 
 - :func:`cholesky_update` / :func:`cholesky_downdate` apply a rank-1
-  correction ``G +/- w w^T`` (Givens rotations for the update,
-  hyperbolic rotations for the downdate);
+  correction ``G +/- w w^T`` (one compiled QR row insertion for the
+  update, hyperbolic rotations for the downdate);
 - :func:`cholesky_append` / :func:`cholesky_delete` grow or shrink the
   factor by one dimension, and :func:`cholesky_replace` fuses a delete
   with an append — the moves the Gram factor needs under path churn.
-
-The dense backend has no incremental path: a dense evolved system runs
-one cold SVD on first use.
 
 Downdates and appends are not unconditionally stable: a hyperbolic
 rotation can hit a non-positive pivot, and a bordered Schur complement
@@ -44,32 +41,35 @@ __all__ = [
 _PIVOT_TOL = 1e-12
 
 
+def _insert_row(factor: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Upper factor of ``U^T U + w w^T`` as a view; emits no obs record.
+
+    One compiled ``qr_insert`` (Givens rotations only, so backward
+    stable) appends the row ``w^T`` to the QR factorization ``U = I U``.
+    Rows with a negative diagonal are negated, which keeps ``R^T R``; the
+    zero last row of the ``(k + 1) x k`` result is sliced off.
+    """
+    k = factor.shape[0]
+    _, r = scipy.linalg.qr_insert(
+        np.eye(k), factor, w, k, which="row", check_finite=False
+    )
+    r = r[:k]
+    r[np.diagonal(r) < 0.0] *= -1.0
+    return r
+
+
 def cholesky_update(factor: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Upper factor of ``U^T U + w w^T`` via Givens rotations.
+    """Upper factor of ``U^T U + w w^T``, by one QR row insertion.
 
     Unconditionally stable (adding ``w w^T`` keeps the Gram positive
     definite), so unlike the downdate this never returns ``None``.
     ``factor`` must be a clean upper triangle; the input is not mutated.
-    Memory order is preserved (``order="K"``) so Fortran-ordered factors
-    stay copy-free for LAPACK solves downstream.
+    The result is a clean upper triangle in Fortran order, so LAPACK
+    solves downstream run copy-free.
     """
-    u_new = np.array(factor, dtype=float, order="K")
-    work = np.asarray(w, dtype=float).copy()
-    k = u_new.shape[0]
     with obs.span("cholesky_update"):
         obs.counter("cholesky_update")
-        for j in range(k):
-            a = u_new[j, j]
-            b = work[j]
-            r = float(np.hypot(a, b))
-            if r == 0.0:
-                continue
-            c, sn = a / r, b / r
-            row = u_new[j, j:].copy()
-            tail = work[j:]
-            u_new[j, j:] = c * row + sn * tail
-            work[j:] = c * tail - sn * row
-    return u_new
+        return np.asfortranarray(_insert_row(factor, w))
 
 
 def cholesky_downdate(factor: np.ndarray, w: np.ndarray) -> np.ndarray | None:
@@ -111,8 +111,8 @@ def cholesky_append(
     verbatim in the result.
     """
     k = factor.shape[0]
-    with obs.span("cholesky_update"):
-        obs.counter("cholesky_update")
+    with obs.span("cholesky_append"):
+        obs.counter("cholesky_append")
         if k:
             wv = scipy.linalg.solve_triangular(
                 factor, b, trans="T", check_finite=False
@@ -145,33 +145,29 @@ def cholesky_replace(
     must be a clean upper triangle.
     """
     k = factor.shape[0]
-    with obs.span("cholesky_update"):
-        obs.counter("cholesky_update")
-        trailing = cholesky_update(
+    with obs.span("cholesky_replace"):
+        obs.counter("cholesky_replace")
+        trailing = _insert_row(
             factor[index + 1 :, index + 1 :], factor[index, index + 1 :]
         )
         u_new = np.zeros((k, k), order="F")
         u_new[:index, :index] = factor[:index, :index]
         u_new[:index, index : k - 1] = factor[:index, index + 1 :]
         u_new[index : k - 1, index : k - 1] = trailing
-        if k > 1:
-            # Solve against the FULL k x k triangle with the rhs padded
-            # by a zero: forward substitution never lets the last
-            # equation feed back into the first k - 1 components, so
-            # w[:k-1] equals the leading-block solution while the full
-            # Fortran-contiguous factor keeps LAPACK copy-free (a sliced
-            # leading block would force a 50 MB re-pack at ISP scale).
-            u_new[k - 1, k - 1] = 1.0
-            padded = np.empty(k)
-            padded[: k - 1] = b
-            padded[k - 1] = 0.0
-            wv = scipy.linalg.solve_triangular(
-                u_new, padded, trans="T", check_finite=False
-            )[: k - 1]
-            gamma2 = float(d) - float(wv @ wv)
-        else:
-            wv = np.zeros(0)
-            gamma2 = float(d)
+        # Solve against the FULL k x k triangle with the rhs padded by a
+        # zero: forward substitution never lets the last equation feed
+        # back into the first k - 1 components, so w[:k-1] equals the
+        # leading-block solution while the full Fortran-contiguous factor
+        # keeps LAPACK copy-free (a sliced leading block would force a
+        # 50 MB re-pack at ISP scale).  At k = 1, w is empty.
+        u_new[k - 1, k - 1] = 1.0
+        padded = np.empty(k)
+        padded[: k - 1] = b
+        padded[k - 1] = 0.0
+        wv = scipy.linalg.solve_triangular(
+            u_new, padded, trans="T", check_finite=False
+        )[: k - 1]
+        gamma2 = float(d) - float(wv @ wv)
         if gamma2 <= _PIVOT_TOL * max(float(d), 1.0):
             return None
         u_new[: k - 1, k - 1] = wv
@@ -189,9 +185,9 @@ def cholesky_delete(factor: np.ndarray, index: int) -> np.ndarray:
     its leading blocks are copied verbatim into the result.
     """
     k = factor.shape[0]
-    with obs.span("cholesky_downdate"):
-        obs.counter("cholesky_downdate")
-        trailing = cholesky_update(
+    with obs.span("cholesky_delete"):
+        obs.counter("cholesky_delete")
+        trailing = _insert_row(
             factor[index + 1 :, index + 1 :], factor[index, index + 1 :]
         )
         u_new = np.zeros((k - 1, k - 1), order="F")

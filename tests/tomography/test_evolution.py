@@ -9,7 +9,8 @@ and nullspace span to 1e-8, on both backends, in both the tall
 (paths >= links) and wide (paths < links) regimes.  The hypothesis suite
 drives random churn chains through both constructions and compares;
 white-box perf-counter tests pin down which path ran, and one case per
-fallback forces the sparse chain back to a cold build.
+fallback forces the sparse chain back to a cold build and checks the
+reason the ``system_evolve`` event gives for it.
 """
 
 import numpy as np
@@ -18,8 +19,10 @@ import scipy.sparse
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.exceptions import ValidationError
-from repro.obs import PerfRecorder, recording
+from repro.obs import PerfRecorder, read_events, recording
+from repro.tomography import backends
 from repro.tomography.linear_system import LinearSystem
 
 PARITY_TOL = 1e-8
@@ -53,6 +56,18 @@ def _wrap(matrix: np.ndarray, backend: str):
     if backend == "sparse":
         return scipy.sparse.csr_matrix(matrix)
     return matrix
+
+
+def _evolve_logged(system: LinearSystem, log_path, **churn) -> tuple:
+    """Evolve under a run log; return the evolved system and its event."""
+    with obs.enabled(log_path):
+        evolved = system.evolve(**churn)
+    (event,) = [
+        r
+        for r in read_events(log_path)
+        if r["kind"] == "event" and r["name"] == "system_evolve"
+    ]
+    return evolved, event
 
 
 def _assert_parity(evolved: LinearSystem, cold: LinearSystem, seed: int) -> None:
@@ -145,29 +160,39 @@ class TestEvolveParity:
 class TestEvolveFastPath:
     """White-box: the rank-1 kernels actually ran (no silent cold rebuilds)."""
 
-    def test_sparse_replace_is_incremental(self):
+    def test_sparse_replace_is_incremental(self, tmp_path):
         base = _incidence(10, 20, 5, 7)
         system = LinearSystem(scipy.sparse.csr_matrix(base), backend="sparse")
         system.rank
         (row,) = _random_rows(1, 20, 5, 8)
         with recording(PerfRecorder()) as recorder:
-            evolved = system.evolve(remove_indices=[3], add_rows=[row])
+            evolved, event = _evolve_logged(
+                system, tmp_path / "run.jsonl", remove_indices=[3], add_rows=[row]
+            )
         assert evolved.evolved_incrementally
+        assert event["incremental"] and event["reason"] is None
         assert recorder.counters["system_evolve"] == 1
-        assert recorder.counters["cholesky_update"] >= 1
+        # One fused replace, counted once: no nested update or delete.
+        assert recorder.counters["cholesky_replace"] == 1
+        assert sum(
+            n for name, n in recorder.counters.items() if name.startswith("cholesky_")
+        ) == 1
         # The evolved system serves estimates without ever cold-factorizing.
         with recording(PerfRecorder()) as recorder:
             evolved.estimate(np.ones(evolved.num_paths))
         assert recorder.counters.get("gram_cholesky", 0) == 0
 
-    def test_dense_evolve_refactorizes_cold(self):
+    def test_dense_evolve_refactorizes_cold(self, tmp_path):
         base = _incidence(12, 8, 4, 11)
         system = LinearSystem(base, backend="dense")
         system.rank
         (row,) = _random_rows(1, 8, 4, 12)
         with recording(PerfRecorder()) as recorder:
-            evolved = system.evolve(remove_indices=[2], add_rows=[row])
+            evolved, event = _evolve_logged(
+                system, tmp_path / "run.jsonl", remove_indices=[2], add_rows=[row]
+            )
         assert evolved.evolved_incrementally is False
+        assert event["reason"] == "dense"
         assert recorder.counters["system_evolve"] == 1
         assert recorder.counters.get("svd", 0) == 0
         # The evolved system pays exactly one SVD, on first use.
@@ -198,25 +223,32 @@ class TestEvolveFastPath:
 #: A wide 4 x 9 incidence matrix of full row rank.
 _WIDE = _incidence(4, 9, 3, 21)
 
-#: Sparse chains that must fall back cold:
-#: ``name -> (parent matrix, warm the parent?, remove_indices, add_rows)``.
+#: Sparse chains that must fall back cold: ``name -> (parent matrix, warm
+#: the parent?, remove_indices, add_rows, the reason evolve reports)``.
 FALLBACK_CASES = {
     # No Gram factor has been computed yet.
-    "unwarmed-parent": (_WIDE, False, [0], []),
+    "unwarmed-parent": (_WIDE, False, [0], [], "unwarmed"),
     # A duplicated row leaves R R^T singular: the parent solves by LSMR.
-    "lsmr-parent": (np.vstack([_WIDE, _WIDE[:1]]), True, [1], []),
+    "lsmr-parent": (
+        np.vstack([_WIDE, _WIDE[:1]]), True, [1], [], "rank_deficient"
+    ),
     # 6 x 6 -> 5 x 6: the small side flips from R^T R to R R^T.
-    "tall-to-wide-flip": (np.eye(6) + np.eye(6, k=1), True, [2], []),
+    "tall-to-wide-flip": (
+        np.eye(6) + np.eye(6, k=1), True, [2], [], "orientation_flip"
+    ),
     # 5 x 6 -> 6 x 6: the small side flips from R R^T to R^T R.
     "wide-to-tall-flip": (
-        np.eye(5, 6) + np.eye(5, 6, k=1), True, [], [np.eye(6)[5]]
+        np.eye(5, 6) + np.eye(5, 6, k=1), True, [], [np.eye(6)[5]],
+        "orientation_flip",
     ),
     # A copy of a live row borders R R^T with a zero Schur complement.
-    "dependent-append": (_WIDE, True, [], [_WIDE[0]]),
+    "dependent-append": (_WIDE, True, [], [_WIDE[0]], "dependent_row"),
     # The same, through the fused one-out / one-in replace.
-    "dependent-replace": (_WIDE, True, [3], [_WIDE[0]]),
+    "dependent-replace": (_WIDE, True, [3], [_WIDE[0]], "dependent_row"),
     # [I_6; e_1] minus row 1 (e_2) drives the second pivot to zero.
-    "exhausted-pivot": (np.vstack([np.eye(6), np.eye(6)[:1]]), True, [1], []),
+    "exhausted-pivot": (
+        np.vstack([np.eye(6), np.eye(6)[:1]]), True, [1], [], "exhausted_pivot"
+    ),
 }
 
 
@@ -224,17 +256,47 @@ class TestSparseFallback:
     """Every way out of the certified sparse chain ends in a cold build."""
 
     @pytest.mark.parametrize("case", list(FALLBACK_CASES))
-    def test_falls_back_to_a_cold_build(self, case):
-        base, warm, removals, additions = FALLBACK_CASES[case]
+    def test_falls_back_to_a_cold_build(self, case, tmp_path):
+        base, warm, removals, additions, reason = FALLBACK_CASES[case]
         system = LinearSystem(scipy.sparse.csr_matrix(base), backend="sparse")
         if warm:
             system.rank
-        evolved = system.evolve(remove_indices=removals, add_rows=additions)
+        evolved, event = _evolve_logged(
+            system,
+            tmp_path / "run.jsonl",
+            remove_indices=removals,
+            add_rows=additions,
+        )
         assert evolved.evolved_incrementally is False
+        assert not event["incremental"]
+        assert event["reason"] == reason
+        assert "probe_error" not in event
         cold = LinearSystem(
             scipy.sparse.csr_matrix(evolved.matrix), backend="sparse"
         )
         _assert_parity(evolved, cold, 5)
+
+    def test_failed_probe_falls_back_with_its_error(self, tmp_path, monkeypatch):
+        """A patched factor off by 1e-6 fails the 1e-8 round-trip probe."""
+        replace = backends.cholesky_replace
+        monkeypatch.setattr(
+            backends,
+            "cholesky_replace",
+            lambda *args: replace(*args) * (1.0 + 1e-6),
+        )
+        system = LinearSystem(scipy.sparse.csr_matrix(_WIDE), backend="sparse")
+        system.rank
+        (row,) = _random_rows(1, 9, 3, 22)
+        evolved, event = _evolve_logged(
+            system, tmp_path / "run.jsonl", remove_indices=[1], add_rows=[row]
+        )
+        assert evolved.evolved_incrementally is False
+        assert event["reason"] == "certification"
+        assert 1e-8 < event["probe_error"] < 1e-4
+        cold = LinearSystem(
+            scipy.sparse.csr_matrix(evolved.matrix), backend="sparse"
+        )
+        _assert_parity(evolved, cold, 6)
 
 
 class TestEvolveValidation:
