@@ -674,7 +674,7 @@ class IncrementalLpSolver:
         """Lazily solve one LP per override mapping, sharing all warm state.
 
         Candidate scans consume this instead of calling :meth:`solve` in
-        a loop: the presolve capacities and the warm-started model basis
+        a loop: the presolve pruner's capacities and the warm model's basis
         carry across iterations.  The generator is lazy, so
         ``stop_at_first_feasible`` searches stop paying the moment they
         stop consuming.

@@ -2,9 +2,9 @@
 
 A max-damage scan or an obfuscation growth solves one LP per candidate
 victim set, and consecutive candidates differ by a *single link's band*.
-Rebuilding and cold-solving each one would pay presolve, scaling and a
-cold simplex start per candidate, so every production manipulation LP is
-solved on one HiGHS model kept alive across the scan:
+Rebuilding and cold-solving each one would pay a model build, scaling and
+a cold simplex start per candidate, so every production manipulation LP
+is solved on one HiGHS model kept alive across the scan:
 
 - :class:`PersistentLpSolver` builds the model once — one *two-sided* row
   per link (``q_j·m ∈ [lower_j - x_j, upper_j - x_j]``, infinities for
@@ -14,15 +14,16 @@ solved on one HiGHS model kept alive across the scan:
   typical re-solve takes a handful of iterations instead of a cold start.
   The constraint matrix is the dense band block with the equality block
   stacked under it; its nonzeros go to HiGHS once, as row-wise CSR.
-- :func:`prune_capacities` is the Constraint-1 presolve arithmetic: the
-  row-wise positive/negative coefficient mass of the support-restricted
-  estimator bounds what any feasible manipulation can do to a link's
-  estimate, so provably hopeless candidates are rejected with two
-  comparisons before any model is touched.
+- :func:`prune_capacities` is the arithmetic of the Constraint-1
+  presolve pruner: the row-wise positive/negative coefficient mass of the
+  support-restricted estimator bounds what any feasible manipulation can
+  do to a link's estimate, so provably hopeless candidates are rejected
+  with two comparisons before any model is touched.
 
 The model is built by :func:`repro.utils.highs.row_wise_model` on the
 HiGHS API scipy vendors, in one call of its array ``passModel``
-overload, with no bindings probe and no fallback.
+overload, with no bindings probe and no fallback, and runs with HiGHS
+presolve off (docs/THEORY.md, "HiGHS presolve and the optimal vertex").
 
 The module deliberately knows nothing about :class:`~repro.attacks.lp`
 solution types: it consumes arrays and returns a raw
@@ -120,10 +121,10 @@ class PersistentLpSolver:
 
     When every link row is banded (finite on at least one side), a
     one-shot LP is mostly a feasibility question, so the first solve
-    without overrides runs once with zero cost and presolve off.  Its
-    ``Infeasible`` (clear of :data:`_PROBE_MARGIN`) is returned as it
-    stands; any other verdict clears the solver state and runs the
-    ordinary solve, as on a fresh model.
+    without overrides runs once with zero cost.  Its ``Infeasible``
+    (clear of :data:`_PROBE_MARGIN`) is returned as it stands; any other
+    verdict clears the solver state and runs the ordinary solve, as on a
+    fresh model.
     """
 
     def __init__(
@@ -174,6 +175,7 @@ class PersistentLpSolver:
             np.concatenate([self._base_upper, np.zeros(num_eq)]),
             np.searchsorted(rows, np.arange(block.shape[0] + 1)), cols, block[rows, cols],
         )
+        self._model.setOptionValue("presolve", "off")
         obs.counter("lp_model_build")
         self.solves = 0
 
@@ -183,7 +185,7 @@ class PersistentLpSolver:
         return self._model.getModelStatus(), self._model.getInfo()
 
     def _decide_feasibility(self) -> tuple[str, highs.HighsModelStatus, highs.HighsInfo]:
-        """One run with zero cost and presolve off, then both put back.
+        """One run with zero cost, then the cost put back.
 
         With no objective the simplex stops at the first feasible basis or
         proves infeasibility.  Unless the verdict is ``"infeasible"``, the
@@ -191,12 +193,10 @@ class PersistentLpSolver:
         """
         columns = np.arange(self.num_vars, dtype=np.int32)
         self._model.changeColsCost(self.num_vars, columns, np.zeros(self.num_vars))
-        self._model.setOptionValue("presolve", "off")
         try:
             status, info = self._run()
         finally:
             self._model.changeColsCost(self.num_vars, columns, -np.ones(self.num_vars))
-            self._model.setOptionValue("presolve", "choose")
         if status != highs.HighsModelStatus.kInfeasible:
             verdict = "feasible"
         elif info.max_primal_infeasibility <= _PROBE_MARGIN:

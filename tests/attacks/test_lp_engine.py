@@ -1,4 +1,4 @@
-"""LP engine: the warm path, its parity with the reference, presolve.
+"""LP engine: the warm path, its parity with the reference, the presolve pruner.
 
 Every production manipulation LP is solved on the persistent warm-started
 HiGHS model.  The contract this suite enforces end-to-end: the warm path
@@ -19,7 +19,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attacks import lp
+from repro.attacks import lp, lp_engine
 from repro.attacks.chosen_victim import ChosenVictimAttack, build_chosen_victim_bands
 from repro.attacks.cuts import perfectly_cut_links
 from repro.attacks.hybrid import FrameAndBlurAttack
@@ -548,8 +548,9 @@ class _Lp(NamedTuple):
         )
 
     def fresh(self, lower=None, cost=None):
-        """The plain model (cost -1, presolve on) built by ``row_wise_model``
-        from the same arrays and run once: (optimal, status, values)."""
+        """The plain model built by ``row_wise_model`` from the same arrays,
+        configured as the engine configures its own (cost -1, HiGHS
+        presolve off), and run once: (optimal, status, values)."""
         block = self.sub if self.eq is None else np.vstack([self.sub, self.eq])
         num_eq = block.shape[0] - self.sub.shape[0]
         rows, cols = np.nonzero(block)
@@ -560,6 +561,7 @@ class _Lp(NamedTuple):
             np.concatenate([self.upper, np.zeros(num_eq)]),
             np.searchsorted(rows, np.arange(block.shape[0] + 1)), cols, block[rows, cols],
         )
+        model.setOptionValue("presolve", "off")
         model.run()
         status = model.getModelStatus()
         optimal = status == highs.HighsModelStatus.kOptimal
@@ -645,8 +647,8 @@ def probe_verdicts(monkeypatch):
 
 class TestFeasibilityFirst:
     """A one-shot LP whose bands cover every link decides feasibility on a
-    zero-cost, presolve-off run first, and must still give exactly the
-    answer a fresh model gives."""
+    zero-cost run first, and must still give exactly the answer a fresh
+    model, configured as the engine's, gives."""
 
     def test_first_solve_matches_a_fresh_model(self, chosen_victim_lps, probe_verdicts):
         feasible_banded = 0
@@ -771,3 +773,95 @@ class TestFeasibilityFirst:
         assert events("confined", confined, None) == [("feasible", "Optimal")]
         paper = build_chosen_victim_bands(context, (0,), "paper")
         assert events("paper", paper, None) == [("none", "Optimal")]
+
+
+#: HiGHS' status for a run stopped by its simplex iteration limit.
+_ITERATION_LIMIT = str(
+    highs._Highs().modelStatusToString(highs.HighsModelStatus.kIterationLimit)
+)
+
+
+def _limit_iterations(monkeypatch):
+    """From here on, every model the engine builds stops at its iteration
+    limit, set to 0: a run that ends neither optimal nor infeasible."""
+    build = lp_engine.row_wise_model
+
+    def limited(*args):
+        model = build(*args)
+        model.setOptionValue("simplex_iteration_limit", 0)
+        return model
+
+    monkeypatch.setattr(lp_engine, "row_wise_model", limited)
+
+
+class TestLpNumericalFailure:
+    """A solve that ends neither optimal nor infeasible is reported as
+    infeasible with HiGHS' own status: never as a solution, never as a
+    proof of infeasibility, and never as a damage bound.
+
+    Every LP here needs at least one simplex iteration (its optimum moves
+    off the all-zero slack basis), so a zero iteration limit stops it."""
+
+    def test_persistent_solver_stops_on_both_runs(
+        self, fig1_context, monkeypatch, probe_verdicts
+    ):
+        context = fig1_context
+        x = context.baseline_estimate
+        bands = build_chosen_victim_bands(context, (0,), "exclusive")
+        abnormal = context.thresholds.upper + context.margin
+        override = {1: (abnormal - x[1], math.inf)}
+
+        def solver():
+            return PersistentLpSolver(
+                context.support_operator, bands.lower - x, bands.upper - x,
+                var_upper=context.cap,
+            )
+
+        assert solver().solve().iterations >= 1
+        assert solver().solve(override).iterations >= 1
+        probe_verdicts.clear()
+        _limit_iterations(monkeypatch)
+        limited = solver()
+        first = limited.solve()  # fully banded: the feasibility run goes first
+        # The feasibility run reads any status but Infeasible as "feasible",
+        # so the optimizing run must stop on its own limit too.
+        assert probe_verdicts == ["feasible"]
+        override_solves = (limited.solve(override), solver().solve(override))
+        for result in (first, *override_solves):
+            assert (result.optimal, result.values, result.status) == (
+                False, None, _ITERATION_LIMIT
+            )
+            assert result.iterations == 0
+
+    def test_incremental_solver_is_infeasible_with_the_status(
+        self, fig1_context, monkeypatch
+    ):
+        abnormal = fig1_context.thresholds.upper + fig1_context.margin
+        _limit_iterations(monkeypatch)
+        for mode in ("exclusive", "paper"):
+            solver = _one_shot_solver(fig1_context, 0, mode)
+            for overrides in (None, {1: (abnormal, math.inf)}):
+                solution = solver.solve(overrides)
+                assert not solution.feasible, (mode, overrides)
+                assert solution.manipulation is None
+                assert solution.status == _ITERATION_LIMIT, (mode, overrides)
+
+    def test_chosen_victim_outcome_carries_the_status(self, fig1_context, monkeypatch):
+        attacks = [
+            ChosenVictimAttack(fig1_context, [0], mode=mode, confined=confined)
+            for mode, confined in (("exclusive", False), ("paper", True), ("paper", False))
+        ]
+        assert all(attack.run().feasible for attack in attacks[1:])
+        _limit_iterations(monkeypatch)
+        for attack in attacks:
+            outcome = attack.run()
+            assert not outcome.feasible
+            assert outcome.status == _ITERATION_LIMIT != "Infeasible"
+
+    def test_damage_bound_is_no_bound(self, fig1_context, monkeypatch):
+        def bound():
+            return _one_shot_solver(fig1_context, 0, "exclusive").damage_bound([0, 1])
+
+        assert 0 < bound() < math.inf
+        _limit_iterations(monkeypatch)
+        assert bound() == math.inf  # so a max-damage scan never stops early on it

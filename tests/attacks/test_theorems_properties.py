@@ -6,6 +6,9 @@ every one of them:
 - **Theorem 1**: a perfect cut makes chosen-victim scapegoating feasible
   (we use the constructive check with an uncapped context — the cap is a
   practical constraint the theorem does not model).
+- **Theorem 2 (support nesting)**: with the bands fixed, a larger
+  Constraint-1 support keeps every feasible LP feasible and never lowers
+  its optimal damage.
 - **Theorem 3 (undetectable direction)**: under a perfect cut a stealthy
   solution exists with exactly zero residual.
 - **Theorem 3 (detectable direction)**: confined attacks that succeed
@@ -16,8 +19,10 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.attacks.chosen_victim import ChosenVictimAttack
+from repro.attacks.chosen_victim import ChosenVictimAttack, build_chosen_victim_bands
 from repro.attacks.cuts import is_perfect_cut, perfectly_cut_links
+from repro.attacks.lp import IncrementalLpSolver, solve_manipulation_lp
+from repro.attacks.max_damage import DAMAGE_TIE_RTOL
 from repro.detection.consistency import ConsistencyDetector
 from repro.metrics.link_metrics import uniform_delay_metrics
 from repro.routing.selection import select_identifiable_paths
@@ -81,6 +86,67 @@ def test_theorem1_perfect_cut_implies_feasibility(kind, seed, attacker_index):
     assert is_perfect_cut(scenario.path_set, [attacker], [victim])
     outcome = ChosenVictimAttack(context, [victim]).run()
     assert outcome.feasible
+
+
+def _warm_solve(context, support, bands, cap):
+    return IncrementalLpSolver(
+        context.operator, context.baseline_estimate, support, context.num_paths,
+        bands, cap=cap,
+    ).solve()
+
+
+def _cold_solve(context, support, bands, cap):
+    return solve_manipulation_lp(
+        context.operator, context.baseline_estimate, support, context.num_paths,
+        bands, cap=cap,
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    kind=st.sampled_from(["grid", "ladder"]),
+    seed=st.integers(0, 10_000),
+    attacker_index=st.integers(0, 100),
+    bands_kind=st.sampled_from([("paper", False), ("exclusive", False), ("paper", True)]),
+    data=st.data(),
+)
+def test_theorem2_larger_support_only_enlarges_the_feasible_set(
+    kind, seed, attacker_index, bands_kind, data
+):
+    """Theorem 2's deterministic core, ``M_k ⊂ M_s``: every manipulation
+    supported on ``S`` is also supported on ``S' ⊇ S``, so with the bands
+    held fixed a feasible LP stays feasible and its optimal damage cannot
+    fall (beyond ``DAMAGE_TIE_RTOL``, the parity tolerance).
+
+    ``S`` is an attacker's support and ``S'`` adds randomly drawn paths.
+    Each victim's chosen-victim bands are built once from the attacker's
+    context and solved at both supports, on the warm engine and on the
+    cold reference, under the paper's 2,000 ms cap.
+    """
+    scenario = _build_scenario(kind, seed)
+    nodes = scenario.topology.nodes()
+    context = scenario.attack_context([nodes[attacker_index % len(nodes)]])
+    support = list(context.support)
+    outside = sorted(set(range(context.num_paths)) - set(support))
+    extra = data.draw(
+        st.sets(st.sampled_from(outside), min_size=1) if outside else st.just(set()),
+        label="extra paths",
+    )
+    larger = sorted(set(support) | extra)
+    mode, confined = bands_kind
+    for victim in range(context.num_links):
+        if victim in context.controlled_links:
+            continue
+        bands = build_chosen_victim_bands(context, (victim,), mode, confined=confined)
+        for solve in (_warm_solve, _cold_solve):
+            small = solve(context, support, bands, 2000.0)
+            if not small.feasible:
+                continue
+            big = solve(context, larger, bands, 2000.0)
+            assert big.feasible, (victim, solve.__name__)
+            assert big.damage >= small.damage * (1 - DAMAGE_TIE_RTOL), (
+                victim, solve.__name__, small.damage, big.damage
+            )
 
 
 @settings(max_examples=25, deadline=None)
