@@ -8,8 +8,8 @@ Monte-Carlo plumbing: every factorisation flows through
 :mod:`repro.utils.linalg`, RNG state is threaded as explicit
 :class:`numpy.random.Generator` parameters, no wall-clock reads outside
 ``obs/``, no ``assert`` for validation, no silent broad exception
-handlers.  Its whole-program rules (RP006–RP010) check cross-module
-invariants over one parse per file.
+handlers.  Its whole-program rules (RP006 and RP008–RP010) check
+cross-module invariants over one parse per file.
 
 The analyzer sits in the top layer of ``layers.toml``: only the CLI
 imports it, so no library module pays its import cost.

@@ -130,8 +130,8 @@ class ProjectRule(LintRule):
     Project rules see the entire parsed tree at once — the
     :class:`~repro.analysis.project.ProjectModel` of extracted per-module
     facts — instead of one module, so they can check cross-module
-    invariants (import layering, config-registry coverage, worker
-    reachability, obs schema agreement).  They implement
+    invariants (import layering, worker reachability, obs schema
+    agreement, dead code).  They implement
     :meth:`check_project`; the per-module :meth:`check` is a no-op.
     """
 
@@ -166,7 +166,6 @@ def register_rule(cls: type[LintRule]) -> type[LintRule]:
 def all_rules() -> dict[str, type[LintRule]]:
     """The registered rules, keyed by id (import triggers registration)."""
     import repro.analysis.concurrency  # noqa: F401  (registration side effect)
-    import repro.analysis.configscan  # noqa: F401  (registration side effect)
     import repro.analysis.importgraph  # noqa: F401  (registration side effect)
     import repro.analysis.lint.rules  # noqa: F401  (registration side effect)
     import repro.analysis.obschema  # noqa: F401  (registration side effect)

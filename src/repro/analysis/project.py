@@ -2,10 +2,10 @@
 
 One pass over the tree parses every module once and distils it into
 :class:`ModuleFacts` — imports (with scope), function and class bodies
-(calls, global writes, mutations), ``REPRO_*`` environment reads,
-obs-event emissions, pool dispatch sites, and noqa and allowlist
-markers.  The whole-program rules (RP006–RP010) consume only these
-facts, never raw ASTs, and the per-file rules share the same parse.
+(calls, global writes, mutations), obs-event emissions, pool dispatch
+sites, and noqa and allowlist markers.  The whole-program rules (RP006
+and RP008–RP010) consume only these facts, never raw ASTs, and the
+per-file rules share the same parse.
 
 Module identity is filesystem-derived: a file belongs to the dotted
 module spelled by its chain of ``__init__.py``-bearing parent
@@ -53,9 +53,6 @@ _DISPATCH_CALLEES = frozenset({"run_trials", "run_batched_trials", "iter_map_chu
 #: obs emission APIs catalogued by the schema pass (literal first argument).
 _OBS_APIS = frozenset({"event", "counter", "gauge", "span"})
 
-#: Accessors of the config registry taking a knob name (checked by RP007).
-_CONFIG_ACCESSORS = frozenset({"raw", "get_bool", "get_str", "declared"})
-
 
 def _attribute_chain(node: ast.AST) -> list[str] | None:
     """``a.b.c`` -> ``["a", "b", "c"]``; None for non-name chains."""
@@ -97,12 +94,9 @@ class ModuleFacts:
     functions: list[FunctionFacts] = field(default_factory=list)
     classes: list[dict[str, Any]] = field(default_factory=list)
     module_level_names: list[str] = field(default_factory=list)
-    str_constants: dict[str, str] = field(default_factory=dict)
     all_exports: list[str] = field(default_factory=list)
     public_defs: list[dict[str, Any]] = field(default_factory=list)
     name_refs: list[str] = field(default_factory=list)
-    env_reads: list[dict[str, Any]] = field(default_factory=list)
-    config_reads: list[dict[str, Any]] = field(default_factory=list)
     obs_emits: list[dict[str, Any]] = field(default_factory=list)
     dispatch_sites: list[dict[str, Any]] = field(default_factory=list)
     noqa: dict[int, list[str] | None] = field(default_factory=dict)
@@ -169,19 +163,6 @@ class _Extractor(ast.NodeVisitor):
             return None
         outer, *inner = self._function_stack
         return ".".join([outer.qualname, *(fn.name for fn in inner)])
-
-    def _literal_str(self, node: ast.expr | None) -> str | None:
-        """A string literal, or a module-level str constant's value."""
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return node.value
-        if isinstance(node, ast.Name):
-            return self.facts.str_constants.get(node.id)
-        chain = _attribute_chain(node) if node is not None else None
-        if chain and len(chain) == 2:
-            # A constant imported/attributed from another module: resolve
-            # at project-assembly time; record the reference for now.
-            return None
-        return None
 
     # -- imports ----------------------------------------------------------
 
@@ -310,10 +291,6 @@ class _Extractor(ast.NodeVisitor):
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     self.facts.module_level_names.append(target.id)
-                    if isinstance(node.value, ast.Constant) and isinstance(
-                        node.value.value, str
-                    ):
-                        self.facts.str_constants[target.id] = node.value.value
                     if target.id == "__all__" and isinstance(
                         node.value, (ast.List, ast.Tuple)
                     ):
@@ -343,10 +320,6 @@ class _Extractor(ast.NodeVisitor):
             and isinstance(node.target, ast.Name)
         ):
             self.facts.module_level_names.append(node.target.id)
-            if isinstance(node.value, ast.Constant) and isinstance(
-                node.value.value, str
-            ):
-                self.facts.str_constants[node.target.id] = node.value.value
         self._record_write_targets([node.target], node.lineno)
         if node.value is not None:
             self.visit(node.value)
@@ -429,51 +402,9 @@ class _Extractor(ast.NodeVisitor):
             for arg in list(node.args) + [kw.value for kw in node.keywords]:
                 if isinstance(arg, ast.Name):
                     fn.calls.append(arg.id)
-        self._record_env_read(node, chain)
-        self._record_config_read(node, chain)
         self._record_obs_emit(node, chain)
         self._record_dispatch(node, chain)
         self.generic_visit(node)
-
-    def _record_env_read(self, node: ast.Call, chain: list[str] | None) -> None:
-        if not chain:
-            return
-        dotted = ".".join(chain)
-        is_environ_get = dotted.endswith("os.environ.get") or dotted == "environ.get"
-        is_getenv = dotted.endswith("os.getenv") or dotted == "getenv"
-        if not (is_environ_get or is_getenv):
-            return
-        var = self._literal_str(node.args[0]) if node.args else None
-        unresolved = None
-        if var is None and node.args and isinstance(node.args[0], ast.Name):
-            unresolved = node.args[0].id
-        self.facts.env_reads.append(
-            {
-                "var": var,
-                "unresolved": unresolved,
-                "lineno": node.lineno,
-                "via": "os.getenv" if is_getenv else "os.environ",
-            }
-        )
-
-    def _record_config_read(self, node: ast.Call, chain: list[str] | None) -> None:
-        if not chain or len(chain) != 2:
-            return
-        owner, accessor = chain
-        if owner != "config" or accessor not in _CONFIG_ACCESSORS:
-            return
-        knob = self._literal_str(node.args[0]) if node.args else None
-        unresolved = None
-        if knob is None and node.args and isinstance(node.args[0], ast.Name):
-            unresolved = node.args[0].id
-        self.facts.config_reads.append(
-            {
-                "knob": knob,
-                "unresolved": unresolved,
-                "accessor": accessor,
-                "lineno": node.lineno,
-            }
-        )
 
     def _record_obs_emit(self, node: ast.Call, chain: list[str] | None) -> None:
         if not chain or len(chain) < 2:
@@ -571,14 +502,6 @@ def extract_facts(
             tree = ast.parse(text, filename=str(path))
         except SyntaxError:
             return facts  # an unparsable file contributes no facts
-    # Pre-pass: module-level string constants must be known before call
-    # arguments referencing them are resolved, regardless of file order.
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant):
-            if isinstance(node.value.value, str):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        facts.str_constants[target.id] = node.value.value
     extractor = _Extractor(facts)
     for node in tree.body:
         extractor.visit(node)
@@ -606,14 +529,3 @@ class ProjectModel:
             (f for f in self.files if f.sub_module(self.root_package) is not None),
             key=lambda f: f.module or "",
         )
-
-    def resolve_constant(self, facts: ModuleFacts, name: str) -> str | None:
-        """Resolve a module-level str constant, following from-imports."""
-        if name in facts.str_constants:
-            return facts.str_constants[name]
-        for imp in facts.imports:
-            if imp["kind"] == "from" and imp["alias"] == name:
-                source = self.by_module.get(imp["module"])
-                if source is not None:
-                    return source.str_constants.get(imp["name"])
-        return None

@@ -61,7 +61,7 @@ class AttackContext:
     estimator:
         The *defender's* inversion family — a zoo name, a built
         :class:`~repro.tomography.estimator_zoo.Estimator`, or None for
-        the ``REPRO_ESTIMATOR`` knob (default ``ls``).  Only
+        the paper's least squares (``ls``).  Only
         :meth:`predicted_estimate` (what the operator will conclude)
         routes through it; attack *planning* stays on the linear
         least-squares operator — Constraint 2's bands are linear in the

@@ -446,7 +446,7 @@ class IncrementalLpSolver:
     cold reference :func:`solve_manipulation_lp` to solver tolerance;
     the optimal vertex may differ where optima are non-unique.
 
-    ``presolve=True`` (default) rejects overrides whose required
+    The Constraint-1 presolve pruner rejects overrides whose required
     estimate shift provably exceeds what any Constraint-1 manipulation
     can deliver (:meth:`presolve_prune_reason`) before the model is
     touched; pruned solves return an infeasible solution whose status
@@ -474,7 +474,6 @@ class IncrementalLpSolver:
         consistency_matrix: np.ndarray | None = None,
         sub_operator: np.ndarray | None = None,
         consistency_columns: np.ndarray | None = None,
-        presolve: bool = True,
     ) -> None:
         self.num_paths = int(num_paths)
         self.cap = cap
@@ -482,7 +481,6 @@ class IncrementalLpSolver:
             raise ValidationError(f"cap must be non-negative or None, got {cap}")
         #: The finite per-variable cap of every model this solver builds.
         self._var_cap = _UNBOUNDED_RESOLVE_CAP if cap is None else cap
-        self.presolve = bool(presolve)
         self.presolve_pruned = 0
         self._x_true = check_finite_vector(true_metrics, "true_metrics")
         self.num_links = int(self._x_true.shape[0])
@@ -593,7 +591,7 @@ class IncrementalLpSolver:
                 lower[j], upper[j] = lo, up
             return _empty_support_solution(lower, upper, self._x_true, self.num_paths)
 
-        if self.presolve and overrides:
+        if overrides:
             reason = self.presolve_prune_reason(overrides)
             if reason is not None:
                 self.presolve_pruned += 1

@@ -83,8 +83,9 @@ class PersistentSolveResult:
     """Raw outcome of one warm solve (semantics belong to the LP layer).
 
     ``values`` is the support-variable vector (length k) when optimal,
-    else None.  ``iterations`` counts simplex iterations of *this* solve
-    — the warm-start win is visible as tiny values after the first call.
+    else None.  ``iterations`` counts simplex iterations of *this* solve,
+    the feasibility run's included — the warm-start win is visible as
+    tiny values after the first call.
     """
 
     optimal: bool
@@ -230,13 +231,16 @@ class PersistentLpSolver:
                 float(upper) if np.isfinite(upper) else _INF,
             )
         probe = "none"
+        iterations = 0
         obs.counter("lp_solve")
         try:
             with obs.span("lp_solve"):
                 if self._banded and self.solves == 0 and not overrides:
                     probe, status, info = self._decide_feasibility()
+                    iterations = int(info.simplex_iteration_count)
                 if probe != "infeasible":
                     status, info = self._run()
+                    iterations += int(info.simplex_iteration_count)
                 optimal = status == highs.HighsModelStatus.kOptimal
                 values = (
                     np.array(self._model.getSolution().col_value, dtype=float)
@@ -250,7 +254,6 @@ class PersistentLpSolver:
                     float(self._base_lower[j]),
                     float(self._base_upper[j]),
                 )
-        iterations = int(info.simplex_iteration_count)
         self.solves += 1
         result = PersistentSolveResult(
             optimal=optimal,

@@ -13,7 +13,9 @@ The candidate scan shares one :class:`~repro.attacks.lp.IncrementalLpSolver`:
 the constraint block common to every victim set (controlled links normal,
 plus any exclusive/confined rows) is loaded into one warm HiGHS model, and
 each candidate only edits its own victims' row bounds — the per-LP cost is
-a warm re-solve, not a rebuild.
+a warm re-solve, not a rebuild.  A candidate the Constraint-1 presolve
+pruner rejects solves no LP at all; ``extras["presolve_pruned"]`` counts
+them.
 
 Symmetric topologies (grids, ladders) give many candidates the same
 optimal damage, and two solves of tied candidates differ only by solver
@@ -89,10 +91,6 @@ class MaxDamageAttack:
         Return the first feasible victim set instead of the best one.
         Success-probability experiments (Fig. 8) only need existence, and
         this short-circuits the candidate scan.
-    presolve:
-        Enable the Constraint-1 presolve pruner on the candidate scan
-        (default True); pruned candidates are counted in
-        ``extras["presolve_pruned"]`` without any LP being solved.
     shared_solver:
         Optional pre-assembled :class:`IncrementalLpSolver` whose base
         block is the empty-victim chosen-victim bands of this context /
@@ -119,7 +117,6 @@ class MaxDamageAttack:
         stealthy: bool = False,
         confined: bool = False,
         shared_solver: IncrementalLpSolver | None = None,
-        presolve: bool = True,
     ) -> None:
         if victim_set_size < 1:
             raise ValidationError(f"victim_set_size must be >= 1, got {victim_set_size}")
@@ -132,7 +129,6 @@ class MaxDamageAttack:
         self.stop_at_first_feasible = stop_at_first_feasible
         self.stealthy = stealthy
         self.confined = confined
-        self.presolve = bool(presolve)
         if candidate_links is None:
             mask = context.manipulable_link_mask()
             self.candidates = tuple(
@@ -171,7 +167,6 @@ class MaxDamageAttack:
                 consistency_columns=(
                     self.context.residual_projector_support() if self.stealthy else None
                 ),
-                presolve=self.presolve,
             )
         return self._solver
 

@@ -105,9 +105,6 @@ class ObfuscationAttack:
         carries the controlled links' uncertain bands; each trial edits
         only the candidate victims' row bounds and warm-starts from the
         previous trial's basis.
-    presolve:
-        Enable the Constraint-1 presolve pruner on trial candidates
-        (default True).
     """
 
     strategy_name = "obfuscation"
@@ -122,7 +119,6 @@ class ObfuscationAttack:
         mode: str = "paper",
         stealthy: bool = False,
         confined: bool = False,
-        presolve: bool = True,
     ) -> None:
         if mode not in ("paper", "exclusive"):
             raise ValidationError(f"mode must be 'paper' or 'exclusive', got {mode!r}")
@@ -138,7 +134,6 @@ class ObfuscationAttack:
         self.max_victims = max_victims
         self.stealthy = stealthy
         self.confined = confined
-        self.presolve = bool(presolve)
         self._solver: IncrementalLpSolver | None = None
         if candidate_links is None:
             mask = context.manipulable_link_mask()
@@ -192,7 +187,6 @@ class ObfuscationAttack:
                 consistency_columns=(
                     self.context.residual_projector_support() if self.stealthy else None
                 ),
-                presolve=self.presolve,
             )
         return self._solver
 

@@ -17,8 +17,8 @@ without writing any code:
 - ``reproduce`` — regenerate every Section V-B case study (Figs. 4-6,
   the naive baseline, and the loss-domain variant) into a directory;
 - ``analyze`` — run the repo's static analyzer (the per-file rules
-  RP001-RP005 plus the cross-module passes RP006-RP010: layer contract,
-  config registry, worker-state discipline, obs schema, dead code);
+  RP001-RP005 plus the cross-module passes RP006 and RP008-RP010: layer
+  contract, worker-state discipline, obs schema, dead code);
 - ``obs`` — inspect structured observability logs (``obs summarize``).
 
 All output is plain text on stdout; exit status 0 on success, 1 on
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "defender-side inversion family (ls, bayes-map, ridge, nnls, l1; "
-            "default: the REPRO_ESTIMATOR knob, i.e. least squares)"
+            "default: ls, the paper's least squares)"
         ),
     )
 

@@ -72,8 +72,8 @@ class TomographyAuditor:
         share the sweep engine's per-topology factorisation.
     estimator:
         Inversion family the audited operator runs — a zoo name, a
-        built estimator, or None for the ``REPRO_ESTIMATOR`` knob
-        (default ``ls``).  Forwarded to the detector; the diagnosis is
+        built estimator, or None for least squares (``ls``).
+        Forwarded to the detector; the diagnosis is
         computed from the same estimate the detector thresholds.
     """
 

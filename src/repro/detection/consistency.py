@@ -55,10 +55,10 @@ class ConsistencyDetector:
         Which inversion the defender runs before thresholding: a zoo
         name (``"ls"`` / ``"bayes-map"`` / ...), an already-built
         :class:`~repro.tomography.estimator_zoo.Estimator` over the same
-        system, or None to resolve the ``REPRO_ESTIMATOR`` knob.  The
-        default (``ls``) reproduces eq. (23) bit-identically; biased
-        families need :func:`~repro.tomography.estimator_zoo.calibrated_alpha`
-        to keep ``alpha`` meaning "manipulation evidence".
+        system, or None for least squares (``ls``), which reproduces
+        eq. (23) bit-identically; biased families need
+        :func:`~repro.tomography.estimator_zoo.calibrated_alpha` to keep
+        ``alpha`` meaning "manipulation evidence".
 
     Note the structural blind spots (Theorem 3): if ``R`` is square and
     invertible the residual is *identically zero* whatever the attacker

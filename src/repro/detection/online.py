@@ -48,7 +48,7 @@ class OnlineConsistencyDetector:
         200 ms); non-negative.
     estimator:
         Zoo *name* for the defender's inversion (``"ls"``, ``"bayes-map"``,
-        ...) or None for the ``REPRO_ESTIMATOR`` knob.  Only names are
+        ...) or None for least squares (``ls``).  Only names are
         accepted — the estimator must be re-resolved over every evolved
         system, so a pre-built instance (pinned to one system) cannot
         follow the stream.

@@ -31,10 +31,10 @@ run log, :func:`counter` also feeds an in-memory :class:`PerfRecorder`
 activated by :func:`recording` — how tests and the repository benchmark
 read counter totals without writing a file.
 
-This module is stdlib-only apart from the leaf-level :mod:`repro.config`
-knob registry, and imports nothing else from ``repro`` so that any layer
-can report into it without cycles.  When nothing is active every hook is
-a global load plus a ``None`` check (two for :func:`counter`).
+This module is stdlib-only and imports nothing from ``repro``, so that
+any layer can report into it without cycles.  When nothing is active
+every hook is a global load plus a ``None`` check (two for
+:func:`counter`).
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ import time
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
-
-from repro import config
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -351,8 +349,9 @@ def recording(recorder: PerfRecorder | None = None):
 
 
 def env_enabled() -> bool:
-    """True when ``REPRO_OBS`` requests observability."""
-    return config.get_bool("REPRO_OBS")
+    """True when ``REPRO_OBS`` is 1/true/yes/on (any case, blanks stripped)."""
+    value = os.environ.get("REPRO_OBS", "").strip().lower()
+    return value in ("1", "true", "yes", "on")
 
 
 def default_run_path() -> Path:
@@ -362,10 +361,10 @@ def default_run_path() -> Path:
     ``run-YYYYmmdd-HHMMSS-<pid>.jsonl`` under ``REPRO_OBS_DIR`` (default
     ``obs_runs/``).
     """
-    explicit = config.get_str("REPRO_OBS_PATH")
+    explicit = os.environ.get("REPRO_OBS_PATH", "").strip()
     if explicit:
         return Path(explicit)
-    directory = Path(config.get_str("REPRO_OBS_DIR"))
+    directory = Path(os.environ.get("REPRO_OBS_DIR", "").strip() or "obs_runs")
     stamp = time.strftime("%Y%m%d-%H%M%S")
     return directory / f"run-{stamp}-{os.getpid()}.jsonl"
 

@@ -185,7 +185,7 @@ class Scenario:
         scenario's routing matrix (one built with ``backend=`` pins the
         kernel).  ``estimator``
         selects the defender's inversion family (zoo name, built
-        estimator, or None = the ``REPRO_ESTIMATOR`` knob).
+        estimator, or None = least squares, ``ls``).
         """
         return AttackContext(
             self.path_set,
@@ -216,7 +216,7 @@ class Scenario:
         The detector runs on :attr:`system` unless ``system`` injects
         another kernel (same contract as :meth:`attack_context`);
         ``estimator`` selects the inversion family the audit runs (zoo
-        name, built estimator, or None = the ``REPRO_ESTIMATOR`` knob).
+        name, built estimator, or None = least squares, ``ls``).
         """
         return TomographyAuditor(
             self.path_set,

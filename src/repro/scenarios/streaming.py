@@ -244,8 +244,8 @@ class StreamingCampaign:
     backend:
         Backend pin for the evolving system (None = auto dispatch).
     estimator:
-        Estimator-zoo name for the defender's inversion (None = the
-        ``REPRO_ESTIMATOR`` knob).
+        Estimator-zoo name for the defender's inversion (None = least
+        squares, ``ls``).
     """
 
     def __init__(

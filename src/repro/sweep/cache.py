@@ -102,7 +102,7 @@ class FactorizationCache:
 
         ``estimator``/``estimator_params`` select the defender's
         inversion family for the context's outcome prediction (None =
-        the historical least squares via the ``REPRO_ESTIMATOR`` knob);
+        the paper's least squares);
         the family is memoised per scenario kernel and built over it, so
         no extra factorisation happens either way.
         """

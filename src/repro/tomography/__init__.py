@@ -2,9 +2,9 @@
 
 - :mod:`~repro.tomography.linear_system` — residuals, consistency, and the
   estimator operator ``R⁺``;
-- :mod:`~repro.tomography.estimator_zoo` — the registry-dispatched estimator
-  families behind the ``REPRO_ESTIMATOR`` knob: ``ls`` (the paper's least
-  squares, eq. 2) / ``bayes-map`` / ``ridge`` / ``nnls`` / ``l1``;
+- :mod:`~repro.tomography.estimator_zoo` — the estimator families, by
+  name: ``ls`` (the paper's least squares, eq. 2, the default) /
+  ``bayes-map`` / ``ridge`` / ``nnls`` / ``l1``;
 - :mod:`~repro.tomography.diagnosis` — turn an estimate into the link-state
   report a network operator would act on.
 """

@@ -31,11 +31,11 @@ with the kernels of :mod:`repro.utils.updates`, reading rows from the
 parent's and the evolved system's CSR); a dense system produced by
 :meth:`LinearSystem.evolve` runs one cold SVD on first use.
 
-Backend choice is resolved by :func:`resolve_backend_name` with the
-precedence *explicit argument > ``REPRO_BACKEND`` environment variable >
-auto heuristic*.  The heuristic picks sparse only when the matrix is
-large (``m * n >= 65536``) and sparse (density <= 0.25) — exactly the
-regime where the dense SVD dominates end-to-end sweep time.
+Backend choice is resolved by :func:`resolve_backend_name`: an explicit
+``dense``/``sparse`` argument wins; otherwise the auto heuristic picks
+sparse only when the matrix is large (``m * n >= 65536``) and sparse
+(density <= 0.25) — exactly the regime where the dense SVD dominates
+end-to-end sweep time.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ import scipy.linalg
 import scipy.sparse
 from scipy.sparse.linalg import lsmr
 
-from repro import config
 from repro.exceptions import ValidationError
 from repro.obs import core as obs
 from repro.utils.linalg import DEFAULT_RANK_TOL, compact_svd, pinv_from_svd
@@ -73,9 +72,6 @@ AUTO_SIZE_THRESHOLD = 65536
 #: Density at or below which the auto heuristic considers going sparse.
 AUTO_DENSITY_THRESHOLD = 0.25
 
-#: Environment variable overriding the auto dispatch (``dense``/``sparse``/``auto``).
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
 _BACKEND_NAMES = ("dense", "sparse", "auto")
 
 #: LSMR stopping tolerances — far below the library parity tolerance so
@@ -99,17 +95,13 @@ def resolve_backend_name(
     density: float,
     sparse_input: bool = False,
 ) -> str:
-    """Resolve ``dense``/``sparse`` from request, environment and heuristic.
+    """Resolve ``dense``/``sparse`` from the request and the heuristic.
 
-    Precedence: explicit ``requested`` argument, then the
-    ``REPRO_BACKEND`` environment variable, then the auto heuristic
-    (sparse iff the matrix is both large and sparse, or the caller handed
-    us an already-sparse matrix).  ``"auto"`` at either override level
-    falls through to the heuristic.
+    An explicit ``dense``/``sparse`` ``requested`` wins; ``None`` and
+    ``"auto"`` run the auto heuristic (sparse iff the matrix is both
+    large and sparse, or the caller handed us an already-sparse matrix).
     """
-    choice = requested
-    if choice is None:
-        choice = config.raw(BACKEND_ENV_VAR) or "auto"
+    choice = "auto" if requested is None else requested
     if choice not in _BACKEND_NAMES:
         raise ValidationError(
             f"unknown backend {choice!r}; choose from {_BACKEND_NAMES}"

@@ -1,4 +1,4 @@
-"""The pluggable estimator zoo: registry-dispatched inversion families.
+"""The estimator zoo: the defender's inversion families, by name.
 
 The paper fixes least-squares inversion (eq. 2) as the defender's
 estimator, so every attack-success and detection number in this repro is
@@ -29,10 +29,9 @@ genuinely different estimator families:
   identifiable (full-column-rank) systems with consistent measurements
   it recovers the exact solution.
 
-Dispatch is registry-based: :func:`resolve_estimator` resolves the
-family with the precedence *explicit name > ``REPRO_ESTIMATOR``
-environment knob > ``"ls"``*, mirroring the backend and LP-engine
-conventions.  Detection thresholds are recalibrated per estimator with
+Dispatch is a fixed name -> class table: :func:`resolve_estimator`
+builds the named family, and least squares (``"ls"``) when no name is
+given.  Detection thresholds are recalibrated per estimator with
 :func:`calibrated_alpha` — biased estimators (ridge/MAP shrinkage, L1
 sparsity) leave a nonzero residual even on honest measurements, and the
 detector's alpha must absorb that bias before it can mean "manipulation
@@ -46,7 +45,6 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 import scipy.sparse
 
-from repro import config
 from repro.exceptions import TomographyError, ValidationError
 from repro.obs import core as obs
 from repro.obs.manifest import config_digest
@@ -55,7 +53,6 @@ from repro.utils.highs import highs, row_wise_model
 from repro.utils.validation import check_finite_vector
 
 __all__ = [
-    "ESTIMATOR_ENV_VAR",
     "BayesMapEstimator",
     "Estimator",
     "L1SparseEstimator",
@@ -64,12 +61,8 @@ __all__ = [
     "RidgeZooEstimator",
     "calibrated_alpha",
     "estimator_names",
-    "register_estimator",
     "resolve_estimator",
 ]
-
-#: Environment variable selecting the defender-side estimator family.
-ESTIMATOR_ENV_VAR = "REPRO_ESTIMATOR"
 
 
 @runtime_checkable
@@ -86,26 +79,9 @@ class Estimator(Protocol):
         """A vector (|P|,) -> (|L|,), a block (|P|, k) -> (|L|, k)."""
 
 
-#: Registered estimator families, keyed by registry name.
-_REGISTRY: dict[str, type] = {}
-
-
-def register_estimator(name: str):
-    """Class decorator adding an estimator family to the registry."""
-
-    def decorate(cls):
-        if name in _REGISTRY:
-            raise ValidationError(f"estimator {name!r} is already registered")
-        cls.name = name
-        _REGISTRY[name] = cls
-        return cls
-
-    return decorate
-
-
 def estimator_names() -> tuple[str, ...]:
-    """The registered estimator names, sorted."""
-    return tuple(sorted(_REGISTRY))
+    """The estimator family names, sorted."""
+    return tuple(sorted(_FAMILIES))
 
 
 def resolve_estimator(
@@ -117,9 +93,7 @@ def resolve_estimator(
 ) -> "Estimator":
     """Build the estimator ``name`` over a shared kernel.
 
-    Precedence mirrors the backend dispatch convention: an explicit
-    ``name`` argument wins, then the ``REPRO_ESTIMATOR`` environment
-    knob, then the bit-compatible default ``"ls"``.  Exactly one of
+    ``None`` builds the paper's least squares, ``"ls"``.  Exactly one of
     ``system`` (a pre-factorised :class:`LinearSystem` — what detectors,
     attack contexts and the sweep cache pass) or ``routing_matrix`` must
     be given; extra keyword ``params`` go to the family's constructor.
@@ -134,9 +108,7 @@ def resolve_estimator(
         raise ValidationError(
             "pass either system= or routing_matrix=, not both"
         )
-    if name is None:
-        name = config.get_str(ESTIMATOR_ENV_VAR)
-    cls = _REGISTRY.get(name)
+    cls = _FAMILIES.get("ls" if name is None else name)
     if cls is None:
         raise ValidationError(
             f"unknown estimator {name!r}; choose from {estimator_names()}"
@@ -236,7 +208,6 @@ class _ZooEstimator:
         return x_hat
 
 
-@register_estimator("ls")
 class LeastSquaresZooEstimator(_ZooEstimator):
     """The paper's estimator (eq. 2) — a delegate to the shared kernel.
 
@@ -245,6 +216,8 @@ class LeastSquaresZooEstimator(_ZooEstimator):
     detector and attack pipelines changes nothing under the default.
     """
 
+    name = "ls"
+
     def _solve(self, y: np.ndarray) -> np.ndarray:
         # ``estimate`` already validated y; going straight to the shared
         # backend skips LinearSystem.estimate's identical re-validation,
@@ -252,7 +225,6 @@ class LeastSquaresZooEstimator(_ZooEstimator):
         return self.system._factorized.estimate(y)
 
 
-@register_estimator("bayes-map")
 class BayesMapEstimator(_ZooEstimator):
     """Gaussian-prior MAP estimator (regularized normal equations).
 
@@ -271,6 +243,8 @@ class BayesMapEstimator(_ZooEstimator):
         mean in that band encodes "links are healthy unless the data
         insists otherwise".
     """
+
+    name = "bayes-map"
 
     def __init__(
         self,
@@ -321,9 +295,10 @@ class BayesMapEstimator(_ZooEstimator):
         )
 
 
-@register_estimator("ridge")
 class RidgeZooEstimator(BayesMapEstimator):
     """Tikhonov regularisation — zero-mean Bayes-MAP parameterised by ``lam``."""
+
+    name = "ridge"
 
     def __init__(self, system: LinearSystem, *, lam: float = 1e-6) -> None:
         if not (lam > 0) or not np.isfinite(lam):
@@ -334,9 +309,10 @@ class RidgeZooEstimator(BayesMapEstimator):
         return {"lam": self.lam}
 
 
-@register_estimator("nnls")
 class NonNegativeZooEstimator(_ZooEstimator):
     """Non-negative least squares (Lawson-Hanson active set)."""
+
+    name = "nnls"
 
     def _solve_column(self, y: np.ndarray) -> np.ndarray:
         from scipy.optimize import nnls
@@ -345,7 +321,6 @@ class NonNegativeZooEstimator(_ZooEstimator):
         return solution
 
 
-@register_estimator("l1")
 class L1SparseEstimator(_ZooEstimator):
     """Nonnegative basis-pursuit decoder on the warm-started HiGHS engine.
 
@@ -365,6 +340,8 @@ class L1SparseEstimator(_ZooEstimator):
     :class:`~repro.attacks.lp_engine.PersistentLpSolver` idiom, applied
     to decoding instead of attacking).
     """
+
+    name = "l1"
 
     def __init__(self, system: LinearSystem, *, penalty: float = 1e6) -> None:
         super().__init__(system)
@@ -413,3 +390,16 @@ class L1SparseEstimator(_ZooEstimator):
             )
         values = np.array(model.getSolution().col_value, dtype=float)
         return values[: self.system.num_links]
+
+
+#: The estimator families, keyed by name.
+_FAMILIES: dict[str, type[_ZooEstimator]] = {
+    family.name: family
+    for family in (
+        LeastSquaresZooEstimator,
+        BayesMapEstimator,
+        RidgeZooEstimator,
+        NonNegativeZooEstimator,
+        L1SparseEstimator,
+    )
+}

@@ -14,10 +14,9 @@ the dense backend runs *one* economy SVD of ``R`` and derives every
 operator from the same factors; the sparse backend stores ``R`` in CSR
 form and solves estimates matrix-free (Gram Cholesky / LSMR) without ever
 materialising ``R⁺``.  Which backend runs is resolved per system —
-explicit ``backend=`` argument, then the ``REPRO_BACKEND`` environment
-variable, then a size/density heuristic — so attack contexts, detectors,
-the sweep cache and Monte-Carlo drivers pick the right kernel
-transparently.
+an explicit ``backend=`` argument, else a size/density heuristic — so
+attack contexts, detectors, the sweep cache and Monte-Carlo drivers pick
+the right kernel transparently.
 
 A system holds ``R`` once, in the form its backend computes with: a
 dense array for the dense backend, CSR for the sparse one, converted once
@@ -59,9 +58,9 @@ class LinearSystem:
         The 0/1 measurement matrix ``R`` (|P| x |L|) — a dense array or a
         ``scipy.sparse`` matrix.
     backend:
-        ``"dense"``, ``"sparse"``, ``"auto"`` or ``None``.  ``None`` defers
-        to the ``REPRO_BACKEND`` environment variable and then the auto
-        heuristic (sparse only for large, sparse matrices); see
+        ``"dense"``, ``"sparse"``, ``"auto"`` or ``None``.  ``None`` and
+        ``"auto"`` run the auto heuristic (sparse only for large, sparse
+        matrices); see
         :func:`repro.tomography.backends.resolve_backend_name`.
 
     ``R`` is stored once, converted at most once here: to CSR when the

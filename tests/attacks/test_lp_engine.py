@@ -446,17 +446,6 @@ class TestPresolvePruner:
         assert calls == [(10, 1)]
         assert solver.presolve_pruned == 2
 
-    def test_presolve_off_still_solves(self, fig1_system_operator):
-        operator, x = fig1_system_operator
-        bands = BandConstraints.unbounded(10)
-        solver = IncrementalLpSolver(
-            operator, x, [0], 23, bands, cap=10.0, presolve=False
-        )
-        solution = solver.solve({9: (float(x[9] + 1e9), math.inf)})
-        assert not solution.feasible
-        assert not solution.status.startswith(PRESOLVE_STATUS_PREFIX)
-        assert solver.presolve_pruned == 0
-
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_never_prunes_a_feasible_candidate(self, data):
@@ -504,9 +493,7 @@ class TestPresolvePruner:
             override = {j: (-math.inf, float(x[j] - demand))}
 
         bands = BandConstraints.unbounded(num_links)
-        pruning = IncrementalLpSolver(
-            operator, x, support, num_paths, bands, cap=cap, presolve=True
-        )
+        pruning = IncrementalLpSolver(operator, x, support, num_paths, bands, cap=cap)
         reason = pruning.presolve_prune_reason(override)
         if reason is not None:
             # The cold reference decides feasibility independently of the
@@ -741,6 +728,37 @@ class TestFeasibilityFirst:
                     ), (victim, other)
                     sequences += reference.damage > 0
         assert sequences >= 20
+
+    def test_iterations_count_both_runs(self, tmp_path, fig1_context, monkeypatch):
+        """A first solve whose feasibility run finds a feasible point runs
+        again with its cost; the result and the event report both runs."""
+        runs = []
+        run = PersistentLpSolver._run
+
+        def counting_run(self):
+            status, info = run(self)
+            runs.append(int(info.simplex_iteration_count))
+            return status, info
+
+        monkeypatch.setattr(PersistentLpSolver, "_run", counting_run)
+        context = fig1_context
+        x = context.baseline_estimate
+        bands = build_chosen_victim_bands(context, (0,), "paper", confined=True)
+        solver = PersistentLpSolver(
+            context.support_operator, bands.lower - x, bands.upper - x,
+            var_upper=context.cap,
+        )
+        path = tmp_path / "run.jsonl"
+        with obs.enabled(path):
+            result = solver.solve()
+        (event,) = [
+            r
+            for r in map(json.loads, path.read_text().splitlines())
+            if r.get("name") == "lp_warm_start"
+        ]
+        assert result.optimal and event["feasibility_probe"] == "feasible"
+        assert len(runs) == 2 and min(runs) > 0
+        assert result.iterations == event["iterations"] == sum(runs)
 
     def test_warm_start_event_names_the_deciding_solve(self, tmp_path, fig1_context):
         context = fig1_context

@@ -252,19 +252,24 @@ class TestEarlyStop:
         assert outcome.damage == pytest.approx(outcome.extras["damage_bound"], rel=1e-12)
 
     def test_bound_is_solved_off_the_scan_model(self, tied_context):
-        attack = MaxDamageAttack(tied_context, presolve=False)
+        attack = MaxDamageAttack(tied_context)
         outcome = attack.run()
-        assert outcome.extras["damage_bound"] is not None
-        assert attack._solver._persistent.solves == outcome.extras["candidates_tried"]
+        extras = outcome.extras
+        assert extras["damage_bound"] is not None
+        assert attack._solver._persistent.solves == (
+            extras["candidates_tried"] - extras["presolve_pruned"]
+        )
 
     def test_shared_solver_reuses_the_memoised_bound(self, tied_context):
-        first = MaxDamageAttack(tied_context, presolve=False)
+        first = MaxDamageAttack(tied_context)
         bound = first.run().extras["damage_bound"]
         with recording(PerfRecorder()) as recorder:
             second = MaxDamageAttack(tied_context, shared_solver=first._solver).run()
         assert second.extras["damage_bound"] == bound
         assert recorder.counters.get("lp_model_build", 0) == 0
-        assert recorder.counters["lp_solve"] == second.extras["candidates_tried"]
+        assert recorder.counters["lp_solve"] == (
+            second.extras["candidates_tried"] - second.extras["presolve_pruned"]
+        )
 
     def test_stop_event_carries_the_provenance(self, tied_context, tmp_path):
         path = tmp_path / "run.jsonl"

@@ -1,27 +1,104 @@
-"""Shared fixtures.
+"""Shared fixtures and the suite's kernel/defender options.
 
 Expensive objects (the Fig. 1 scenario, a small ISP scenario) are
 session-scoped; tests must not mutate them.  Tests that need mutation
 build their own instances.
+
+``--backend {dense,sparse}`` builds every ``LinearSystem`` that names no
+backend on that kernel, and ``--estimator NAME`` runs every defender
+that names no estimator with that zoo family; for example::
+
+    python -m pytest -m "not slow" --backend sparse tests/detection
+    python -m pytest -m "not slow" --estimator bayes-map tests/detection
+
+Both act at configure time, before any fixture builds a kernel, by
+rebinding the library's resolvers where they are called; the library
+itself has no such switch.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
+import pkgutil
+import sys
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import repro
 from repro.attacks.lp import BandConstraints, IncrementalLpSolver, solve_manipulation_lp
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.simple_network import paper_fig1_scenario
+from repro.tomography import backends, estimator_zoo, linear_system
 from repro.topology.generators.isp import synthetic_rocketfuel
 from repro.topology.generators.simple import (
     grid_topology,
     ladder_topology,
     paper_example_network,
 )
+
+
+def pytest_addoption(parser):
+    group = parser.getgroup("repro")
+    group.addoption(
+        "--backend",
+        choices=("dense", "sparse"),
+        default=None,
+        help="build every LinearSystem that names no backend on this kernel",
+    )
+    group.addoption(
+        "--estimator",
+        choices=estimator_zoo.estimator_names(),
+        default=None,
+        help="run every defender that names no estimator with this zoo family",
+    )
+
+
+def pin_backend(patch: pytest.MonkeyPatch, name: str | None) -> None:
+    """Make a ``LinearSystem`` that names no backend resolve ``name``;
+    ``None`` restores the library's auto heuristic."""
+    resolve = backends.resolve_backend_name
+
+    def pinned(requested, **kwargs):
+        return resolve(name if requested is None else requested, **kwargs)
+
+    patch.setattr(linear_system, "resolve_backend_name", resolve if name is None else pinned)
+
+
+def pytest_configure(config):
+    patch = pytest.MonkeyPatch()
+    config.add_cleanup(patch.undo)
+    backend = config.getoption("--backend")
+    if backend is not None:
+        pin_backend(patch, backend)
+    estimator = config.getoption("--estimator")
+    if estimator is not None:
+        resolve = estimator_zoo.resolve_estimator
+
+        def pinned(name=None, **kwargs):
+            return resolve(estimator if name is None else name, **kwargs)
+
+        # Rebind it in every repro module that imported it, re-exports
+        # included; the defining module keeps the library's own.
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name != "repro.__main__":
+                importlib.import_module(info.name)
+        for name, module in list(sys.modules.items()):
+            if (
+                name.startswith("repro.")
+                and module is not estimator_zoo
+                and getattr(module, "resolve_estimator", None) is resolve
+            ):
+                patch.setattr(module, "resolve_estimator", pinned)
+
+
+@pytest.fixture()
+def backend_pin(monkeypatch):
+    """``backend_pin(name)`` pins the kernel of every ``LinearSystem`` that
+    names no backend, for this test (``None``: the auto heuristic)."""
+    return lambda name: pin_backend(monkeypatch, name)
 
 
 @pytest.fixture()

@@ -367,7 +367,7 @@ class TestInstrumentedLibrary:
             MaxDamageAttack(scenario.attack_context(["B", "C"])).run()
         counters = summarize_run(path)["counters"]
         assert counters["lp_solve"] > 0
-        # REPRO_BACKEND may route the system to either backend.
+        # pytest --backend may route the system to either backend.
         dense = scenario.system.backend_name == "dense"
         assert counters["svd" if dense else "gram_cholesky"] >= 1
         assert dict(recorder.counters) == counters

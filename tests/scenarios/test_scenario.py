@@ -10,7 +10,6 @@ from repro.measurement.noise import GaussianNoise
 from repro.obs import recording
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.simple_network import paper_fig1_scenario
-from repro.tomography.backends import BACKEND_ENV_VAR
 from repro.tomography.linear_system import LinearSystem
 from repro.topology.generators.simple import (
     grid_topology,
@@ -112,10 +111,10 @@ class TestSharedSystem:
         ("backend", "factorization"), [("dense", "svd"), ("sparse", "gram_cholesky")]
     )
     def test_contexts_and_auditor_share_one_factorization(
-        self, monkeypatch, backend, factorization
+        self, backend_pin, backend, factorization
     ):
         scenario = paper_fig1_scenario()
-        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+        backend_pin(backend)
         attacker_sets = (["B"], ["C"], ["B", "C"], ["A", "D"], ["D"])
         with recording() as recorder:
             for attackers in attacker_sets:

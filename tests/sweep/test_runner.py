@@ -183,6 +183,36 @@ class TestSharedSolver:
             assert outcome.damage == pytest.approx(alone.damage, rel=1e-9)
 
 
+class TestRecordsDependOnlyOnTheSpec:
+    """No environment variable picks a point's kernel or defender, so a
+    results file never mixes records of two configurations."""
+
+    def test_records_ignore_backend_and_estimator_variables(self, monkeypatch):
+        spec = SweepSpec.from_dict(
+            small_doc(
+                seed=3,
+                strategies=["chosen-victim", "max-damage", "obfuscation", "naive"],
+                topologies=[{"kind": "fig1"}, {"kind": "grid", "rows": 3, "cols": 4}],
+                attacker_counts=[1, 2, 3],
+            )
+        )
+
+        def records():
+            scenarios = {}
+            return [
+                run_grid_point(spec, point, scenarios=scenarios)
+                for point in spec.expand()
+            ]
+
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        monkeypatch.delenv("REPRO_ESTIMATOR", raising=False)
+        unset = records()
+        monkeypatch.setenv("REPRO_BACKEND", "sparse")
+        monkeypatch.setenv("REPRO_ESTIMATOR", "bayes-map")
+        assert len(unset) == 24
+        assert records() == unset
+
+
 class TestCheckpointIntegrity:
     def test_corrupt_trailing_line_refused(self, spec, tmp_path):
         out = tmp_path / "r.jsonl"

@@ -4,8 +4,8 @@ The sparse backend must be numerically interchangeable with the dense
 SVD kernel: same estimates, residuals, rank, and nullspace span, to a
 per-component tolerance of 1e-8, over random path-like 0/1 matrices —
 including rank-deficient ones, where the min-norm solution is the
-contract.  Dispatch (argument > environment > heuristic) is pinned down
-separately.
+contract.  Dispatch (an explicit argument, else the heuristic) is pinned
+down separately.
 """
 
 import gc
@@ -23,7 +23,6 @@ from repro.obs.core import recording
 from repro.tomography.backends import (
     AUTO_DENSITY_THRESHOLD,
     AUTO_SIZE_THRESHOLD,
-    BACKEND_ENV_VAR,
     resolve_backend_name,
 )
 from repro.tomography.linear_system import LinearSystem
@@ -236,19 +235,8 @@ class TestRankFallback:
 
 
 class TestDispatch:
-    def test_explicit_argument_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "sparse")
-        system = LinearSystem(np.eye(3), backend="dense")
-        assert system.backend_name == "dense"
-
-    def test_environment_overrides_heuristic(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "sparse")
-        assert LinearSystem(np.eye(3)).backend_name == "sparse"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "dense")
-        assert LinearSystem(np.eye(3)).backend_name == "dense"
-
-    def test_auto_picks_dense_for_small_matrices(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_auto_picks_dense_for_small_matrices(self, backend_pin):
+        backend_pin(None)
         assert LinearSystem(np.eye(4)).backend_name == "dense"
 
     def test_auto_picks_sparse_for_large_sparse_matrices(self):
@@ -261,8 +249,8 @@ class TestDispatch:
             "auto", shape=(side, side), density=0.9
         ) == "dense"
 
-    def test_sparse_input_defaults_to_sparse_backend(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_sparse_input_defaults_to_sparse_backend(self, backend_pin):
+        backend_pin(None)
         matrix = scipy.sparse.eye(5, format="csr")
         system = LinearSystem(matrix)
         assert system.backend_name == "sparse"
@@ -388,16 +376,18 @@ class TestColumnBlocks:
 
 
 class TestSparseEndToEnd:
-    def test_fig1_attack_damage_matches_dense(self, monkeypatch):
+    def test_fig1_attack_damage_matches_dense(self):
         """The full chosen-victim pipeline agrees across backends."""
         from repro.attacks.chosen_victim import ChosenVictimAttack
         from repro.scenarios.simple_network import paper_fig1_scenario
 
+        scenario = paper_fig1_scenario()
+        matrix = scenario.path_set.routing_matrix()
         outcomes = {}
         for name in ("dense", "sparse"):
-            monkeypatch.setenv(BACKEND_ENV_VAR, name)
-            scenario = paper_fig1_scenario()
-            context = scenario.attack_context(["B", "C"])
+            context = scenario.attack_context(
+                ["B", "C"], system=LinearSystem(matrix, backend=name)
+            )
             assert context.system.backend_name == name
             outcomes[name] = ChosenVictimAttack(context, [9]).run()
         assert outcomes["dense"].feasible and outcomes["sparse"].feasible
@@ -410,13 +400,15 @@ class TestSparseEndToEnd:
             atol=1e-6,
         )
 
-    def test_detector_batch_matches_single_checks_on_sparse(self, monkeypatch):
+    def test_detector_batch_matches_single_checks_on_sparse(self):
         from repro.detection.consistency import ConsistencyDetector
         from repro.scenarios.simple_network import paper_fig1_scenario
 
-        monkeypatch.setenv(BACKEND_ENV_VAR, "sparse")
         scenario = paper_fig1_scenario()
-        detector = ConsistencyDetector(scenario.path_set.routing_matrix(), alpha=50.0)
+        matrix = scenario.path_set.routing_matrix()
+        detector = ConsistencyDetector(
+            matrix, alpha=50.0, system=LinearSystem(matrix, backend="sparse")
+        )
         rng = np.random.default_rng(7)
         honest = scenario.honest_measurements()
         block = honest[:, None] + rng.normal(0.0, 30.0, size=(honest.size, 5))

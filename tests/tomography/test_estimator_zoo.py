@@ -10,7 +10,7 @@ The contracts, over random 0/1 path-incidence matrices:
 - every family is dense/sparse-backend consistent to 1e-8;
 - ``estimate`` of a block matches the looped single-vector path.
 
-Plus: registry dispatch and the ``REPRO_ESTIMATOR`` knob, the rejection
+Plus: dispatch by name (least squares when none is given), the rejection
 of routing matrices without a path or a link, per-estimator threshold
 calibration, and the RP001 lint fixture pinning that an estimator
 bypassing :class:`LinearSystem` trips the analyzer.
@@ -28,14 +28,12 @@ from hypothesis import strategies as st
 
 from repro.exceptions import TomographyError, ValidationError
 from repro.tomography.estimator_zoo import (
-    ESTIMATOR_ENV_VAR,
     BayesMapEstimator,
     L1SparseEstimator,
     LeastSquaresZooEstimator,
     RidgeZooEstimator,
     calibrated_alpha,
     estimator_names,
-    register_estimator,
     resolve_estimator,
 )
 from repro.tomography.linear_system import LinearSystem
@@ -68,14 +66,17 @@ def _incidence(num_paths: int, num_links: int, hops: int, seed: int) -> np.ndarr
 class TestRegistry:
     def test_the_required_families_are_registered(self):
         assert {"ls", "bayes-map", "l1", "ridge", "nnls"} <= set(estimator_names())
+        for name in estimator_names():
+            assert resolve_estimator(name, routing_matrix=np.eye(3)).name == name
+
+    def test_omitted_name_builds_least_squares(self):
+        est = resolve_estimator(routing_matrix=np.eye(3))
+        assert isinstance(est, LeastSquaresZooEstimator)
+        assert est.name == "ls"
 
     def test_unknown_name_rejected_with_choices(self):
         with pytest.raises(ValidationError, match="unknown estimator"):
             resolve_estimator("kalman", routing_matrix=np.eye(3))
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValidationError, match="already registered"):
-            register_estimator("ls")(LeastSquaresZooEstimator)
 
     def test_needs_exactly_one_kernel_source(self):
         system = LinearSystem(np.eye(3))
@@ -83,18 +84,6 @@ class TestRegistry:
             resolve_estimator("ls")
         with pytest.raises(ValidationError, match="not both"):
             resolve_estimator("ls", system=system, routing_matrix=np.eye(3))
-
-    def test_explicit_name_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(ESTIMATOR_ENV_VAR, "bayes-map")
-        est = resolve_estimator("ridge", routing_matrix=np.eye(3))
-        assert isinstance(est, RidgeZooEstimator)
-
-    def test_environment_resolves_when_name_omitted(self, monkeypatch):
-        monkeypatch.setenv(ESTIMATOR_ENV_VAR, "bayes-map")
-        est = resolve_estimator(routing_matrix=np.eye(3))
-        assert est.name == "bayes-map"
-        monkeypatch.delenv(ESTIMATOR_ENV_VAR)
-        assert resolve_estimator(routing_matrix=np.eye(3)).name == "ls"
 
     def test_params_digest_separates_names_and_params(self):
         system = LinearSystem(np.eye(3))
