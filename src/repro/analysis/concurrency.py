@@ -1,10 +1,10 @@
 """RP008 — state discipline for code reachable from pool workers.
 
-The library parallelises with ``fork``-based process pools behind three
-dispatch entry points (``run_trials``, ``run_batched_trials``,
-``iter_map_chunks``).  Forked workers inherit every module global, so a
-worker-side write to module state is (at best) silently lost on join and
-(at worst) a cross-run contamination bug that no unit test catches.
+The library parallelises with one ``fork``-based process pool, behind
+one dispatch entry point: the sweep runner's ``iter_map_chunks``.
+Forked workers inherit every module global, so a worker-side write to
+module state is (at best) silently lost on join and (at worst) a
+cross-run contamination bug that no unit test catches.
 
 The rule builds a name-based call graph from the extracted facts, seeds
 it with every callable handed to a dispatch site, and walks the

@@ -1,8 +1,8 @@
 """The repo-specific lint rules RP001–RP005.
 
-Each rule enforces an invariant that the PR-1 performance work (shared-SVD
-kernel, deterministic worker pools) and the paper's algebra rely on but
-that nothing checked statically before:
+Each rule enforces an invariant that the shared-SVD kernel, seeded
+reproducible experiments and the paper's algebra rely on but that
+nothing checked statically before:
 
 - **RP001** — all dense factorisations flow through the shared kernel
   (:mod:`repro.utils.linalg` / :class:`repro.tomography.linear_system.LinearSystem`);
@@ -11,7 +11,8 @@ that nothing checked statically before:
   threaded as explicit :class:`numpy.random.Generator` parameters
   (coerced only by :mod:`repro.utils.rng`).
 - **RP003** — no wall-clock or stdlib-``random`` nondeterminism outside
-  ``obs/`` (protects ``run_trials(workers=N)`` bit-identity).
+  ``obs/`` (protects seeded reproducibility and ``run_sweep(workers=N)``
+  bit-identity).
 - **RP004** — no ``assert`` for validation in library code (stripped under
   ``python -O``); raise :mod:`repro.exceptions` types instead.
 - **RP005** — no silent broad ``except`` handler: catching ``Exception``
@@ -136,8 +137,9 @@ class GeneratorDisciplineRule(LintRule):
 
     The legacy global-state API (``np.random.seed`` / ``np.random.rand`` /
     friends) and module-level ``default_rng()`` singletons make results
-    depend on import order and call history — exactly what breaks the
-    bit-identical serial/parallel guarantee of ``run_trials(workers=N)``.
+    depend on import order and call history — exactly what breaks a
+    seeded experiment's reproducibility and the bit-identical
+    serial/parallel guarantee of ``run_sweep(workers=N)``.
     Only :mod:`repro.utils.rng` may construct generators from seeds.
     """
 
@@ -204,9 +206,10 @@ class _FunctionScopeIndex:
 class NondeterminismRule(LintRule):
     """RP003: no wall-clock or stdlib-``random`` reads outside ``obs/``.
 
-    Worker-pool trials are reassembled in trial order and must be
-    bit-identical to serial runs; any wall-clock read or hidden stdlib RNG
-    in library code makes outputs depend on scheduling.  Timing belongs in
+    Seeded experiments must repeat exactly, and sweep points run on a
+    worker pool must be bit-identical to serial runs; any wall-clock read
+    or hidden stdlib RNG in library code makes outputs depend on timing or
+    scheduling.  Timing belongs in
     :mod:`repro.obs` (the observability layer stamps its own monotonic
     ``t``; instrumented modules open spans, never read a clock), randomness
     in threaded Generators.

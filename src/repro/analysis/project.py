@@ -47,8 +47,8 @@ _MUTATING_METHODS = frozenset(
     }
 )
 
-#: The pool dispatch entry points whose callable arguments run in workers.
-_DISPATCH_CALLEES = frozenset({"run_trials", "run_batched_trials", "iter_map_chunks"})
+#: The pool dispatch entry point whose callable argument runs in workers.
+_DISPATCH_CALLEES = frozenset({"iter_map_chunks"})
 
 #: obs emission APIs catalogued by the schema pass (literal first argument).
 _OBS_APIS = frozenset({"event", "counter", "gauge", "span"})
@@ -422,43 +422,34 @@ class _Extractor(ast.NodeVisitor):
 
     def _record_dispatch(self, node: ast.Call, chain: list[str] | None) -> None:
         callee = chain[-1] if chain else None
-        if callee not in _DISPATCH_CALLEES:
+        if callee not in _DISPATCH_CALLEES or not node.args:
             return
-        # The worker callable is the first Callable positional argument:
-        # run_trials(n, trial), run_batched_trials(n, draw, batch),
+        # The worker callable is the first positional argument:
         # iter_map_chunks(chunk_fn, chunks).
-        candidates: list[ast.expr] = []
-        if callee == "iter_map_chunks" and node.args:
-            candidates = [node.args[0]]
-        elif callee == "run_trials" and len(node.args) >= 2:
-            candidates = [node.args[1]]
-        elif callee == "run_batched_trials" and len(node.args) >= 3:
-            candidates = [node.args[1], node.args[2]]
-        has_workers = any(kw.arg == "workers" for kw in node.keywords)
-        for candidate in candidates:
-            target: str | None = None
-            target_kind = "other"
-            if isinstance(candidate, ast.Name):
-                target, target_kind = candidate.id, "name"
-            elif isinstance(candidate, ast.Lambda):
-                target_kind = "lambda"
-            elif isinstance(candidate, ast.Call):
-                inner = _attribute_chain(candidate.func)
-                if inner and inner[-1] == "partial" and candidate.args:
-                    first = candidate.args[0]
-                    if isinstance(first, ast.Name):
-                        target, target_kind = first.id, "partial"
-            current = self._current()
-            self.facts.dispatch_sites.append(
-                {
-                    "callee": callee,
-                    "target": target,
-                    "target_kind": target_kind,
-                    "workers": has_workers,
-                    "lineno": node.lineno,
-                    "in_function": current.qualname if current is not None else None,
-                }
-            )
+        candidate = node.args[0]
+        target: str | None = None
+        target_kind = "other"
+        if isinstance(candidate, ast.Name):
+            target, target_kind = candidate.id, "name"
+        elif isinstance(candidate, ast.Lambda):
+            target_kind = "lambda"
+        elif isinstance(candidate, ast.Call):
+            inner = _attribute_chain(candidate.func)
+            if inner and inner[-1] == "partial" and candidate.args:
+                first = candidate.args[0]
+                if isinstance(first, ast.Name):
+                    target, target_kind = first.id, "partial"
+        current = self._current()
+        self.facts.dispatch_sites.append(
+            {
+                "callee": callee,
+                "target": target,
+                "target_kind": target_kind,
+                "workers": any(kw.arg == "workers" for kw in node.keywords),
+                "lineno": node.lineno,
+                "in_function": current.qualname if current is not None else None,
+            }
+        )
 
 
 def _scan_comments(source_lines: list[str], facts: ModuleFacts) -> None:

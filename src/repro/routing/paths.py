@@ -152,13 +152,6 @@ class PathSet:
         for path in paths:
             self.append(path)
 
-    def __getstate__(self) -> dict:
-        # Derived state is rebuilt on first use, so pickles (worker
-        # chunks, saved scenarios) carry only the paths.
-        state = self.__dict__.copy()
-        state["_derived"] = {}
-        return state
-
     @classmethod
     def from_node_sequences(
         cls, topology: Topology, sequences: Iterable[Sequence[NodeId]]

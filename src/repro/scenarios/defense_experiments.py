@@ -29,6 +29,7 @@ from repro.routing.selection import (
 )
 from repro.scenarios.montecarlo import run_trials
 from repro.scenarios.scenario import Scenario
+from repro.utils.rng import spawn_rngs
 
 __all__ = ["robust_recovery_experiment", "path_selection_defense_experiment"]
 
@@ -47,13 +48,14 @@ def robust_recovery_experiment(
     Each trial tampers ``k`` random measurement rows by up to
     ``magnitude`` and records both estimators' max absolute link-metric
     error plus whether the trimmer converged and found the tampered rows.
-    Returns per-``k`` aggregates.
+    The trials of the ``i``-th count draw from the ``i``-th stream spawned
+    from ``seed``.  Returns per-``k`` aggregates.
     """
     matrix = scenario.path_set.routing_matrix()
     tls = TrimmedLeastSquares(matrix, residual_tolerance=residual_tolerance)
     honest = scenario.honest_measurements()
     rows = []
-    for k in tamper_counts:
+    for k, cell_rng in zip(tamper_counts, spawn_rngs(seed, len(tamper_counts))):
         if not 0 < k <= matrix.shape[0]:
             raise ValidationError(f"tamper count {k} out of range")
 
@@ -75,7 +77,7 @@ def robust_recovery_experiment(
                 "found_all": set(tampered) <= set(robust.excluded_paths),
             }
 
-        results = run_trials(num_trials, trial, seed=(seed, k).__hash__() & 0x7FFFFFFF)
+        results = run_trials(num_trials, trial, seed=cell_rng)
         rows.append(
             {
                 "tampered_rows": k,

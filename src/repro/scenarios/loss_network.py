@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attacks.chosen_victim import ChosenVictimAttack
-from repro.attacks.constraints import manipulable_paths
 from repro.attacks.cuts import is_perfect_cut
+from repro.attacks.planner import compile_attack_plan
 from repro.measurement.loss import (
     delivery_to_log_measurements,
     loss_thresholds,
@@ -84,25 +84,18 @@ def compile_loss_attack_plan(
 ) -> dict:
     """Compile a log-domain manipulation into per-path *drop* agents.
 
-    Each manipulated path's entry ``m_i`` becomes a per-probe drop
-    probability ``1 - exp(-m_i)`` installed at the first attacker node on
-    the path (interior preferred, as for delays).
+    The node assignment is the delay plan's
+    (:func:`~repro.attacks.planner.compile_attack_plan`: the first
+    attacker node on the path, interior preferred, Constraint 1 checked);
+    each manipulated path's entry ``m_i`` becomes a per-probe drop
+    probability ``1 - exp(-m_i)`` at that node.
     """
-    attackers = list(dict.fromkeys(attacker_nodes))
-    support = set(manipulable_paths(scenario.path_set, attackers))
-    drops = manipulation_to_drop_probabilities(manipulation)
+    plan = compile_attack_plan(scenario.path_set, attacker_nodes, manipulation)
+    drops = manipulation_to_drop_probabilities(plan.manipulation)
     agents: dict = {}
-    for row, probability in enumerate(drops):
-        if probability <= 0.0:
-            continue
-        if row not in support:
-            raise ValueError(f"path {row} carries manipulation but no attacker")
-        path = scenario.path_set.path(row)
-        on_path = [n for n in path.nodes if n in set(attackers)]
-        interior = [n for n in on_path if n != path.target]
-        chosen = interior[0] if interior else on_path[0]
-        agent = agents.setdefault(chosen, PathManipulationAgent(node=chosen))
-        agent.set_action(row, drop_probability=float(probability))
+    for row, node in plan.assignment.items():
+        agent = agents.setdefault(node, PathManipulationAgent(node=node))
+        agent.set_action(row, drop_probability=float(drops[row]))
     return agents
 
 

@@ -68,14 +68,6 @@ class Scenario:
         # (path set, its version, system) of the last ``system`` build.
         self._system_memo: tuple[PathSet, int, LinearSystem] | None = None
 
-    def __getstate__(self) -> dict:
-        # Factors stay behind: a pickled scenario (a worker chunk of
-        # ``run_trials(workers=N)``) refactorizes on first use instead of
-        # shipping them.
-        state = self.__dict__.copy()
-        state["_system_memo"] = None
-        return state
-
     @property
     def system(self) -> LinearSystem:
         """The one :class:`LinearSystem` over ``path_set.routing_matrix()``.

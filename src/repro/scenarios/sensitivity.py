@@ -27,6 +27,7 @@ from repro.metrics.states import LinkState
 from repro.scenarios.montecarlo import run_trials
 from repro.scenarios.scenario import Scenario
 from repro.tomography.diagnosis import diagnose
+from repro.utils.rng import spawn_rngs
 
 __all__ = ["knowledge_sensitivity_experiment"]
 
@@ -55,7 +56,9 @@ def knowledge_sensitivity_experiment(
       worked as intended).
 
     ``margin`` overrides the scenario's planning margin — the attacker's
-    robustness budget against its own knowledge error.
+    robustness budget against its own knowledge error.  The trials of the
+    ``i``-th noise level draw from the ``i``-th stream spawned from
+    ``seed``.
 
     Returns per-sigma aggregates.
     """
@@ -65,7 +68,7 @@ def knowledge_sensitivity_experiment(
     operator = system.estimator
     honest = scenario.honest_measurements()
     rows = []
-    for sigma in knowledge_sigmas:
+    for sigma, cell_rng in zip(knowledge_sigmas, spawn_rngs(seed, len(knowledge_sigmas))):
         if sigma < 0:
             raise ValidationError(f"sigma must be >= 0, got {sigma}")
 
@@ -94,7 +97,7 @@ def knowledge_sensitivity_experiment(
             )
             return {"planned": True, "realised": bool(ok)}
 
-        results = run_trials(num_trials, trial, seed=(seed, round(sigma * 1000)).__hash__() & 0x7FFFFFFF)
+        results = run_trials(num_trials, trial, seed=cell_rng)
         rows.append(
             {
                 "sigma": float(sigma),

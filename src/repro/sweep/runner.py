@@ -1,14 +1,13 @@
 """Sharded, resumable execution of a sweep grid.
 
 The runner turns a :class:`~repro.sweep.spec.SweepSpec` into scenario
-runs.  Work is sharded with the same process-pool machinery Monte-Carlo
-trials use (:func:`repro.scenarios.montecarlo.iter_map_chunks`): grid
-points are grouped by topology — one cache domain per group, so a worker
-factorises each routing matrix at most once — and the groups are mapped
-across the pool in a fixed order.  Because every grid point is a pure
-function of the spec, results are bit-identical for ``workers=1`` and
-``workers=N``, and the results file is byte-identical too (chunks are
-collected in submission order).
+runs.  It owns the library's one process pool (:func:`iter_map_chunks`):
+grid points are grouped by topology — one cache domain per group, so a
+worker factorises each routing matrix at most once — and the groups are
+mapped across the pool in a fixed order.  Because every grid point is a
+pure function of the spec, results are bit-identical for ``workers=1``
+and ``workers=N``, and the results file is byte-identical too (chunks
+are collected in submission order).
 
 Every completed point is checkpointed to an append-only JSONL results
 file under the same strict-JSON sentinel rules as
@@ -28,21 +27,23 @@ uninterrupted one.
 from __future__ import annotations
 
 import json
+import pickle
+from collections.abc import Callable, Iterator, Sequence
+from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from repro.exceptions import ReproError, SerializationError
+from repro.exceptions import ReproError, SerializationError, ValidationError
 from repro.metrics.states import StateThresholds
 from repro.obs import core as obs
 from repro.scenarios.experiments import sample_victim
-from repro.scenarios.montecarlo import iter_map_chunks
 from repro.scenarios.scenario import Scenario
 from repro.sweep.cache import FactorizationCache
 from repro.sweep.spec import GridPoint, SweepSpec, build_topology
 
-__all__ = ["build_scenarios", "read_checkpoint", "run_grid_point", "run_sweep"]
+__all__ = ["build_scenarios", "iter_map_chunks", "read_checkpoint", "run_grid_point", "run_sweep"]
 
 
 # ----------------------------------------------------------------------
@@ -261,6 +262,55 @@ def _outcome_fields(outcome) -> dict:
 # ----------------------------------------------------------------------
 # sharding
 # ----------------------------------------------------------------------
+def _check_picklable(chunk_fn: object) -> None:
+    """Raise :class:`ValidationError` when ``chunk_fn`` cannot ship to a pool.
+
+    Closures raise TypeError/AttributeError, custom ``__reduce__`` failures
+    PicklingError; all mean "not pool-shippable".
+    """
+    try:
+        pickle.dumps(chunk_fn)
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        raise ValidationError(
+            "chunk function must be picklable for workers > 1 "
+            "(use a module-level function or functools.partial); "
+            f"pickling failed with: {exc}"
+        ) from exc
+
+
+def iter_map_chunks(
+    chunk_fn: Callable[[list], list],
+    chunks: Sequence[list],
+    *,
+    workers: int | None = None,
+) -> Iterator[list]:
+    """Apply ``chunk_fn`` to each chunk, yielding results in chunk order.
+
+    ``workers=None``/``1`` (or a single chunk) applies ``chunk_fn``
+    in-process; ``workers > 1`` fans the chunks out over a process pool
+    (never more processes than chunks).  Results are always yielded in
+    chunk order regardless of which worker ran them, so the executor
+    choice can never change what a caller observes — only when each
+    chunk becomes available.
+
+    ``chunk_fn`` must be picklable for ``workers > 1``; chunk contents must
+    be picklable too.  Yielding (rather than returning a list) lets callers
+    checkpoint or log per chunk as results arrive while the pool is still
+    running later chunks.
+    """
+    if workers is not None and workers < 1:
+        raise ValidationError(f"workers must be >= 1 or None, got {workers}")
+    chunk_list = list(chunks)
+    if workers is None or workers == 1 or len(chunk_list) <= 1:
+        for chunk in chunk_list:
+            yield chunk_fn(chunk)
+        return
+    _check_picklable(chunk_fn)
+    pool_workers = min(workers, len(chunk_list))
+    with ProcessPoolExecutor(max_workers=pool_workers) as pool:
+        yield from pool.map(chunk_fn, chunk_list)
+
+
 def _run_point_chunk(spec: SweepSpec, chunk: list[GridPoint]) -> list[dict]:
     """Worker body: run one chunk of grid points with a chunk-local cache.
 
@@ -373,10 +423,10 @@ def run_sweep(
         is an error unless ``resume=True`` (never clobbered); a corrupt
         or foreign existing file is an error even then.
     workers / chunk_size:
-        Pool fan-out, as in :func:`repro.scenarios.montecarlo.run_trials`.
-        Points are sharded by topology so each worker factorises a
-        routing matrix at most once; results are bit-identical for any
-        worker/chunk choice.
+        Pool fan-out (:func:`iter_map_chunks`) and the most points per
+        pool task.  Points are sharded by topology so each worker
+        factorises a routing matrix at most once; results are
+        bit-identical for any worker/chunk choice.
     resume:
         Replay ``results_path`` and skip every point whose config digest
         is already checkpointed.

@@ -125,57 +125,59 @@ class TestLayerContract:
 RACY_WORKERS = """
     from functools import partial
 
-    from pkg.pool import run_trials
+    from pkg.pool import iter_map_chunks
+
+    CHUNKS = [[1], [2]]
 
     TOTALS = {}
     COUNTS = []
     LIMIT = 3
 
-    def bad_worker(i):
-        TOTALS[i] = i
-        return i
+    def bad_worker(chunk):
+        TOTALS[len(chunk)] = chunk
+        return chunk
 
     def helper_write():
         global LIMIT
         LIMIT = 5
 
-    def chained_worker(i):
+    def chained_worker(chunk):
         helper_write()
-        return i
+        return chunk
 
-    def ok_worker(i):
+    def ok_worker(chunk):
         local = []
-        local.append(i)
-        return len(local)
+        local.extend(chunk)
+        return local
 
-    def deliberate_worker(i):
-        TOTALS[i] = i  # repro: worker-state-ok (test fixture)
-        return i
+    def deliberate_worker(chunk):
+        TOTALS[len(chunk)] = chunk  # repro: worker-state-ok (test fixture)
+        return chunk
 
     def mutator(items):
         items.append(1)
         return items
 
-    def scaled_worker(factor, i):
-        COUNTS.append(i * factor)
-        return i
+    def scaled_worker(factor, chunk):
+        COUNTS.append(len(chunk) * factor)
+        return chunk
 
     def run_all():
-        run_trials(2, bad_worker, workers=2)
-        run_trials(2, chained_worker)
-        run_trials(2, ok_worker)
-        run_trials(2, deliberate_worker)
-        run_trials(2, mutator)
-        run_trials(2, lambda i: i, workers=2)
+        iter_map_chunks(bad_worker, CHUNKS, workers=2)
+        iter_map_chunks(chained_worker, CHUNKS, workers=2)
+        iter_map_chunks(ok_worker, CHUNKS, workers=2)
+        iter_map_chunks(deliberate_worker, CHUNKS, workers=2)
+        iter_map_chunks(mutator, CHUNKS, workers=2)
+        iter_map_chunks(lambda chunk: chunk, CHUNKS, workers=2)
 
     def run_partial():
         fn = partial(scaled_worker, 2)
-        return run_trials(2, fn)
+        return iter_map_chunks(fn, CHUNKS, workers=2)
 
     def run_nested():
-        def inner(i):
-            return i
-        return run_trials(2, inner, workers=2)
+        def inner(chunk):
+            return chunk
+        return iter_map_chunks(inner, CHUNKS, workers=2)
     """
 
 
@@ -187,8 +189,8 @@ class TestWorkerState:
             {
                 "pkg/__init__.py": "",
                 "pkg/pool.py": """
-                    def run_trials(n, trial, workers=None):
-                        return [trial(i) for i in range(n)]
+                    def iter_map_chunks(chunk_fn, chunks, workers=None):
+                        return [chunk_fn(chunk) for chunk in chunks]
                     """,
                 "pkg/work.py": RACY_WORKERS,
             },

@@ -340,20 +340,13 @@ class TestInstrumentedLibrary:
     def test_run_trials_chunk_events(self, tmp_path):
         from repro.scenarios.montecarlo import run_trials
 
-        from tests.scenarios.test_montecarlo import _stochastic_trial
-
         path = tmp_path / "run.jsonl"
         with obs.enabled(path):
-            run_trials(8, _stochastic_trial, seed=3, workers=2, chunk_size=2)
-        records = read_events(path)
-        run_events = [r for r in records if r.get("name") == "mc_run"]
-        assert run_events[0]["workers"] == 2
-        assert run_events[0]["chunks"] == 4
-        chunk_events = [r for r in records if r.get("name") == "mc_chunk"]
-        assert [c["index"] for c in chunk_events] == [0, 1, 2, 3]
-        assert chunk_events[-1]["collected"] == 8
-        done = [r for r in records if r.get("name") == "mc_done"]
+            kept = run_trials(8, _stochastic_trial, seed=3)
+        done = [r for r in read_events(path) if r.get("name") == "mc_done"]
+        assert len(done) == 1
         assert done[0]["trials"] == 8
+        assert done[0]["kept"] == len(kept)
 
     def test_recorder_counters_equal_the_run_log(self, tmp_path):
         """A whole Fig. 1 max-damage attack: the in-memory recorder and the
@@ -376,19 +369,19 @@ class TestInstrumentedLibrary:
         """Identical trial outcomes with and without an active log."""
         from repro.scenarios.montecarlo import run_trials
 
-        from tests.scenarios.test_montecarlo import _stochastic_trial
-
-        plain = run_trials(12, _stochastic_trial, seed=11, workers=2)
+        plain = run_trials(12, _stochastic_trial, seed=11)
         with obs.enabled(tmp_path / "run.jsonl"):
-            observed = run_trials(12, _stochastic_trial, seed=11, workers=2)
+            observed = run_trials(12, _stochastic_trial, seed=11)
         assert plain == observed
 
 
-def _noisy_trial(rng):
-    """Module-level trial that tries to report into the event log."""
-    obs.event("worker_probe", pid=True)
-    with obs.span("worker_span"):
-        return {"v": float(rng.random())}
+def _stochastic_trial(rng):
+    """A trial with several draws and a rejection path."""
+    value = float(rng.random())
+    bonus = float(rng.normal())
+    if value < 0.2:
+        return None
+    return {"value": value, "bonus": bonus, "success": value > 0.6}
 
 
 class TestForkedWorkers:
@@ -409,18 +402,31 @@ class TestForkedWorkers:
         assert read_events(tmp_path / "run.jsonl")[-1]["kind"] == "footer"
 
     def test_worker_events_stay_out_of_parent_log(self, tmp_path):
-        """Trials emitting events in a forked pool leave no trace: the
-        inherited log is detached, and the parent's file stays a single
-        well-formed record stream (no replayed buffers, no interleaving)."""
-        from repro.scenarios.montecarlo import run_trials
+        """Sweep points emitting events in a forked pool leave no trace:
+        the inherited log is detached, and the parent's file stays a
+        single well-formed record stream (no replayed buffers, no
+        interleaving)."""
+        from repro.sweep import SweepSpec, run_sweep
 
+        spec = SweepSpec.from_dict(
+            {
+                "format": "repro-sweep",
+                "version": 1,
+                "name": "forked-log",
+                "seed": 5,
+                "strategies": ["naive"],
+                "topologies": [{"kind": "fig1"}, {"kind": "grid", "rows": 2, "cols": 3}],
+                "attacker_counts": [1, 2],
+            }
+        )
         path = tmp_path / "run.jsonl"
         with obs.enabled(path):
-            results = run_trials(6, _noisy_trial, seed=5, workers=2)
-        assert len(results) == 6
+            summary = run_sweep(spec, results_path=tmp_path / "r.jsonl", workers=2)
+        assert summary["ran"] == 4
         records = read_events(path)
         kinds = [r["kind"] for r in records]
         assert kinds.count("header") == 1 and kinds.count("footer") == 1
         assert kinds.count("span_start") == kinds.count("span_end")
-        names = {r.get("name") for r in records}
-        assert "worker_probe" not in names and "worker_span" not in names
+        spans = {r.get("name") for r in records if r["kind"] == "span_start"}
+        assert "sweep_run" in spans
+        assert "sweep_point" not in spans

@@ -1,5 +1,6 @@
 """Tests for the defence-experiment drivers."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
@@ -46,6 +47,18 @@ class TestRobustRecovery:
             fig1_scenario, tamper_counts=(2,), num_trials=5, seed=7
         )
         assert a["rows"] == b["rows"]
+
+    def test_equal_seeds_give_equal_rows(self, fig1_scenario):
+        """Each tamper count seeds from a stream spawned off ``seed``, not
+        from the seed object's identity: two live, equal SeedSequences and
+        the int they wrap give the same rows."""
+        rows = [
+            robust_recovery_experiment(
+                fig1_scenario, tamper_counts=(2, 3), num_trials=5, seed=seed
+            )["rows"]
+            for seed in (np.random.SeedSequence(5), np.random.SeedSequence(5), 5)
+        ]
+        assert rows[0] == rows[1] == rows[2]
 
 
 class TestPathSelectionDefense:

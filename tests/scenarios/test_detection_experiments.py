@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.detection.consistency import ConsistencyDetector
 from repro.exceptions import ValidationError
 from repro.measurement.noise import GaussianNoise
 from repro.scenarios.detection_experiments import (
@@ -9,6 +10,7 @@ from repro.scenarios.detection_experiments import (
     detection_ratio_experiment,
     false_alarm_experiment,
 )
+from repro.utils.rng import spawn_rngs
 
 
 class TestDetectionRatios:
@@ -105,6 +107,29 @@ class TestFalseAlarms:
             seed=0,
         )
         assert result["false_alarm_rate"] == 0.0
+
+    def test_blocks_match_per_trial_checks(self, fig1_scenario):
+        """300 noisy trials are checked as two blocks (256 + 44 columns);
+        every verdict equals a per-trial check of the same spawned draw."""
+        noise, alpha = GaussianNoise(5.0), 67.0  # alpha near the median residual
+        result = false_alarm_experiment(
+            fig1_scenario, num_trials=300, alpha=alpha, noise_model=noise, seed=3
+        )
+        detector = ConsistencyDetector(
+            fig1_scenario.path_set.routing_matrix(),
+            alpha=alpha,
+            system=fig1_scenario.system,
+        )
+        engine = fig1_scenario.engine(noise)
+        singles = [
+            detector.check(engine.measure(fig1_scenario.true_metrics, rng=rng))
+            for rng in spawn_rngs(3, 300)
+        ]
+        assert len(result["trials"]) == 300
+        for trial, single in zip(result["trials"], singles):
+            assert trial["detected"] == single.detected
+            assert trial["residual_l1"] == pytest.approx(single.residual_l1, abs=1e-9)
+        assert 0.0 < result["false_alarm_rate"] < 1.0
 
 
 class TestEstimatorZooAblation:

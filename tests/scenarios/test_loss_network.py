@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.attacks.chosen_victim import ChosenVictimAttack
+from repro.exceptions import AttackConstraintError
 from repro.measurement.simulator.network_sim import NetworkSimulator
 from repro.scenarios.loss_network import (
     compile_loss_attack_plan,
@@ -60,7 +61,7 @@ class TestLossAttackPlanning:
         support = set(loss_scenario.path_set.paths_containing_any_node({"B", "C"}))
         off = next(i for i in range(len(m)) if i not in support)
         m[off] = 0.5
-        with pytest.raises(ValueError):
+        with pytest.raises(AttackConstraintError, match="no attacker"):
             compile_loss_attack_plan(loss_scenario, ["B", "C"], m)
 
 

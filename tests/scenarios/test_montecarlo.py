@@ -2,40 +2,10 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.scenarios.montecarlo import (
-    binned_rate,
-    check_picklable,
-    run_batched_trials,
-    run_trials,
-    success_rate,
-)
-
-
-def _stochastic_trial(rng):
-    """Module-level (hence picklable) trial: several draws, rejection path."""
-    value = float(rng.random())
-    bonus = float(rng.normal())
-    if value < 0.2:
-        return None
-    return {"value": value, "bonus": bonus, "success": value > 0.6}
-
-
-class TestCheckPicklable:
-    def test_module_level_function_passes(self):
-        check_picklable(_stochastic_trial)
-
-    def test_closure_rejected_with_guidance(self):
-        bound = 3
-
-        def closure_trial(rng):
-            return {"value": bound}
-
-        with pytest.raises(ValidationError, match="module-level function"):
-            check_picklable(closure_trial, "trial function")
+from repro.scenarios.montecarlo import binned_rate, run_trials, success_rate
 
 
 class TestRunTrials:
@@ -69,98 +39,6 @@ class TestRunTrials:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValidationError):
             run_trials(0, lambda rng: {}, seed=0)
-
-
-class TestRunTrialsWorkers:
-    def test_workers_bit_identical_to_serial(self):
-        """The acceptance criterion: parallel aggregates == serial ones."""
-        serial = run_trials(24, _stochastic_trial, seed=42, workers=1)
-        parallel = run_trials(24, _stochastic_trial, seed=42, workers=4)
-        assert serial == parallel
-        assert success_rate(serial) == success_rate(parallel)
-
-    def test_workers_with_explicit_chunk_size(self):
-        serial = run_trials(11, _stochastic_trial, seed=5)
-        parallel = run_trials(11, _stochastic_trial, seed=5, workers=2, chunk_size=3)
-        assert serial == parallel
-
-    def test_rejection_sampling_preserved_across_workers(self):
-        results = run_trials(40, _stochastic_trial, seed=0, workers=2)
-        assert 0 < len(results) < 40
-        assert all(r["value"] >= 0.2 for r in results)
-
-    def test_unpicklable_trial_rejected_clearly(self):
-        captured = {}
-
-        def closure_trial(rng):  # pragma: no cover - never actually runs
-            return {"x": captured}
-
-        with pytest.raises(ValidationError, match="picklable"):
-            run_trials(4, closure_trial, seed=0, workers=2)
-
-    def test_bad_workers_and_chunk_size_rejected(self):
-        with pytest.raises(ValidationError):
-            run_trials(4, _stochastic_trial, seed=0, workers=0)
-        with pytest.raises(ValidationError):
-            run_trials(4, _stochastic_trial, seed=0, workers=2, chunk_size=-1)
-
-    def test_chunk_size_zero_means_auto(self):
-        """Regression: ``chunk_size=0`` used to be rejected; it now selects
-        the default chunking and stays bit-identical to serial."""
-        serial = run_trials(11, _stochastic_trial, seed=5)
-        parallel = run_trials(11, _stochastic_trial, seed=5, workers=2, chunk_size=0)
-        assert serial == parallel
-
-    def test_more_workers_than_trials(self):
-        """Regression: ``workers > num_trials`` used to produce empty chunks
-        (``ceil(n / 4w) * w`` oversubscription); the pool is clamped and
-        results stay bit-identical to serial."""
-        serial = run_trials(3, _stochastic_trial, seed=7)
-        parallel = run_trials(3, _stochastic_trial, seed=7, workers=8)
-        assert serial == parallel
-
-
-class TestRunBatchedTrials:
-    @staticmethod
-    def _draw(rng):
-        return rng.uniform(0.0, 10.0, size=4)
-
-    @staticmethod
-    def _batch(block):
-        return list(np.sum(block, axis=0))
-
-    def test_matches_per_trial_loop(self):
-        """Batched results equal drawing + processing each trial alone."""
-        batched = run_batched_trials(12, self._draw, self._batch, seed=3)
-        per_trial = run_trials(
-            12, lambda rng: {"sum": float(np.sum(self._draw(rng)))}, seed=3
-        )
-        assert [float(b) for b in batched] == [t["sum"] for t in per_trial]
-
-    def test_chunk_size_does_not_change_results(self):
-        whole = run_batched_trials(10, self._draw, self._batch, seed=1)
-        chunked = run_batched_trials(
-            10, self._draw, self._batch, seed=1, chunk_size=3
-        )
-        assert [float(a) for a in whole] == [float(b) for b in chunked]
-
-    def test_none_draws_rejected(self):
-        def draw(rng):
-            value = rng.uniform(0.0, 10.0, size=4)
-            return value if value[0] > 2.0 else None
-
-        results = run_batched_trials(40, draw, self._batch, seed=0)
-        assert 0 < len(results) < 40
-
-    def test_batch_result_count_enforced(self):
-        with pytest.raises(ValidationError, match="results"):
-            run_batched_trials(4, self._draw, lambda block: [0.0], seed=0)
-
-    def test_bad_arguments_rejected(self):
-        with pytest.raises(ValidationError):
-            run_batched_trials(0, self._draw, self._batch, seed=0)
-        with pytest.raises(ValidationError):
-            run_batched_trials(4, self._draw, self._batch, seed=0, chunk_size=-2)
 
 
 class TestSuccessRate:

@@ -1,7 +1,5 @@
 """Tests for the Scenario bundle."""
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -146,22 +144,6 @@ class TestSharedSystem:
         context = scenario.attack_context(["B", "C"])
         assert context.system is after
         assert context.num_paths == after.num_paths
-
-    def test_pickle_drops_the_factorization(self):
-        scenario = paper_fig1_scenario()
-        cold_bytes = pickle.dumps(scenario)
-        honest = scenario.honest_measurements()
-        expected = scenario.system.estimate(honest)
-        assert scenario.system.rank > 0  # factorized
-        warm_bytes = pickle.dumps(scenario)
-        assert len(warm_bytes) <= len(cold_bytes)
-        clone = pickle.loads(warm_bytes)
-        assert np.array_equal(
-            clone.path_set.routing_matrix(), scenario.path_set.routing_matrix()
-        )
-        np.testing.assert_allclose(
-            clone.system.estimate(honest), expected, rtol=0, atol=1e-9
-        )
 
     def test_injected_system_pins_the_backend(self, fig1_scenario):
         pinned = LinearSystem(fig1_scenario.path_set.routing_matrix(), backend="sparse")

@@ -1,18 +1,22 @@
 """Parity of sweep results: workers and the LP reference must not change them.
 
-``run_trials`` parity is covered in ``tests/scenarios/test_montecarlo.py``;
-this module covers the shared chunk mapper it was refactored onto and the
-sweep runner built on top of it, including resume byte-identity, and the
-warm LP path against the cold ``linprog`` reference over whole grids.
+This module covers the sweep runner's chunk mapper (the library's one
+process pool) and the sweep built on top of it, including resume
+byte-identity, and the warm LP path against the cold ``linprog``
+reference over whole grids.
 """
 
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.scenarios.montecarlo import iter_map_chunks
 from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.cache import FactorizationCache
-from repro.sweep.runner import build_scenarios, run_grid_point
+from repro.sweep.runner import (
+    _check_picklable,
+    build_scenarios,
+    iter_map_chunks,
+    run_grid_point,
+)
 
 
 def _double_chunk(chunk):
@@ -47,7 +51,21 @@ class TestIterMapChunks:
 
     def test_unpicklable_chunk_fn_rejected(self):
         with pytest.raises(ValidationError, match="picklable"):
-            list(iter_map_chunks(lambda chunk: chunk, [[1], [2]], workers=2))
+            list(iter_map_chunks(lambda chunk: chunk, [[1], [2]], workers=2))  # repro: noqa RP008 the rejection under test
+
+
+class TestCheckPicklable:
+    def test_module_level_function_passes(self):
+        _check_picklable(_double_chunk)
+
+    def test_closure_rejected_with_guidance(self):
+        bound = 3
+
+        def closure_chunk(chunk):
+            return [bound] * len(chunk)
+
+        with pytest.raises(ValidationError, match="module-level function"):
+            _check_picklable(closure_chunk)
 
 
 @pytest.mark.slow
