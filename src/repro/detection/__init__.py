@@ -15,8 +15,9 @@ Theorem 3 fixes the blind spots: perfect cuts and square routing matrices.
 - :class:`~repro.detection.auditor.TomographyAuditor` — estimate +
   diagnose + detect in one operator-facing call;
 - :class:`~repro.detection.online.OnlineConsistencyDetector` — the same
-  residual test over an *evolving* system: per-epoch path churn patches
-  the shared factorization instead of rebuilding detector state.
+  detector over an *evolving* system: it can ``advance`` the system
+  through per-epoch path churn, which patches the shared factorization
+  instead of rebuilding detector state.
 """
 
 from repro.detection.auditor import AuditReport, TomographyAuditor

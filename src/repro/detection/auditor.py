@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.detection.consistency import ConsistencyDetector, DetectionResult
 from repro.detection.localization import witness_report
+from repro.exceptions import DetectionError
 from repro.metrics.states import StateThresholds
 from repro.routing.paths import PathSet
 from repro.tomography.diagnosis import DiagnosisReport, diagnose
@@ -68,12 +69,14 @@ class TomographyAuditor:
     system:
         Optional pre-factorised
         :class:`~repro.tomography.linear_system.LinearSystem` over the
-        path set's routing matrix, forwarded to the detector so audits
-        share the sweep engine's per-topology factorisation.
+        path set's routing matrix (checked with
+        :meth:`~repro.tomography.linear_system.LinearSystem.matches`), on
+        which the detector runs, so audits share the sweep engine's
+        per-topology factorisation.  None wraps the path set's ``R``.
     estimator:
-        Inversion family the audited operator runs — a zoo name, a
-        built estimator, or None for least squares (``ls``).
-        Forwarded to the detector; the diagnosis is
+        Inversion family the audited operator runs — a zoo name, an
+        estimator built over ``system``, or None for least squares
+        (``ls``).  Forwarded to the detector; the diagnosis is
         computed from the same estimate the detector thresholds.
     """
 
@@ -88,9 +91,14 @@ class TomographyAuditor:
     ) -> None:
         self.path_set = path_set
         self.thresholds = thresholds if thresholds is not None else StateThresholds()
-        self.detector = ConsistencyDetector(
-            path_set.routing_matrix(), alpha=alpha, system=system, estimator=estimator
-        )
+        matrix = path_set.routing_matrix()
+        if system is None:
+            system = matrix
+        elif not system.matches(matrix):
+            raise DetectionError(
+                "injected LinearSystem does not match the path set's routing matrix"
+            )
+        self.detector = ConsistencyDetector(system, alpha=alpha, estimator=estimator)
 
     def audit(self, observed: np.ndarray) -> AuditReport:
         """Run the full pipeline on one observed measurement vector."""

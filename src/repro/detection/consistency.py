@@ -4,6 +4,13 @@ Declare scapegoating when ``||R x_hat - y'||_1 > alpha``.  With noiseless
 measurements any positive residual is suspicious; ``alpha`` absorbs real
 measurement randomness (the paper sets 200 ms empirically; the detection
 benches sweep it).
+
+The detector runs on the :class:`~repro.tomography.linear_system.LinearSystem`
+it is handed and never copies ``R``: the residual is one estimate plus one
+forward :meth:`~repro.tomography.linear_system.LinearSystem.predict`,
+matrix-free on the sparse backend.
+:class:`~repro.detection.online.OnlineConsistencyDetector` is this
+detector over a system that churns.
 """
 
 from __future__ import annotations
@@ -41,12 +48,14 @@ class DetectionResult:
 
 
 class ConsistencyDetector:
-    """Residual-thresholding detector over a fixed routing matrix.
+    """Residual-thresholding detector over one measurement system.
 
     Parameters
     ----------
-    routing_matrix:
-        The operator's ``R``.
+    system:
+        The measurement system the detector runs on — a built
+        :class:`~repro.tomography.linear_system.LinearSystem` or a routing
+        matrix ``R`` (dense or scipy-sparse) to wrap.
     alpha:
         Detection threshold on the ``L_1`` residual (paper experiments:
         200 ms).  Must be non-negative; zero implements the idealised
@@ -54,88 +63,46 @@ class ConsistencyDetector:
     estimator:
         Which inversion the defender runs before thresholding: a zoo
         name (``"ls"`` / ``"bayes-map"`` / ...), an already-built
-        :class:`~repro.tomography.estimator_zoo.Estimator` over the same
-        system, or None for least squares (``ls``), which reproduces
-        eq. (23) bit-identically; biased families need
+        :class:`~repro.tomography.estimator_zoo.Estimator` over this
+        detector's own system, or None for least squares (``ls``), which
+        reproduces eq. (23) bit-identically; biased families need
         :func:`~repro.tomography.estimator_zoo.calibrated_alpha` to keep
         ``alpha`` meaning "manipulation evidence".
 
-    Note the structural blind spots (Theorem 3): if ``R`` is square and
-    invertible the residual is *identically zero* whatever the attacker
-    does — the detector warns about this at construction via
+    Note the structural blind spots (Theorem 3): if ``R`` has rank
+    ``|P|`` (square and invertible among others) the residual is
+    *identically zero* whatever the attacker does — see
     :attr:`structurally_blind`.
     """
 
-    def __init__(
-        self,
-        routing_matrix: np.ndarray,
-        alpha: float = 200.0,
-        *,
-        system: LinearSystem | None = None,
-        estimator=None,
-    ) -> None:
-        matrix = np.asarray(routing_matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] == 0 or matrix.shape[1] == 0:
-            raise DetectionError(f"degenerate routing matrix shape {matrix.shape}")
+    def __init__(self, system, alpha: float = 200.0, *, estimator=None) -> None:
         if alpha < 0:
             raise DetectionError(f"alpha must be non-negative, got {alpha}")
-        self._matrix = matrix
-        # One shared factorisation serves both the estimator operator and
-        # the rank query below (previously an independent matrix_rank).
-        # Callers running many detectors over one path set (scenarios)
-        # inject the already-factorised kernel instead.
-        if system is not None:
-            if not system.matches(matrix):
-                raise DetectionError(
-                    "injected LinearSystem does not match the routing matrix"
-                )
-            self._system = system
-        else:
-            self._system = LinearSystem(matrix)
+        self.system = system if isinstance(system, LinearSystem) else LinearSystem(system)
+        if self.system.num_paths == 0 or self.system.num_links == 0:
+            raise DetectionError(
+                f"degenerate routing matrix shape "
+                f"({self.system.num_paths}, {self.system.num_links})"
+            )
         self.alpha = float(alpha)
         if estimator is None or isinstance(estimator, str):
-            self.estimator = resolve_estimator(estimator, system=self._system)
-        else:
-            est_system = getattr(estimator, "system", None)
-            if est_system is None or not est_system.matches(matrix):
-                raise DetectionError(
-                    "injected estimator is not built over this routing matrix"
-                )
-            self.estimator = estimator
-        # Residuals vanish identically iff rows span no redundancy: every
-        # y' is consistent with some x.  That is rank == num_paths (which
-        # includes the square invertible case of Theorem 3).
-        self.structurally_blind = bool(self._system.rank == matrix.shape[0])
+            estimator = resolve_estimator(estimator, system=self.system)
+        elif getattr(estimator, "system", None) is not self.system:
+            raise DetectionError("injected estimator is not built over this detector's system")
+        self.estimator = estimator
 
     @property
-    def routing_matrix(self) -> np.ndarray:
-        """A copy of ``R``."""
-        return self._matrix.copy()
+    def structurally_blind(self) -> bool:
+        """True when the current ``R`` leaves no consistency residual.
+
+        Residuals vanish identically iff the rows span no redundancy, so
+        every ``y'`` is consistent with some ``x``: rank == ``|P|``.
+        """
+        return bool(self.system.rank == self.system.num_paths)
 
     def check(self, observed: np.ndarray) -> DetectionResult:
-        """Run the detector on one observed measurement vector.
-
-        The estimate comes from the shared kernel (matrix-free under the
-        sparse backend); the residual is one product with the detector's
-        dense ``R``, as in :meth:`check_batch`.
-        """
-        y = np.asarray(observed, dtype=float)
-        if y.shape != (self._matrix.shape[0],):
-            raise DetectionError(
-                f"observed vector must have shape ({self._matrix.shape[0]},), got {y.shape}"
-            )
-        if not np.all(np.isfinite(y)):
-            raise DetectionError("observed measurements must be finite")
-        estimate = self.estimator.estimate(y)
-        residual = self._matrix @ estimate - y
-        residual_l1 = float(np.abs(residual).sum())
-        return DetectionResult(
-            detected=bool(residual_l1 > self.alpha),
-            residual_l1=residual_l1,
-            threshold=self.alpha,
-            per_path_residual=residual,
-            estimate=estimate,
-        )
+        """Run the detector on one observed measurement vector."""
+        return self._verdicts(observed, ndim=1)[0]
 
     def check_batch(self, observed_block: np.ndarray) -> list[DetectionResult]:
         """Run the detector on a block of measurement vectors (|P| x k).
@@ -145,24 +112,39 @@ class ConsistencyDetector:
         so Monte-Carlo chunks pay one solve instead of ``k``.  Verdicts
         are identical to ``k`` independent :meth:`check` calls.
         """
-        block = np.asarray(observed_block, dtype=float)
-        if block.ndim != 2 or block.shape[0] != self._matrix.shape[0]:
+        return self._verdicts(observed_block, ndim=2)
+
+    def _verdicts(self, observed: np.ndarray, *, ndim: int) -> list[DetectionResult]:
+        """Validate, estimate, form ``R x_hat - y`` and threshold its L1 norm.
+
+        ``observed`` is one vector (``ndim=1``) or a block of columns
+        (``ndim=2``); either takes one estimate and one predict, and a
+        block yields one result per column.
+        """
+        y = np.asarray(observed, dtype=float)
+        paths = self.system.num_paths
+        if y.ndim != ndim or y.shape[0] != paths:
+            expected = f"({paths},)" if ndim == 1 else f"({paths}, k)"
             raise DetectionError(
-                f"observed block must have shape ({self._matrix.shape[0]}, k), "
-                f"got {block.shape}"
+                f"observed measurements must have shape {expected}, got {y.shape}"
             )
-        if not np.all(np.isfinite(block)):
+        if not np.all(np.isfinite(y)):
             raise DetectionError("observed measurements must be finite")
-        estimates = self.estimator.estimate(block)
-        residuals = self._matrix @ estimates - block
+        estimates = self.estimator.estimate(y)
+        residuals = self.system.predict(estimates) - y
         residual_l1 = np.abs(residuals).sum(axis=0)
+        columns = (
+            zip(estimates.T, residuals.T, residual_l1)
+            if ndim == 2
+            else [(estimates, residuals, residual_l1)]
+        )
         return [
             DetectionResult(
-                detected=bool(residual_l1[j] > self.alpha),
-                residual_l1=float(residual_l1[j]),
+                detected=bool(l1 > self.alpha),
+                residual_l1=float(l1),
                 threshold=self.alpha,
-                per_path_residual=residuals[:, j],
-                estimate=estimates[:, j],
+                per_path_residual=residual,
+                estimate=estimate,
             )
-            for j in range(block.shape[1])
+            for estimate, residual, l1 in columns
         ]

@@ -126,9 +126,7 @@ def detection_ratio_experiment(
         )
     confined = attacker_model == "confined"
     stealth_first = attacker_model in ("confined", "unconfined")
-    detector = ConsistencyDetector(
-        scenario.path_set.routing_matrix(), alpha=alpha, system=scenario.system
-    )
+    detector = ConsistencyDetector(scenario.system, alpha)
 
     def trial(rng: np.random.Generator) -> dict | None:
         nodes = scenario.topology.nodes()
@@ -263,12 +261,7 @@ def ablation_estimator_zoo(
                 name, system=system, **params_by_name.get(name, {})
             )
             alpha = calibrated_alpha(estimator, honest, base_alpha)
-            detector = ConsistencyDetector(
-                scenario.path_set.routing_matrix(),
-                alpha=alpha,
-                system=system,
-                estimator=estimator,
-            )
+            detector = ConsistencyDetector(system, alpha, estimator=estimator)
             honest_residual = detector.check(honest).residual_l1
 
             def trial(rng: np.random.Generator) -> dict | None:
@@ -404,9 +397,7 @@ def false_alarm_experiment(
     no alarms fire; passing a noise model measures how ``alpha`` absorbs
     real measurement randomness (ablation bench).
     """
-    detector = ConsistencyDetector(
-        scenario.path_set.routing_matrix(), alpha=alpha, system=scenario.system
-    )
+    detector = ConsistencyDetector(scenario.system, alpha)
     engine = scenario.engine(noise_model)
 
     def draw(rng: np.random.Generator) -> np.ndarray:

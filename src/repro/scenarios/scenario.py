@@ -4,7 +4,10 @@ A scenario fixes everything the operator side of an experiment needs — the
 topology, monitors, measurement paths, ground-truth link metrics, state
 thresholds — plus the attacker-facing knobs (per-path cap, band margin).
 Experiment drivers derive attack contexts, measurement engines, and
-auditors from it.
+auditors from it; every context and auditor runs on the scenario's one
+:attr:`Scenario.system`.  A run on another kernel builds an
+:class:`~repro.attacks.base.AttackContext` or a
+:class:`~repro.detection.auditor.TomographyAuditor` with ``system=``.
 """
 
 from __future__ import annotations
@@ -167,17 +170,13 @@ class Scenario:
     # derived objects
     # ------------------------------------------------------------------
     def attack_context(
-        self, attacker_nodes: Iterable[NodeId], *, system=None, estimator=None
+        self, attacker_nodes: Iterable[NodeId], *, estimator=None
     ) -> AttackContext:
-        """An :class:`AttackContext` for the given attacker set.
+        """An :class:`AttackContext` for the given attacker set, on :attr:`system`.
 
-        The context runs on :attr:`system` unless ``system`` injects
-        another pre-factorised
-        :class:`~repro.tomography.linear_system.LinearSystem` over this
-        scenario's routing matrix (one built with ``backend=`` pins the
-        kernel).  ``estimator``
-        selects the defender's inversion family (zoo name, built
-        estimator, or None = least squares, ``ls``).
+        ``estimator`` selects the defender's inversion family (zoo name,
+        estimator built over :attr:`system`, or None = least squares,
+        ``ls``).
         """
         return AttackContext(
             self.path_set,
@@ -186,7 +185,7 @@ class Scenario:
             thresholds=self.thresholds,
             cap=self.cap,
             margin=self.margin,
-            system=self.system if system is None else system,
+            system=self.system,
             estimator=estimator,
         )
 
@@ -200,21 +199,17 @@ class Scenario:
             self.topology, self.true_metrics, agents=agents or {}, jitter=jitter
         )
 
-    def auditor(
-        self, alpha: float = 200.0, *, system=None, estimator=None
-    ) -> TomographyAuditor:
-        """The operator's audited-tomography pipeline.
+    def auditor(self, alpha: float = 200.0, *, estimator=None) -> TomographyAuditor:
+        """The operator's audited-tomography pipeline, on :attr:`system`.
 
-        The detector runs on :attr:`system` unless ``system`` injects
-        another kernel (same contract as :meth:`attack_context`);
-        ``estimator`` selects the inversion family the audit runs (zoo
-        name, built estimator, or None = least squares, ``ls``).
+        ``estimator`` selects the inversion family the audit runs (same
+        contract as :meth:`attack_context`).
         """
         return TomographyAuditor(
             self.path_set,
             thresholds=self.thresholds,
             alpha=alpha,
-            system=self.system if system is None else system,
+            system=self.system,
             estimator=estimator,
         )
 

@@ -294,20 +294,25 @@ def iter_map_chunks(
     chunk becomes available.
 
     ``chunk_fn`` must be picklable for ``workers > 1``; chunk contents must
-    be picklable too.  Yielding (rather than returning a list) lets callers
-    checkpoint or log per chunk as results arrive while the pool is still
-    running later chunks.
+    be picklable too.  Returning an iterator (rather than a list) lets
+    callers checkpoint or log per chunk as results arrive while the pool
+    is still running later chunks.  The arguments are checked here, at
+    the call, so a caller can reject them before it opens its output.
     """
     if workers is not None and workers < 1:
         raise ValidationError(f"workers must be >= 1 or None, got {workers}")
     chunk_list = list(chunks)
     if workers is None or workers == 1 or len(chunk_list) <= 1:
-        for chunk in chunk_list:
-            yield chunk_fn(chunk)
-        return
+        return map(chunk_fn, chunk_list)
     _check_picklable(chunk_fn)
-    pool_workers = min(workers, len(chunk_list))
-    with ProcessPoolExecutor(max_workers=pool_workers) as pool:
+    return _pool_map(chunk_fn, chunk_list, min(workers, len(chunk_list)))
+
+
+def _pool_map(
+    chunk_fn: Callable[[list], list], chunk_list: list, workers: int
+) -> Iterator[list]:
+    """``chunk_fn`` over ``chunk_list`` in a pool of ``workers`` processes, in order."""
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(chunk_fn, chunk_list)
 
 
@@ -453,6 +458,9 @@ def run_sweep(
         todo = todo[:max_points]
         budget_hit = True
     chunks = _chunk_points(todo, chunk_size)
+    # Built before the file opens: bad arguments leave no header-only file.
+    chunk_fn = partial(_run_point_chunk, spec)
+    chunk_results = iter_map_chunks(chunk_fn, chunks, workers=workers)
     if obs.is_enabled():
         obs.event(
             "sweep_start",
@@ -473,10 +481,7 @@ def run_sweep(
         if mode == "w":
             out.write(_encode_line(_header_line(spec)) + "\n")
             out.flush()
-        chunk_fn = partial(_run_point_chunk, spec)
-        for chunk_number, chunk_records in enumerate(
-            iter_map_chunks(chunk_fn, chunks, workers=workers)
-        ):
+        for chunk_number, chunk_records in enumerate(chunk_results):
             for record in chunk_records:
                 out.write(
                     _encode_line(

@@ -7,6 +7,8 @@ experiment drivers reproducible and the call sites uniform.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 __all__ = ["ensure_rng", "spawn_rngs"]
@@ -44,11 +46,16 @@ def spawn_rngs(rng: object, count: int) -> list[np.random.Generator]:
 
     Uses the SeedSequence spawning protocol so that child streams are
     statistically independent regardless of how many draws the parent has
-    already made.  Useful for parallel Monte-Carlo trials that must be
+    already made.  Useful for Monte-Carlo trials that must be
     reproducible independent of execution order.
+
+    The children are spawned from a copy of ``rng``'s seed sequence:
+    ``SeedSequence.spawn`` advances its parent's child counter, so
+    spawning from a caller's live ``SeedSequence`` or ``Generator`` would
+    hand out new streams on every call, where an int seed repeats.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    parent = ensure_rng(rng)
-    seeds = parent.bit_generator.seed_seq.spawn(count)  # type: ignore[union-attr]
+    parent = copy.deepcopy(ensure_rng(rng).bit_generator.seed_seq)
+    seeds = parent.spawn(count)  # type: ignore[union-attr]
     return [np.random.default_rng(s) for s in seeds]

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attacks import lp, lp_engine
+from repro.attacks.base import AttackContext
 from repro.attacks.chosen_victim import ChosenVictimAttack, build_chosen_victim_bands
 from repro.attacks.cuts import perfectly_cut_links
 from repro.attacks.hybrid import FrameAndBlurAttack
@@ -39,11 +40,16 @@ from repro.tomography.linear_system import LinearSystem
 from repro.utils.highs import highs, row_wise_model
 
 
-def _context(fig1_scenario, backend: str):
-    """A fresh B,C attack context on the requested tomography backend."""
-    matrix = fig1_scenario.path_set.routing_matrix()
-    return fig1_scenario.attack_context(
-        ["B", "C"], system=LinearSystem(matrix, backend=backend)
+def _context(scenario, backend: str, attackers=("B", "C")):
+    """A fresh attack context (default: B,C) on the requested tomography backend."""
+    return AttackContext(
+        scenario.path_set,
+        scenario.true_metrics,
+        attackers,
+        thresholds=scenario.thresholds,
+        cap=scenario.cap,
+        margin=scenario.margin,
+        system=LinearSystem(scenario.path_set.routing_matrix(), backend=backend),
     )
 
 
@@ -573,11 +579,8 @@ def chosen_victim_lps(fig1_scenario, small_isp_scenario):
         (fig1_scenario, _FIG1_ATTACKERS),
         (small_isp_scenario, _ISP_ATTACKERS),
     ):
-        matrix = scenario.path_set.routing_matrix()
         for backend, attackers in itertools.product(("dense", "sparse"), attacker_sets):
-            context = scenario.attack_context(
-                list(attackers), system=LinearSystem(matrix, backend=backend)
-            )
+            context = _context(scenario, backend, attackers)
             cut = set(perfectly_cut_links(scenario.path_set, attackers))
             columns = context.residual_projector_support()
             stealth_rows = columns[np.linalg.norm(columns, axis=1) > 1e-12]

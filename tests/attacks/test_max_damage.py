@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.attacks.base import AttackContext
 from repro.attacks.chosen_victim import ChosenVictimAttack
 from repro.attacks.cuts import perfectly_cut_links
 from repro.attacks.lp import IncrementalLpSolver
@@ -181,7 +182,16 @@ def _perfect_cut_context(kind, size, seed, hub_index, spoke_index, extra, backen
     system = LinearSystem(scenario.path_set.routing_matrix(), backend=backend)
     assert system.rank == topology.num_links
     assert victim.index in perfectly_cut_links(scenario.path_set, attackers)
-    return scenario.attack_context(attackers, system=system), victim.index
+    context = AttackContext(
+        scenario.path_set,
+        scenario.true_metrics,
+        attackers,
+        thresholds=scenario.thresholds,
+        cap=scenario.cap,
+        margin=scenario.margin,
+        system=system,
+    )
+    return context, victim.index
 
 
 class TestEarlyStop:

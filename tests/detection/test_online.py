@@ -171,6 +171,22 @@ class TestAdvance:
         assert a.detected == b.detected
         assert abs(a.residual_l1 - b.residual_l1) < 1e-8
 
+    def test_check_batch_matches_check_after_churn(self):
+        online = OnlineConsistencyDetector(_incidence(11, 8, 4, 6), alpha=5.0)
+        online.system.rank
+        row = np.zeros(8)
+        row[2:6] = 1.0
+        online.advance(remove_indices=[4], add_rows=[row])
+        rng = np.random.default_rng(8)
+        block = rng.uniform(0.0, 30.0, size=(online.system.num_paths, 4))
+        batched = online.check_batch(block)
+        assert len(batched) == block.shape[1]
+        for j, result in enumerate(batched):
+            single = online.check(block[:, j])
+            assert result.detected == single.detected
+            assert result.residual_l1 == pytest.approx(single.residual_l1, abs=1e-9)
+            np.testing.assert_allclose(result.estimate, single.estimate, rtol=0, atol=1e-9)
+
     def test_removing_every_path_rejected(self):
         online = OnlineConsistencyDetector(_incidence(2, 4, 2, 8), alpha=1.0)
         with pytest.raises(DetectionError, match="every measurement path"):
@@ -197,3 +213,11 @@ class TestStructurallyBlind:
         # A dependent fourth row restores a consistency residual.
         online.advance(add_rows=[np.array([1.0, 1.0, 0.0])])
         assert not online.structurally_blind
+
+    def test_matches_batch_detector_over_the_evolved_system(self):
+        online = OnlineConsistencyDetector(np.eye(3), alpha=1.0)
+        assert online.structurally_blind == ConsistencyDetector(online.system).structurally_blind
+        online.advance(add_rows=[np.array([1.0, 1.0, 0.0])])
+        batch = ConsistencyDetector(online.system, alpha=1.0)
+        assert not batch.structurally_blind
+        assert online.structurally_blind == batch.structurally_blind

@@ -115,11 +115,7 @@ class TestFalseAlarms:
         result = false_alarm_experiment(
             fig1_scenario, num_trials=300, alpha=alpha, noise_model=noise, seed=3
         )
-        detector = ConsistencyDetector(
-            fig1_scenario.path_set.routing_matrix(),
-            alpha=alpha,
-            system=fig1_scenario.system,
-        )
+        detector = ConsistencyDetector(fig1_scenario.system, alpha)
         engine = fig1_scenario.engine(noise)
         singles = [
             detector.check(engine.measure(fig1_scenario.true_metrics, rng=rng))

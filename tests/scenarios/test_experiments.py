@@ -24,6 +24,12 @@ class TestSuccessProbabilitySweep:
             assert 0.0 <= trial["presence_ratio"] <= 1.0
             assert isinstance(trial["success"], bool)
 
+    def test_live_seed_sequence_repeats(self, fig1_scenario):
+        seed = np.random.SeedSequence(5)
+        a = success_probability_sweep(fig1_scenario, num_trials=6, seed=seed)
+        b = success_probability_sweep(fig1_scenario, num_trials=6, seed=seed)
+        assert a["trials"] == b["trials"]
+
     def test_perfect_cut_trials_always_succeed(self, small_isp_scenario):
         result = success_probability_sweep(small_isp_scenario, num_trials=60, seed=2)
         perfect = [t for t in result["trials"] if t["perfect_cut"]]

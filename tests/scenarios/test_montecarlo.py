@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
@@ -35,6 +36,17 @@ class TestRunTrials:
         full = run_trials(5, trial, seed=9)
         again = run_trials(5, trial, seed=9)
         assert [r["value"] for r in full] == [r["value"] for r in again]
+
+    @pytest.mark.parametrize("make_seed", [np.random.SeedSequence, np.random.default_rng])
+    def test_live_seed_object_repeats_like_an_int(self, make_seed):
+        """Spawning leaves the caller's seed object as it was."""
+        def trial(rng):
+            return float(rng.random())
+
+        seed = make_seed(5)
+        first = run_trials(3, trial, seed=seed)
+        assert run_trials(3, trial, seed=seed) == first
+        assert first == run_trials(3, trial, seed=5)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValidationError):

@@ -144,9 +144,3 @@ class TestSharedSystem:
         context = scenario.attack_context(["B", "C"])
         assert context.system is after
         assert context.num_paths == after.num_paths
-
-    def test_injected_system_pins_the_backend(self, fig1_scenario):
-        pinned = LinearSystem(fig1_scenario.path_set.routing_matrix(), backend="sparse")
-        context = fig1_scenario.attack_context(["B", "C"], system=pinned)
-        assert context.system is pinned
-        assert fig1_scenario.auditor(system=pinned).detector.estimator.system is pinned

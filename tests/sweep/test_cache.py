@@ -64,7 +64,7 @@ class TestScenarioKernel:
     def test_auditor_runs_on_the_scenario_system(self, fig1_scenario):
         cache = FactorizationCache(store=None)
         auditor = cache.auditor_for(fig1_scenario)
-        assert auditor.detector._system is fig1_scenario.system
+        assert auditor.detector.system is fig1_scenario.system
         for _ in range(3):
             assert cache.auditor_for(fig1_scenario) is auditor
         assert cache.stats["auditor_miss"] == 1
@@ -98,7 +98,7 @@ class TestScenarioStaleness:
         context = cache.context_for(scenario, ("B", "C"))
         auditor = cache.auditor_for(scenario)
         assert auditor is not stale_auditor
-        for system in (context.system, auditor.detector._system):
+        for system in (context.system, auditor.detector.system):
             assert system is scenario.system
             assert system is not stale
             assert system.num_paths == stale.num_paths - 1
@@ -128,7 +128,7 @@ class TestScenarioStaleness:
         systems = (
             cache.scenario_system_for(scenario),
             cache.context_for(scenario, ("B", "C")).system,
-            cache.auditor_for(scenario).detector._system,
+            cache.auditor_for(scenario).detector.system,
         )
         for system in systems:
             assert np.abs(

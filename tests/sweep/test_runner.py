@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.attacks.max_damage import MaxDamageAttack
-from repro.exceptions import SerializationError
+from repro.exceptions import SerializationError, ValidationError
 from repro.obs import PerfRecorder, recording
 from repro.sweep import SweepSpec, aggregate_rows, load_results, run_grid_point, run_sweep
 from repro.sweep.cache import FactorizationCache
@@ -61,6 +61,14 @@ class TestRunSweep:
         with pytest.raises(SerializationError, match="already exists"):
             run_sweep(spec, results_path=out)
         assert out.read_bytes() == before
+
+    def test_bad_workers_leave_no_results_file(self, spec, tmp_path):
+        out = tmp_path / "r.jsonl"
+        with pytest.raises(ValidationError, match="workers"):
+            run_sweep(spec, results_path=out, workers=0)
+        assert not out.exists()
+        summary = run_sweep(spec, results_path=out, workers=1)
+        assert summary["ran"] == spec.num_points()
 
     def test_budget_then_resume_completes(self, spec, tmp_path):
         out = tmp_path / "r.jsonl"

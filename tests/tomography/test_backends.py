@@ -378,6 +378,7 @@ class TestColumnBlocks:
 class TestSparseEndToEnd:
     def test_fig1_attack_damage_matches_dense(self):
         """The full chosen-victim pipeline agrees across backends."""
+        from repro.attacks.base import AttackContext
         from repro.attacks.chosen_victim import ChosenVictimAttack
         from repro.scenarios.simple_network import paper_fig1_scenario
 
@@ -385,8 +386,14 @@ class TestSparseEndToEnd:
         matrix = scenario.path_set.routing_matrix()
         outcomes = {}
         for name in ("dense", "sparse"):
-            context = scenario.attack_context(
-                ["B", "C"], system=LinearSystem(matrix, backend=name)
+            context = AttackContext(
+                scenario.path_set,
+                scenario.true_metrics,
+                ["B", "C"],
+                thresholds=scenario.thresholds,
+                cap=scenario.cap,
+                margin=scenario.margin,
+                system=LinearSystem(matrix, backend=name),
             )
             assert context.system.backend_name == name
             outcomes[name] = ChosenVictimAttack(context, [9]).run()
@@ -406,9 +413,7 @@ class TestSparseEndToEnd:
 
         scenario = paper_fig1_scenario()
         matrix = scenario.path_set.routing_matrix()
-        detector = ConsistencyDetector(
-            matrix, alpha=50.0, system=LinearSystem(matrix, backend="sparse")
-        )
+        detector = ConsistencyDetector(LinearSystem(matrix, backend="sparse"), alpha=50.0)
         rng = np.random.default_rng(7)
         honest = scenario.honest_measurements()
         block = honest[:, None] + rng.normal(0.0, 30.0, size=(honest.size, 5))
