@@ -80,7 +80,6 @@ from repro.routing import (
     PathSet,
     identifiability_report,
     k_shortest_paths,
-    routing_matrix,
     select_identifiable_paths,
 )
 from repro.scenarios import Scenario, StreamingCampaign
@@ -119,7 +118,6 @@ __all__ = [
     "PathSet",
     "identifiability_report",
     "k_shortest_paths",
-    "routing_matrix",
     "select_identifiable_paths",
     # monitors
     "incremental_identifiable_placement",

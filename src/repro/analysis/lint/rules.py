@@ -4,9 +4,10 @@ Each rule enforces an invariant that the shared-SVD kernel, seeded
 reproducible experiments and the paper's algebra rely on but that
 nothing checked statically before:
 
-- **RP001** — all dense factorisations flow through the shared kernel
-  (:mod:`repro.utils.linalg` / :class:`repro.tomography.linear_system.LinearSystem`);
-  no direct ``np.linalg.{svd,pinv,lstsq,qr}`` elsewhere.
+- **RP001** — all dense factorisations flow through the one kernel,
+  :mod:`repro.tomography.backends` (read through
+  :class:`repro.tomography.linear_system.LinearSystem`); no direct
+  ``np.linalg.{svd,pinv,lstsq,qr,matrix_rank}`` elsewhere.
 - **RP002** — no legacy global-state RNG in ``src/repro``; randomness is
   threaded as explicit :class:`numpy.random.Generator` parameters
   (coerced only by :mod:`repro.utils.rng`).
@@ -42,11 +43,8 @@ __all__ = [
     "BroadExceptRule",
 ]
 
-#: The only modules allowed to call numpy's factorisation routines.
-_KERNEL_MODULES = (
-    "tomography/linear_system.py",
-    "utils/linalg.py",
-)
+#: The only module allowed to call numpy's factorisation routines.
+_KERNEL_MODULES = ("tomography/backends.py",)
 _FACTORIZATIONS = frozenset({"svd", "pinv", "lstsq", "qr", "matrix_rank"})
 
 #: Legacy ``numpy.random`` module-level functions (global RandomState).
@@ -91,18 +89,18 @@ def _attribute_chain(node: ast.AST) -> list[str] | None:
 
 @register_rule
 class SharedKernelRule(LintRule):
-    """RP001: factorisations must flow through the shared-SVD kernel.
+    """RP001: factorisations must flow through the one kernel module.
 
-    A stray ``np.linalg.pinv`` silently reintroduces the redundant dense
-    factorisations PR 1 removed *and* can disagree with the library-wide
-    rank cutoff (``DEFAULT_RANK_TOL``), producing estimators and residual
-    projectors that are mutually inconsistent.
+    A stray ``np.linalg.pinv`` silently reintroduces a redundant dense
+    factorisation *and* can disagree with the one rank cutoff
+    (``DEFAULT_RANK_TOL`` in :mod:`repro.tomography.backends`), producing
+    estimators and residual projectors that are mutually inconsistent.
     """
 
     rule_id = "RP001"
     summary = (
         "direct np.linalg.{svd,pinv,lstsq,qr,matrix_rank} outside the "
-        "shared LinearSystem/linalg kernel"
+        "LinearSystem kernel (tomography/backends.py)"
     )
 
     def check(self, module: ModuleSource) -> Iterator[Violation]:
@@ -116,8 +114,7 @@ class SharedKernelRule(LintRule):
                         module,
                         node,
                         f"direct {'.'.join(chain)} call; route factorisations "
-                        "through repro.tomography.linear_system.LinearSystem "
-                        "or repro.utils.linalg",
+                        "through repro.tomography.linear_system.LinearSystem",
                     )
             elif isinstance(node, ast.ImportFrom) and node.module:
                 if node.module.endswith(".linalg") or node.module == "linalg":
@@ -127,7 +124,7 @@ class SharedKernelRule(LintRule):
                             module,
                             node,
                             f"importing {', '.join(banned)} from {node.module}; "
-                            "use the shared LinearSystem/linalg kernel",
+                            "use the LinearSystem kernel",
                         )
 
 

@@ -2,9 +2,11 @@
 
 :class:`AttackContext` bundles everything every strategy needs — the path
 set, ground-truth metrics, thresholds, attacker nodes, per-path cap and
-band margin — and caches the derived objects (routing matrix, estimator
-operator, support rows, controlled link set).  Strategies consume a context
-and produce an :class:`AttackOutcome`.
+band margin — and caches the derived objects (routing matrix, support
+rows, controlled link set, and the support columns of ``R⁺`` and of
+``I - R R⁺``).  Every quantity of ``R`` comes from the context's one
+:class:`~repro.tomography.linear_system.LinearSystem`, ``context.system``.
+Strategies consume a context and produce an :class:`AttackOutcome`.
 """
 
 from __future__ import annotations
@@ -96,8 +98,8 @@ class AttackContext:
         self.margin = float(margin)
 
         self.routing_matrix = path_set.routing_matrix()
-        #: Shared SVD kernel: one factorisation of ``R`` backs the
-        #: estimator operator, the residual projector, and any rank query.
+        #: Shared kernel: one factorisation of ``R`` backs the estimator
+        #: columns, the residual projector columns, and any rank query.
         matrix = self.routing_matrix
         if system is not None:
             if not system.matches(matrix):
@@ -128,16 +130,6 @@ class AttackContext:
         self.support: tuple[int, ...] = tuple(
             manipulable_paths(path_set, self.attacker_nodes)
         )
-
-    @property
-    def operator(self) -> np.ndarray:
-        """The full dense estimator ``R⁺`` (|L| x |P|).
-
-        Lazy: under the sparse backend planners should prefer
-        :attr:`support_operator` (the only columns Constraint 1 lets them
-        use), which never materialises the full pseudo-inverse.
-        """
-        return self.system.estimator
 
     @property
     def support_operator(self) -> np.ndarray:
@@ -212,22 +204,16 @@ class AttackContext:
         """
         return self.estimator.estimate(self.observed_measurements(manipulation))
 
-    def residual_projector(self) -> np.ndarray:
-        """The matrix ``I - R R⁺`` whose kernel is the detector's blind set.
+    def residual_projector_support(self) -> np.ndarray:
+        """``(I - R R⁺)[:, support]`` — the only projector columns a
+        Constraint-1 manipulation can excite.
 
         Manipulations ``m`` with ``(I - R R⁺) m = 0`` keep the forged
         measurements inside the column space of ``R`` — zero residual in
-        eq. (23), hence undetectable.  Derived from the shared SVD factors
-        and cached on the kernel, so repeated stealthy solves pay nothing.
-        """
-        return self.system.residual_projector
-
-    def residual_projector_support(self) -> np.ndarray:
-        """``(I - R R⁺)[:, support]`` — the only projector columns a
-        Constraint-1 manipulation can excite.  Matrix-free on the sparse
-        backend; stealthy LPs consume this block directly.  Computed once
-        per context — stealthy candidate scans and repeated attack runs
-        reuse the same block.
+        eq. (23), hence undetectable.  Matrix-free on the sparse backend;
+        stealthy LPs consume this block directly.  Computed once per
+        context — stealthy candidate scans and repeated attack runs reuse
+        the same block.
         """
         if self._residual_projector_support is None:
             self._residual_projector_support = self.system.residual_projector_columns(

@@ -222,7 +222,7 @@ def _cmd_info() -> int:
         ("repro.monitors", "monitor placement (incl. security-aware)"),
         ("repro.metrics", "additive metrics, link states"),
         ("repro.measurement", "analytic engine + packet DES (delay & loss)"),
-        ("repro.tomography", "least-squares / NNLS / ridge estimation"),
+        ("repro.tomography", "LinearSystem kernel; ls/bayes-map/ridge/nnls/l1 estimators"),
         ("repro.attacks", "the scapegoating strategies and planning"),
         ("repro.detection", "consistency detector, robust estimation"),
         ("repro.scenarios", "case studies and Monte-Carlo experiments"),

@@ -123,9 +123,10 @@ def incremental_identifiable_placement(
             max_per_pair=max_per_pair,
             rng=generator,
         )
-        from repro.utils.linalg import column_rank  # local: avoid cycle at import
+        # Local: monitors sit below tomography in the layer order (RP006).
+        from repro.tomography.linear_system import LinearSystem
 
-        rank = column_rank(path_set.routing_matrix())
+        rank = LinearSystem(path_set.routing_matrix()).rank
         result = PlacementResult(tuple(monitors), path_set, rank)
         if best is None or rank > best.identified_rank:
             best = result

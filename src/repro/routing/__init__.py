@@ -8,8 +8,8 @@ the linear system ``y = R x``.  This package provides:
   link resolution against a topology;
 - :mod:`~repro.routing.ksp` — shortest path and Yen's k-shortest simple
   paths, implemented from scratch;
-- :mod:`~repro.routing.routing_matrix` — construction and rank /
-  identifiability analysis of the 0/1 measurement matrix ``R``;
+- :mod:`~repro.routing.routing_matrix` — the identifiability report of the
+  0/1 measurement matrix ``R`` that :meth:`PathSet.routing_matrix` builds;
 - :mod:`~repro.routing.selection` — candidate-path enumeration and the
   rank-greedy selection that gives monitors an identifiable path set, with
   optional redundancy (rows beyond rank) that the scapegoating detector
@@ -18,11 +18,7 @@ the linear system ``y = R x``.  This package provides:
 
 from repro.routing.ksp import all_simple_paths, k_shortest_paths, shortest_path
 from repro.routing.paths import MeasurementPath, PathSet
-from repro.routing.routing_matrix import (
-    identifiability_report,
-    identifiable_links,
-    routing_matrix,
-)
+from repro.routing.routing_matrix import identifiability_report
 from repro.routing.selection import (
     enumerate_candidate_paths,
     select_identifiable_paths,
@@ -36,9 +32,7 @@ __all__ = [
     "all_simple_paths",
     "k_shortest_paths",
     "shortest_path",
-    "identifiable_links",
     "identifiability_report",
-    "routing_matrix",
     "enumerate_candidate_paths",
     "select_identifiable_paths",
     "select_paths_min_presence",

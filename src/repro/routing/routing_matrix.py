@@ -1,10 +1,12 @@
-"""Routing-matrix construction and identifiability analysis.
+"""Identifiability analysis of the routing matrix.
 
-The measurement model is ``y = R x`` (eq. 1).  A link metric ``x_j`` is
-*identifiable* from the chosen paths exactly when the coordinate vector
-``e_j`` lies in the row space of ``R`` — equivalently, when ``e_j`` is
-orthogonal to the null space of ``R``.  Full column rank means every link
-is identifiable and eq. (2)'s least-squares inverse is exact.
+The measurement model is ``y = R x`` (eq. 1), with ``R`` the 0/1 matrix
+:meth:`~repro.routing.paths.PathSet.routing_matrix` builds.  A link metric
+``x_j`` is *identifiable* from the chosen paths exactly when the
+coordinate vector ``e_j`` lies in the row space of ``R`` — equivalently,
+when row ``j`` of a null-space basis of ``R`` is zero.  Full column rank
+means every link is identifiable and eq. (2)'s least-squares inverse is
+exact.
 """
 
 from __future__ import annotations
@@ -12,63 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from repro.routing.paths import PathSet
-from repro.utils.linalg import nullspace
 
 __all__ = [
-    "routing_matrix",
-    "density",
-    "identifiable_links",
     "identifiability_report",
     "IdentifiabilityReport",
 ]
 
 #: Threshold on null-space row norms below which a link counts identifiable.
 _IDENTIFIABLE_TOL = 1e-8
-
-
-def routing_matrix(path_set: PathSet) -> np.ndarray:
-    """The 0/1 measurement matrix ``R`` of the path set (|P| x |L|)."""
-    return path_set.routing_matrix()
-
-
-def density(matrix) -> float:
-    """Fraction of nonzero entries of ``R`` (0.0 for empty matrices).
-
-    Accepts dense arrays and ``scipy.sparse`` matrices alike; the backend
-    dispatch in :mod:`repro.tomography.backends` keys its dense/sparse
-    heuristic on this number.
-    """
-    if scipy.sparse.issparse(matrix):
-        rows, cols = matrix.shape
-        size = rows * cols
-        return matrix.nnz / size if size else 0.0
-    mat = np.asarray(matrix)
-    if mat.size == 0:
-        return 0.0
-    return float(np.count_nonzero(mat)) / mat.size
-
-
-def identifiable_links(matrix: np.ndarray, tol: float = _IDENTIFIABLE_TOL) -> list[int]:
-    """Indices of links whose metric is uniquely determined by ``R``.
-
-    Link ``j`` is identifiable iff row ``j`` of a null-space basis of ``R``
-    is (numerically) zero: any two metric vectors consistent with the same
-    measurements then agree in coordinate ``j``.
-    """
-    mat = np.asarray(matrix, dtype=float)
-    return _identifiable_from_basis(nullspace(mat), mat.shape[1], tol)
-
-
-def _identifiable_from_basis(
-    basis: np.ndarray, num_links: int, tol: float
-) -> list[int]:
-    if basis.shape[1] == 0:
-        return list(range(num_links))
-    row_norms = np.linalg.norm(basis, axis=1)
-    return [j for j in range(num_links) if row_norms[j] < tol]
 
 
 @dataclass(frozen=True)
@@ -111,25 +66,22 @@ class IdentifiabilityReport:
 def identifiability_report(path_set: PathSet) -> IdentifiabilityReport:
     """Build an :class:`IdentifiabilityReport` for ``path_set``.
 
-    One shared :class:`~repro.tomography.linear_system.LinearSystem`
-    supplies rank, full-rank flag, and the nullspace basis — previously
-    three independent SVDs of the same matrix.
+    One :class:`~repro.tomography.linear_system.LinearSystem` supplies the
+    rank, the full-rank flag and the nullspace basis.  Link ``j`` is
+    identifiable iff row ``j`` of that basis is (numerically) zero: any
+    two metric vectors consistent with the same measurements then agree
+    in coordinate ``j``.
     """
     from repro.tomography.linear_system import LinearSystem
 
-    matrix = path_set.routing_matrix()
-    system = LinearSystem(matrix)
-    ident = _identifiable_from_basis(
-        system.nullspace, matrix.shape[1], _IDENTIFIABLE_TOL
-    )
-    ident_set = set(ident)
-    unident = [j for j in range(matrix.shape[1]) if j not in ident_set]
+    system = LinearSystem(path_set.routing_matrix())
+    identifiable = np.linalg.norm(system.nullspace, axis=1) < _IDENTIFIABLE_TOL
     return IdentifiabilityReport(
-        num_paths=matrix.shape[0],
-        num_links=matrix.shape[1],
+        num_paths=system.num_paths,
+        num_links=system.num_links,
         rank=system.rank,
         full_column_rank=system.is_full_column_rank,
-        identifiable=tuple(ident),
-        unidentifiable=tuple(unident),
+        identifiable=tuple(np.flatnonzero(identifiable).tolist()),
+        unidentifiable=tuple(np.flatnonzero(~identifiable).tolist()),
         redundancy=system.redundancy,
     )

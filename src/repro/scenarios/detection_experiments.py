@@ -124,6 +124,8 @@ def detection_ratio_experiment(
         raise ValidationError(
             f"attacker_model must be 'confined', 'unconfined' or 'plain', got {attacker_model!r}"
         )
+    if not attacker_sizes:
+        raise ValidationError("attacker_sizes must not be empty")
     confined = attacker_model == "confined"
     stealth_first = attacker_model in ("confined", "unconfined")
     detector = ConsistencyDetector(scenario.system, alpha)
@@ -237,6 +239,8 @@ def ablation_estimator_zoo(
         raise ValidationError(f"cut must be one of {_CUTS}, got {cut!r}")
     if not estimators:
         raise ValidationError("estimators must name at least one family")
+    if not attacker_sizes:
+        raise ValidationError("attacker_sizes must not be empty")
     params_by_name = dict(estimator_params or {})
     unknown = set(params_by_name) - set(estimators)
     if unknown:

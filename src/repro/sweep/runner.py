@@ -352,7 +352,7 @@ def _chunk_points(
             groups.append([])
             current_topology = point.topology_index
         groups[-1].append(point)
-    if chunk_size is None or chunk_size < 1:
+    if chunk_size is None:
         return groups
     return [
         group[i : i + chunk_size]
@@ -429,18 +429,25 @@ def run_sweep(
         or foreign existing file is an error even then.
     workers / chunk_size:
         Pool fan-out (:func:`iter_map_chunks`) and the most points per
-        pool task.  Points are sharded by topology so each worker
-        factorises a routing matrix at most once; results are
-        bit-identical for any worker/chunk choice.
+        pool task (``>= 1``; ``None``: one task per topology).  Points are
+        sharded by topology so each worker factorises a routing matrix at
+        most once; results are bit-identical for any worker/chunk choice.
     resume:
         Replay ``results_path`` and skip every point whose config digest
         is already checkpointed.
     max_points:
-        Budget: stop (cleanly, resumable) after this many *new* points.
+        Budget (``>= 0``): stop (cleanly, resumable) after this many *new*
+        points.
 
-    Returns a summary dict: ``points`` (all completed records, index
-    order), ``ran``/``skipped``/``remaining`` counts, and the spec digest.
+    A bad ``workers``, ``chunk_size`` or ``max_points`` raises
+    :class:`ValidationError` before the results file is touched.  Returns
+    a summary dict: ``points`` (all completed records, index order),
+    ``ran``/``skipped``/``remaining`` counts, and the spec digest.
     """
+    if chunk_size is not None and chunk_size < 1:
+        raise ValidationError(f"chunk_size must be >= 1 or None, got {chunk_size}")
+    if max_points is not None and max_points < 0:
+        raise ValidationError(f"max_points must be >= 0 or None, got {max_points}")
     points = spec.expand()
     file_path = Path(results_path)
     completed: dict[str, dict] = {}

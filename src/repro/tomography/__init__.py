@@ -1,7 +1,8 @@
 """Network tomography: inverting ``y = R x`` into link-metric estimates.
 
-- :mod:`~repro.tomography.linear_system` — residuals, consistency, and the
-  estimator operator ``R⁺``;
+- :mod:`~repro.tomography.linear_system` — :class:`LinearSystem`, the one
+  reader of ``R``'s rank, ``R⁺``, residual projector and nullspace, over
+  the dense and sparse kernels of :mod:`~repro.tomography.backends`;
 - :mod:`~repro.tomography.estimator_zoo` — the estimator families, by
   name: ``ls`` (the paper's least squares, eq. 2, the default) /
   ``bayes-map`` / ``ridge`` / ``nnls`` / ``l1``;
@@ -16,12 +17,7 @@ from repro.tomography.estimator_zoo import (
     estimator_names,
     resolve_estimator,
 )
-from repro.tomography.linear_system import (
-    LinearSystem,
-    estimator_operator,
-    measurement_residual,
-    residual_l1_norm,
-)
+from repro.tomography.linear_system import LinearSystem
 
 __all__ = [
     "Estimator",
@@ -29,9 +25,6 @@ __all__ = [
     "estimator_names",
     "resolve_estimator",
     "LinearSystem",
-    "estimator_operator",
-    "measurement_residual",
-    "residual_l1_norm",
     "DiagnosisReport",
     "diagnose",
 ]

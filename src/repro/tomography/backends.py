@@ -1,24 +1,30 @@
 """Pluggable linear-algebra backends for :class:`LinearSystem`.
 
+This module is the library's one linear-algebra kernel: the only code
+that factorizes a routing matrix ``R`` or derives a quantity from it
+(rank, ``R⁺``, the residual projector, a nullspace basis), and the home
+of the one rank cutoff :data:`DEFAULT_RANK_TOL`.  Everything else reads
+those quantities through
+:class:`~repro.tomography.linear_system.LinearSystem`.
+
 The measurement matrix ``R`` of eq. (1) is an extremely sparse 0/1
 path-link incidence matrix, yet the original kernel materialised dense
 operators (``R⁺``, the projectors) from one dense SVD.  That is the right
 call at Fig.-1 scale and caps out quickly on ISP-scale topologies.  This
 module supplies two interchangeable numerical cores:
 
-- :class:`DenseBackend` — the historical dense path: one
-  :func:`repro.utils.linalg.compact_svd`, every derived operator assembled
-  from the shared factors.  Bit-identical to the pre-backend kernel.
+- :class:`DenseBackend` — the historical dense path: one economy SVD
+  (:func:`_compact_svd`), every derived operator assembled from the
+  shared factors.  Bit-identical to the pre-backend kernel.
 - :class:`SparseBackend` — stores ``R`` as ``scipy.sparse.csr_matrix`` and
   never materialises ``R⁺``.  Estimates are solved matrix-free: a
   Cholesky factorisation of the *smaller-side* Gram matrix
   (``R^T R`` when tall, ``R R^T`` when wide) with iterative refinement
   when the small side has full rank, and LSMR (min-norm least squares)
-  otherwise.  Residuals are two sparse matvecs (``R x_hat - y``) instead
-  of a dense ``(I - R R⁺)`` projector.  Rank queries use the Gram
-  spectrum with a certified decision rule; spectra too ambiguous to
-  certify fall back to the dense factors, so rank decisions never
-  silently disagree with the library-wide cutoff convention.
+  otherwise.  Rank queries use the Gram spectrum with a certified
+  decision rule; spectra too ambiguous to certify fall back to the dense
+  factors, so rank decisions never silently disagree with the one
+  cutoff convention.
 
 Each backend is built from ``R`` in the form it computes with (a dense
 array, or CSR) and the rank cutoff, and holds no reference back to its
@@ -34,8 +40,8 @@ parent's and the evolved system's CSR); a dense system produced by
 Backend choice is resolved by :func:`resolve_backend_name`: an explicit
 ``dense``/``sparse`` argument wins; otherwise the auto heuristic picks
 sparse only when the matrix is large (``m * n >= 65536``) and sparse
-(density <= 0.25) — exactly the regime where the dense SVD dominates
-end-to-end sweep time.
+(:func:`density` <= 0.25) — exactly the regime where the dense SVD
+dominates end-to-end sweep time.
 """
 
 from __future__ import annotations
@@ -49,7 +55,6 @@ from scipy.sparse.linalg import lsmr
 
 from repro.exceptions import ValidationError
 from repro.obs import core as obs
-from repro.utils.linalg import DEFAULT_RANK_TOL, compact_svd, pinv_from_svd
 from repro.utils.updates import (
     cholesky_append,
     cholesky_delete,
@@ -61,10 +66,17 @@ from repro.utils.updates import (
 __all__ = [
     "DenseBackend",
     "SparseBackend",
+    "density",
     "resolve_backend_name",
     "AUTO_SIZE_THRESHOLD",
     "AUTO_DENSITY_THRESHOLD",
+    "DEFAULT_RANK_TOL",
 ]
+
+#: Relative singular-value cutoff of every rank decision on routing
+#: matrices: a singular value counts when it exceeds
+#: ``DEFAULT_RANK_TOL * max(m, n) * s_max``.
+DEFAULT_RANK_TOL = 1e-10
 
 #: ``m * n`` at or above which the auto heuristic considers going sparse.
 AUTO_SIZE_THRESHOLD = 65536
@@ -86,6 +98,47 @@ _REFINE_STEPS = 2
 #: Relative residual floor below which further refinement is pure
 #: roundoff churn and the loop exits early.
 _REFINE_ATOL = 64.0 * np.finfo(float).eps
+
+
+def _rank_cutoff(shape: tuple[int, int], s_max: float) -> float:
+    """The value a singular value of an ``m x n`` matrix must exceed to
+    count toward its rank."""
+    return DEFAULT_RANK_TOL * max(shape) * s_max
+
+
+def _compact_svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """One SVD, one cutoff: returns ``(u, s, vt, rank)``.
+
+    ``u`` has ``min(m, n)`` columns (economy form), while ``vt`` is always
+    the *complete* ``n x n`` right-singular basis so the trailing rows span
+    the nullspace even for wide matrices.  ``rank`` counts the singular
+    values above :func:`_rank_cutoff`.
+    """
+    m, n = matrix.shape
+    if matrix.size == 0:
+        return np.zeros((m, 0)), np.zeros(0), np.eye(n), 0
+    obs.counter("svd")
+    # full_matrices only when the matrix is wide: that is the one case the
+    # economy factorisation would truncate the right-singular basis needed
+    # for the nullspace.
+    u, s, vt = np.linalg.svd(matrix, full_matrices=m < n)
+    return u, s, vt, int(np.sum(s > _rank_cutoff(matrix.shape, s[0])))
+
+
+def density(matrix) -> float:
+    """Fraction of nonzero entries of ``R`` (0.0 for empty matrices).
+
+    Accepts dense arrays and ``scipy.sparse`` matrices alike; the auto
+    heuristic of :func:`resolve_backend_name` keys on this number.
+    """
+    if scipy.sparse.issparse(matrix):
+        rows, cols = matrix.shape
+        size = rows * cols
+        return matrix.nnz / size if size else 0.0
+    mat = np.asarray(matrix)
+    if mat.size == 0:
+        return 0.0
+    return float(np.count_nonzero(mat)) / mat.size
 
 
 def resolve_backend_name(
@@ -124,7 +177,7 @@ class DenseBackend:
     serves.  The backend holds no reference back to that system, so a
     dropped system and its factors are freed by reference counting, not
     left for the cycle collector.  Every quantity here is
-    assembled from the one shared :func:`compact_svd` factorisation,
+    assembled from the one shared :func:`_compact_svd` factorisation,
     exactly as before the backend split — existing results are
     bit-identical.  It has no incremental path: an evolved dense system
     runs its own SVD, which gives the rank exactly.
@@ -138,29 +191,25 @@ class DenseBackend:
     @cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """``(u, s, vt, rank)`` — the one factorisation everything shares."""
-        return compact_svd(self.matrix)
+        return _compact_svd(self.matrix)
 
     @property
     def rank(self) -> int:
         return self.factors[3]
 
-    @property
-    def singular_values(self) -> np.ndarray:
-        return self.factors[1]
-
     @cached_property
     def estimator(self) -> np.ndarray:
-        """``R⁺`` (|L| x |P|), assembled from the shared factors."""
-        return pinv_from_svd(*self.factors)
-
-    @cached_property
-    def column_space_projector(self) -> np.ndarray:
-        u, _, _, rank = self.factors
-        return u[:, :rank] @ u[:, :rank].T
+        """``R⁺ = V_r diag(1/s_r) U_r^T`` (|L| x |P|), from the shared factors."""
+        u, s, vt, rank = self.factors
+        if rank == 0:
+            return np.zeros((vt.shape[1], u.shape[0]))
+        return (vt[:rank].T / s[:rank]) @ u[:, :rank].T
 
     @cached_property
     def residual_projector(self) -> np.ndarray:
-        return np.eye(self.matrix.shape[0]) - self.column_space_projector
+        """``I - U_r U_r^T = I - R R⁺`` (|P| x |P|)."""
+        u, _, _, rank = self.factors
+        return np.eye(self.matrix.shape[0]) - u[:, :rank] @ u[:, :rank].T
 
     @cached_property
     def nullspace(self) -> np.ndarray:
@@ -194,9 +243,6 @@ class DenseBackend:
     def predict(self, xs: np.ndarray) -> np.ndarray:
         return self.matrix @ xs
 
-    def residual(self, ys: np.ndarray) -> np.ndarray:
-        return self.column_space_projector @ ys - ys
-
     def estimator_columns(self, cols: np.ndarray) -> np.ndarray:
         return self.estimator[:, cols]
 
@@ -213,10 +259,10 @@ class SparseBackend:
     no reference back to that system, so a dropped system and its factors
     are freed by reference counting, not left for the cycle collector.
 
-    Estimates and residuals never materialise ``R⁺`` or the dense
-    projectors.  Quantities that are irreducibly dense (the full
-    estimator matrix, the projectors, a nullspace basis, singular
-    values) fall back to a lazily constructed :class:`DenseBackend` over
+    Estimates never materialise ``R⁺`` or the dense projector.
+    Quantities that are irreducibly dense (the full estimator matrix,
+    the residual projector, a nullspace basis) fall back to a lazily
+    constructed :class:`DenseBackend` over
     a densified copy of the same matrix, so requesting them is always
     *correct* — merely not matrix-free — and parity with the dense
     backend is exact for them.  That dense copy is made once, on first
@@ -314,7 +360,7 @@ class SparseBackend:
         s_max = float(s[-1])
         if s_max == 0.0:
             return 0
-        cutoff = DEFAULT_RANK_TOL * max(m, n) * s_max
+        cutoff = _rank_cutoff((m, n), s_max)
         # Resolution floor of the Gram spectrum in singular-value units:
         # eigenvalues carry O(k * eps * lam_max) absolute error.
         noise = s_max * np.sqrt(64.0 * k * np.finfo(float).eps)
@@ -328,11 +374,6 @@ class SparseBackend:
     @property
     def rank(self) -> int:
         return self._rank
-
-    @property
-    def singular_values(self) -> np.ndarray:
-        """Exact singular values require the dense factors (documented cost)."""
-        return self._dense_fallback.singular_values
 
     # -- solves -----------------------------------------------------------
 
@@ -456,10 +497,6 @@ class SparseBackend:
 
     def predict(self, xs: np.ndarray) -> np.ndarray:
         return self.matrix @ xs
-
-    def residual(self, ys: np.ndarray) -> np.ndarray:
-        """``R x_hat - y`` via sparse matvecs — no dense projector."""
-        return self.matrix @ self.estimate(ys) - ys
 
     def estimator_columns(self, cols: np.ndarray) -> np.ndarray:
         """Selected columns of ``R⁺`` via batched unit-vector solves.
@@ -598,16 +635,8 @@ class SparseBackend:
     # -- irreducibly dense operators (exact dense fallback) ---------------
 
     @property
-    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        return self._dense_fallback.factors
-
-    @property
     def estimator(self) -> np.ndarray:
         return self._dense_fallback.estimator
-
-    @property
-    def column_space_projector(self) -> np.ndarray:
-        return self._dense_fallback.column_space_projector
 
     @property
     def residual_projector(self) -> np.ndarray:

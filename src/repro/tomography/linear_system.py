@@ -1,22 +1,24 @@
-"""Linear-system utilities for the tomography model ``y = R x``.
+"""The measurement system ``y = R x`` of network tomography.
 
-The *estimator operator* is the matrix that maps measurements to estimates;
-for the paper's least-squares estimator it is the Moore-Penrose
-pseudo-inverse ``R⁺ = (R^T R)^{-1} R^T`` (eq. 2) when ``R`` has full column
-rank.  The *measurement residual* ``R x_hat - y'`` is the quantity the
-scapegoating detector thresholds (eq. 23 / Remark 4): honest measurements
-lie in the column space of ``R`` (up to noise), manipulated ones generally
-do not.
+:class:`LinearSystem` is the one object through which the library reads
+any quantity of the routing matrix ``R``: its rank (identifiability,
+Theorem 3's square-``R`` case), the *estimator operator* ``R⁺`` (for the
+paper's least squares, ``(R^T R)^{-1} R^T`` of eq. 2 when ``R`` has full
+column rank), the residual projector ``I - R R⁺`` and a nullspace basis.
+The *measurement residual* ``R x_hat - y'`` that the scapegoating
+detector thresholds (eq. 23 / Remark 4) is ``predict(estimate(y')) - y'``:
+honest measurements lie in the column space of ``R`` (up to noise),
+manipulated ones generally do not.
 
-:class:`LinearSystem` is the shared kernel behind all of this.  The
-numerics live in a pluggable backend (:mod:`repro.tomography.backends`):
-the dense backend runs *one* economy SVD of ``R`` and derives every
-operator from the same factors; the sparse backend stores ``R`` in CSR
-form and solves estimates matrix-free (Gram Cholesky / LSMR) without ever
-materialising ``R⁺``.  Which backend runs is resolved per system —
-an explicit ``backend=`` argument, else a size/density heuristic — so
-attack contexts, detectors, the sweep cache and Monte-Carlo drivers pick
-the right kernel transparently.
+The numerics live in a pluggable backend (:mod:`repro.tomography.backends`,
+the only module that factorizes ``R``): the dense backend runs *one*
+economy SVD of ``R`` and derives every operator from the same factors;
+the sparse backend stores ``R`` in CSR form and solves estimates
+matrix-free (Gram Cholesky / LSMR) without ever materialising ``R⁺``.
+Which backend runs is resolved per system — an explicit ``backend=``
+argument, else a size/density heuristic — so attack contexts, detectors,
+the sweep cache and Monte-Carlo drivers pick the right kernel
+transparently.
 
 A system holds ``R`` once, in the form its backend computes with: a
 dense array for the dense backend, CSR for the sparse one, converted once
@@ -37,16 +39,12 @@ from repro.obs import core as obs
 from repro.tomography.backends import (
     DenseBackend,
     SparseBackend,
+    density,
     resolve_backend_name,
 )
 from repro.utils.validation import check_finite_vector
 
-__all__ = [
-    "LinearSystem",
-    "estimator_operator",
-    "measurement_residual",
-    "residual_l1_norm",
-]
+__all__ = ["LinearSystem"]
 
 
 class LinearSystem:
@@ -67,15 +65,16 @@ class LinearSystem:
     backend resolves to sparse, to a dense array when it resolves to
     dense.  The backend holds that storage and no reference back to the
     system, so a dropped system is freed by reference counting.  Every
-    rank decision uses the library-wide cutoff
-    :data:`repro.utils.linalg.DEFAULT_RANK_TOL`.
+    rank decision uses the one cutoff
+    :data:`repro.tomography.backends.DEFAULT_RANK_TOL`.  A matrix that
+    is not 2-D raises :class:`~repro.exceptions.ValidationError`.
 
     Factorisation is lazy: nothing numerical happens until the first
     derived quantity is requested, and each derived operator is then
     cached.  Under the dense backend this replaces three independent dense
     factorisations (estimator ``pinv``, projector ``pinv``, nullspace
-    ``svd``) with one; under the sparse backend estimates and residuals
-    never materialise a dense operator at all.
+    ``svd``) with one; under the sparse backend estimates never
+    materialise a dense operator at all.
     """
 
     def __init__(
@@ -84,15 +83,15 @@ class LinearSystem:
         *,
         backend: str | None = None,
     ) -> None:
-        from repro.routing.routing_matrix import density
-
         sparse_input = scipy.sparse.issparse(routing_matrix)
         if sparse_input:
             matrix = routing_matrix.tocsr().astype(float)
         else:
             matrix = np.asarray(routing_matrix, dtype=float)
             if matrix.ndim != 2:
-                raise ValueError(f"routing matrix must be 2-D, got ndim={matrix.ndim}")
+                raise ValidationError(
+                    f"routing matrix must be 2-D, got ndim={matrix.ndim}"
+                )
         name = resolve_backend_name(
             backend,
             shape=matrix.shape,
@@ -120,11 +119,7 @@ class LinearSystem:
         powers multi-RHS solves.  Either way the event fires exactly once
         per system, tagged with the backend that did the work.
         """
-        rank = (
-            self._backend.factors[3]
-            if self._backend.name == "dense"
-            else self._backend.rank
-        )
+        rank = self._backend.rank
         if obs.is_enabled():
             obs.event(
                 "linear_system_factorize",
@@ -268,11 +263,6 @@ class LinearSystem:
     # -- rank structure ---------------------------------------------------
 
     @property
-    def singular_values(self) -> np.ndarray:
-        """The singular values of ``R`` (descending)."""
-        return self._factorized.singular_values
-
-    @property
     def rank(self) -> int:
         """Numerical rank of ``R`` under the shared cutoff."""
         return self._factorized.rank
@@ -299,13 +289,9 @@ class LinearSystem:
         return self._factorized.estimator
 
     @property
-    def column_space_projector(self) -> np.ndarray:
-        """``P = U_r U_r^T`` with ``P y = R R⁺ y`` (|P| x |P|)."""
-        return self._factorized.column_space_projector
-
-    @property
     def residual_projector(self) -> np.ndarray:
-        """``I - R R⁺`` — its kernel is the eq. (23) detector's blind set."""
+        """``I - R R⁺`` (|P| x |P|) — its kernel is the eq. (23) detector's
+        blind set, and ``-(I - R R⁺) y`` is the residual ``R x_hat - y``."""
         return self._factorized.residual_projector
 
     @property
@@ -366,64 +352,12 @@ class LinearSystem:
         small-side Gram — neither opens a second factorisation path.
         """
         if not (lam > 0) or not np.isfinite(lam):
-            raise ValueError(f"regularization lam must be positive and finite, got {lam}")
+            raise ValidationError(
+                f"regularization lam must be positive and finite, got {lam}"
+            )
         y = self._operand(observed)
         return self._factorized.regularized_estimate(y, float(lam))
 
     def predict(self, metrics: np.ndarray) -> np.ndarray:
         """Forward model ``y = R x`` (eq. 1), column-wise."""
         return self._factorized.predict(self._operand(metrics, "metric"))
-
-    def residual(self, observed: np.ndarray) -> np.ndarray:
-        """Per-path residual ``R x_hat - y`` of the observed vector or block.
-
-        The dense backend computes ``(P - I) y`` from the shared
-        column-space projector; the sparse backend estimates and
-        re-predicts with two sparse matvecs — same vector, no dense
-        projector.
-        """
-        return self._factorized.residual(self._operand(observed))
-
-    def residual_l1(self, observed: np.ndarray) -> float | np.ndarray:
-        """The detector statistic ``||R x_hat - y'||_1`` of Remark 4.
-
-        A float for a vector, one value per column for a block.
-        """
-        l1 = np.abs(self.residual(observed)).sum(axis=0)
-        return float(l1) if l1.ndim == 0 else l1
-
-
-def estimator_operator(routing_matrix: np.ndarray) -> np.ndarray:
-    """The measurement-to-estimate operator ``R⁺`` (|L| x |P|).
-
-    Equals ``(R^T R)^{-1} R^T`` for full-column-rank ``R``; otherwise the
-    minimum-norm least-squares operator.  Attack planners use the *same*
-    operator to predict what tomography will conclude — the attacker and
-    the operator share the public algorithm, only the attacker also knows
-    the manipulation.  One-shot convenience over :class:`LinearSystem`;
-    callers needing several operators of the same ``R`` should hold a
-    :class:`LinearSystem` instead.
-    """
-    return LinearSystem(routing_matrix).estimator
-
-
-def measurement_residual(
-    routing_matrix: np.ndarray, estimate: np.ndarray, observed: np.ndarray
-) -> np.ndarray:
-    """Per-path residual vector ``R x_hat - y'``.
-
-    Entry ``i`` is how far path ``i``'s observed measurement is from the sum
-    of the estimated link metrics along it — the per-path consistency check
-    underlying eq. (23).
-    """
-    matrix = np.asarray(routing_matrix, dtype=float)
-    x_hat = check_finite_vector(estimate, "estimate", length=matrix.shape[1])
-    y = check_finite_vector(observed, "observed", length=matrix.shape[0])
-    return matrix @ x_hat - y
-
-
-def residual_l1_norm(
-    routing_matrix: np.ndarray, estimate: np.ndarray, observed: np.ndarray
-) -> float:
-    """The detector statistic ``||R x_hat - y'||_1`` of Remark 4."""
-    return float(np.abs(measurement_residual(routing_matrix, estimate, observed)).sum())

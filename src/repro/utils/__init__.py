@@ -1,10 +1,11 @@
-"""Shared utilities: RNG handling, linear algebra, validation helpers."""
+"""Shared utilities: RNG handling, validation helpers, the HiGHS wrapper
+and the rank-1 Cholesky update kernels.
 
-from repro.utils.linalg import (
-    column_rank,
-    nullspace,
-    projector_onto_column_space,
-)
+Every quantity of a routing matrix (rank, ``R⁺``, projectors, nullspace)
+comes from :class:`repro.tomography.linear_system.LinearSystem`, not from
+here.
+"""
+
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.validation import (
     check_finite_vector,
@@ -16,9 +17,6 @@ from repro.utils.validation import (
 __all__ = [
     "ensure_rng",
     "spawn_rngs",
-    "column_rank",
-    "nullspace",
-    "projector_onto_column_space",
     "check_finite_vector",
     "check_nonnegative_vector",
     "check_probability",

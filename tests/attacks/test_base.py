@@ -72,11 +72,14 @@ class TestAttackContext:
         context = AttackContext(
             fig1_scenario.path_set, fig1_scenario.true_metrics, ["B"]
         )
-        projector = context.residual_projector()
+        projector = context.system.residual_projector
         assert np.allclose(projector @ projector, projector, atol=1e-8)
         assert np.allclose(projector @ fig1_scenario.path_set.routing_matrix(), 0.0, atol=1e-8)
         # Cached: same object on second call.
-        assert context.residual_projector() is projector
+        assert context.system.residual_projector is projector
+        # The stealthy LPs read only the support columns.
+        support = sorted(set(context.support))
+        assert np.allclose(context.residual_projector_support(), projector[:, support])
 
     def test_manipulable_link_mask(self, fig1_scenario):
         context = AttackContext(

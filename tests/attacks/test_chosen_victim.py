@@ -104,7 +104,7 @@ class TestStealth:
         outcome = ChosenVictimAttack(fig1_context, [0], stealthy=True).run()
         assert outcome.feasible
         matrix = fig1_scenario.path_set.routing_matrix()
-        projector = np.eye(matrix.shape[0]) - matrix @ fig1_context.operator
+        projector = np.eye(matrix.shape[0]) - matrix @ fig1_context.system.estimator
         assert np.abs(projector @ outcome.manipulation).max() < 1e-6
 
     def test_stealthy_damage_not_above_plain(self, fig1_context):

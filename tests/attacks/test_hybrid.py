@@ -58,5 +58,5 @@ class TestFrameAndBlur:
         outcome = FrameAndBlurAttack(fig1_context, [0], stealthy=True).run()
         if outcome.feasible:
             matrix = fig1_scenario.path_set.routing_matrix()
-            projector = np.eye(matrix.shape[0]) - matrix @ fig1_context.operator
+            projector = np.eye(matrix.shape[0]) - matrix @ fig1_context.system.estimator
             assert np.abs(projector @ outcome.manipulation).max() < 1e-6

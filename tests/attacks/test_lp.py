@@ -13,13 +13,13 @@ from repro.attacks.lp import (
     theorem1_manipulation,
 )
 from repro.exceptions import AttackError, ValidationError
-from repro.tomography.linear_system import estimator_operator
+from repro.tomography.linear_system import LinearSystem
 
 
 @pytest.fixture()
 def fig1_system(fig1_scenario):
     matrix = fig1_scenario.path_set.routing_matrix()
-    return matrix, estimator_operator(matrix), fig1_scenario.true_metrics
+    return matrix, LinearSystem(matrix).estimator, fig1_scenario.true_metrics
 
 
 class TestBandConstraints:
@@ -372,4 +372,4 @@ class TestTheorem1Construction:
         assert np.all(estimate >= bands.lower - 1e-6)
         assert np.all(estimate <= bands.upper + 1e-6)
         # Zero residual: the witness is undetectable (Theorem 3).
-        assert np.abs(context.residual_projector() @ m).max() < 1e-6
+        assert np.abs(context.system.residual_projector @ m).max() < 1e-6

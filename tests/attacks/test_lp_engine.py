@@ -88,7 +88,7 @@ class TestOneLpPath:
             lambda: MaxDamageAttack(fig1_context, engine="highs"),
             lambda: ObfuscationAttack(fig1_context, engine="highs"),
             lambda: IncrementalLpSolver(
-                fig1_context.operator,
+                fig1_context.system.estimator,
                 fig1_context.baseline_estimate,
                 fig1_context.support,
                 fig1_context.num_paths,
@@ -324,7 +324,7 @@ class TestEngineParity:
                 lambda: _strategies(context, stealthy=True)[name],
             )
             if warm.feasible:
-                residual = context.residual_projector() @ warm.manipulation
+                residual = context.system.residual_projector @ warm.manipulation
                 assert np.abs(residual).max() < 1e-6, name
 
     def test_unbounded_flag_parity(self, fig1_system_operator):
@@ -363,10 +363,8 @@ class TestEngineParity:
 
 @pytest.fixture()
 def fig1_system_operator(fig1_scenario):
-    from repro.tomography.linear_system import estimator_operator
-
     matrix = fig1_scenario.path_set.routing_matrix()
-    return estimator_operator(matrix), fig1_scenario.true_metrics
+    return LinearSystem(matrix).estimator, fig1_scenario.true_metrics
 
 
 class TestSolveMany:

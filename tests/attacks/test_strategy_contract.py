@@ -17,7 +17,7 @@ from repro.attacks.max_damage import MaxDamageAttack
 from repro.attacks.naive import NaiveDelayAttack
 from repro.attacks.obfuscation import ObfuscationAttack
 from repro.metrics.states import classify_vector
-from repro.tomography.linear_system import estimator_operator
+from repro.tomography.linear_system import LinearSystem
 
 
 def _strategies(context):
@@ -66,7 +66,7 @@ class TestStrategyContract:
     def test_predicted_estimate_matches_operator_algebra(
         self, fig1_scenario, fig1_context, outcomes
     ):
-        operator = estimator_operator(fig1_scenario.path_set.routing_matrix())
+        operator = LinearSystem(fig1_scenario.path_set.routing_matrix()).estimator
         for name, outcome in outcomes.items():
             expected = operator @ outcome.observed_measurements
             assert np.allclose(outcome.predicted_estimate, expected, atol=1e-8), name

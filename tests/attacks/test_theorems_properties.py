@@ -27,8 +27,8 @@ from repro.detection.consistency import ConsistencyDetector
 from repro.metrics.link_metrics import uniform_delay_metrics
 from repro.routing.selection import select_identifiable_paths
 from repro.scenarios.scenario import Scenario
+from repro.tomography.linear_system import LinearSystem
 from repro.topology.generators.simple import grid_topology, ladder_topology
-from repro.utils.linalg import column_rank
 
 
 def _build_scenario(kind: str, seed: int) -> Scenario:
@@ -53,7 +53,7 @@ def _build_scenario(kind: str, seed: int) -> Scenario:
         path_set = select_identifiable_paths(
             topology, monitors, redundancy=3, max_per_pair=30, rng=rng
         )
-        if column_rank(path_set.routing_matrix()) == topology.num_links:
+        if LinearSystem(path_set.routing_matrix()).rank == topology.num_links:
             break
         count += 1
     metrics = uniform_delay_metrics(topology, rng=rng)
@@ -90,14 +90,14 @@ def test_theorem1_perfect_cut_implies_feasibility(kind, seed, attacker_index):
 
 def _warm_solve(context, support, bands, cap):
     return IncrementalLpSolver(
-        context.operator, context.baseline_estimate, support, context.num_paths,
+        context.system.estimator, context.baseline_estimate, support, context.num_paths,
         bands, cap=cap,
     ).solve()
 
 
 def _cold_solve(context, support, bands, cap):
     return solve_manipulation_lp(
-        context.operator, context.baseline_estimate, support, context.num_paths,
+        context.system.estimator, context.baseline_estimate, support, context.num_paths,
         bands, cap=cap,
     )
 

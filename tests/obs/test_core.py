@@ -305,9 +305,9 @@ class TestInstrumentedLibrary:
 
     def test_lp_solve_event(self, tmp_path, fig1_scenario):
         from repro.attacks.lp import BandConstraints, solve_manipulation_lp
-        from repro.tomography.linear_system import estimator_operator
+        from repro.tomography.linear_system import LinearSystem
 
-        operator = estimator_operator(fig1_scenario.path_set.routing_matrix())
+        operator = LinearSystem(fig1_scenario.path_set.routing_matrix()).estimator
         bands = BandConstraints.unbounded(10)
         path = tmp_path / "run.jsonl"
         with obs.enabled(path):
@@ -324,9 +324,9 @@ class TestInstrumentedLibrary:
 
     def test_unbounded_resolve_event(self, tmp_path, fig1_scenario):
         from repro.attacks.lp import BandConstraints, solve_manipulation_lp
-        from repro.tomography.linear_system import estimator_operator
+        from repro.tomography.linear_system import LinearSystem
 
-        operator = estimator_operator(fig1_scenario.path_set.routing_matrix())
+        operator = LinearSystem(fig1_scenario.path_set.routing_matrix()).estimator
         bands = BandConstraints.unbounded(10)
         path = tmp_path / "run.jsonl"
         with obs.enabled(path):

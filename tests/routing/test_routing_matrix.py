@@ -1,33 +1,46 @@
 """Tests for routing-matrix identifiability analysis."""
 
-import numpy as np
+import pytest
 
 from repro.routing.paths import PathSet
-from repro.routing.routing_matrix import (
-    identifiability_report,
-    identifiable_links,
-    routing_matrix,
-)
+from repro.routing.routing_matrix import identifiability_report
 from repro.topology.generators.simple import path_topology
+
+
+def _report(num_nodes: int, sequences):
+    """The report of a path set over the chain ``0 - 1 - ... - (n-1)``,
+    whose link ``j`` joins nodes ``j`` and ``j + 1``."""
+    topo = path_topology(num_nodes)
+    return identifiability_report(PathSet.from_node_sequences(topo, sequences))
 
 
 class TestIdentifiableLinks:
     def test_full_rank_identifies_all(self):
-        assert identifiable_links(np.eye(4)) == [0, 1, 2, 3]
+        # One path per link: R is the identity.
+        report = _report(5, [[0, 1], [1, 2], [2, 3], [3, 4]])
+        assert report.identifiable == (0, 1, 2, 3)
+        assert report.unidentifiable == ()
 
     def test_sum_only_identifies_nothing(self):
         # One path over two links: only their sum is known.
-        assert identifiable_links(np.array([[1.0, 1.0]])) == []
+        report = _report(3, [[0, 1, 2]])
+        assert report.identifiable == ()
+        assert report.unidentifiable == (0, 1)
 
     def test_partial_identifiability(self):
-        # x0 alone on a path, x1+x2 only in sum.
-        mat = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        assert identifiable_links(mat) == [0]
+        # Link 0 alone on a path, links 1 and 2 only in sum.
+        report = _report(4, [[0, 1], [0, 1, 2, 3]])
+        assert report.identifiable == (0,)
+        assert report.unidentifiable == (1, 2)
+        assert report.rank == 2
+        assert not report.full_column_rank
+        assert report.coverage() == pytest.approx(1 / 3)
 
     def test_difference_resolves_chain(self):
         # Paths {0,1} and {1} identify both links.
-        mat = np.array([[1.0, 1.0], [0.0, 1.0]])
-        assert identifiable_links(mat) == [0, 1]
+        report = _report(3, [[0, 1, 2], [1, 2]])
+        assert report.identifiable == (0, 1)
+        assert report.full_column_rank
 
 
 class TestReport:
@@ -48,12 +61,6 @@ class TestReport:
         assert report.rank == 1
         assert report.identifiable == ()
         assert report.coverage() == 0.0
-
-    def test_routing_matrix_helper_matches_method(self, fig1_scenario):
-        assert np.array_equal(
-            routing_matrix(fig1_scenario.path_set),
-            fig1_scenario.path_set.routing_matrix(),
-        )
 
     def test_redundancy_is_rows_minus_rank(self):
         topo = path_topology(3)

@@ -10,6 +10,7 @@ from repro.routing.selection import (
     select_identifiable_paths,
     select_paths_rank_greedy,
 )
+from repro.tomography.linear_system import LinearSystem
 from repro.topology.generators.isp import synthetic_rocketfuel
 from repro.topology.generators.simple import (
     grid_topology,
@@ -17,7 +18,6 @@ from repro.topology.generators.simple import (
     path_topology,
 )
 from repro.topology.graph import Topology
-from repro.utils.linalg import column_rank
 
 
 class TestEnumerate:
@@ -76,7 +76,7 @@ class TestRankGreedy:
         topo = paper_example_network()
         candidates = enumerate_candidate_paths(topo, ["M1", "M2", "M3"], max_per_pair=30)
         selected = select_paths_rank_greedy(topo, candidates)
-        assert column_rank(selected.routing_matrix()) == topo.num_links
+        assert LinearSystem(selected.routing_matrix()).rank == topo.num_links
         # Minimality of the greedy core: exactly rank many paths kept.
         assert selected.num_paths == topo.num_links
 
@@ -85,10 +85,10 @@ class TestRankGreedy:
         candidates = enumerate_candidate_paths(topo, ["M1", "M2", "M3"], max_per_pair=30)
         selected = select_paths_rank_greedy(topo, candidates)
         matrix = selected.routing_matrix()
-        full_rank = column_rank(matrix)
+        full_rank = LinearSystem(matrix).rank
         for drop in range(matrix.shape[0]):
             reduced = np.delete(matrix, drop, axis=0)
-            assert column_rank(reduced) < full_rank
+            assert LinearSystem(reduced).rank < full_rank
 
     def test_target_rank_stops_early(self):
         topo = paper_example_network()
@@ -108,7 +108,7 @@ class TestSelectIdentifiable:
         topo = paper_example_network()
         ps = select_identifiable_paths(topo, ["M1", "M2", "M3"], redundancy=4, rng=0)
         matrix = ps.routing_matrix()
-        assert column_rank(matrix) == topo.num_links
+        assert LinearSystem(matrix).rank == topo.num_links
         assert matrix.shape[0] == topo.num_links + 4
 
     def test_zero_redundancy(self):

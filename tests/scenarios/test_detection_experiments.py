@@ -5,6 +5,7 @@ import pytest
 from repro.detection.consistency import ConsistencyDetector
 from repro.exceptions import ValidationError
 from repro.measurement.noise import GaussianNoise
+from repro.obs import PerfRecorder, recording
 from repro.scenarios.detection_experiments import (
     ablation_estimator_zoo,
     detection_ratio_experiment,
@@ -80,6 +81,12 @@ class TestDetectionRatios:
             detection_ratio_experiment(
                 fig1_scenario, "chosen-victim", "perfect", attacker_model="bogus"
             )
+        with recording(PerfRecorder()) as recorder:  # rejected before any trial
+            with pytest.raises(ValidationError, match="attacker_sizes"):
+                detection_ratio_experiment(
+                    fig1_scenario, "chosen-victim", "perfect", attacker_sizes=()
+                )
+        assert "mc_trial" not in recorder.counters
 
 
 class TestFalseAlarms:
@@ -198,3 +205,7 @@ class TestEstimatorZooAblation:
                 estimators=("ls",),
                 estimator_params={"l1": {}},
             )
+        with recording(PerfRecorder()) as recorder:  # rejected before any trial
+            with pytest.raises(ValidationError, match="attacker_sizes"):
+                ablation_estimator_zoo(fig1_scenario, attacker_sizes=())
+        assert "mc_trial" not in recorder.counters

@@ -72,6 +72,17 @@ class TestErrorPaths:
         assert main(["sweep", str(spec)]) == 1
         assert "unknown strategy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-points", "-2"), ("--chunk-size", "-1")]
+    )
+    def test_bad_budget_refused_without_results(
+        self, spec_file, tmp_path, capsys, flag, value
+    ):
+        out = tmp_path / "results.jsonl"
+        assert main(["sweep", str(spec_file), "--out", str(out), flag, value]) == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_existing_results_without_resume_refused(self, spec_file, tmp_path, capsys):
         out = tmp_path / "results.jsonl"
         assert main(["sweep", str(spec_file), "--out", str(out)]) == 0

@@ -64,9 +64,11 @@ class TestRunSweep:
 
     def test_bad_workers_leave_no_results_file(self, spec, tmp_path):
         out = tmp_path / "r.jsonl"
-        with pytest.raises(ValidationError, match="workers"):
-            run_sweep(spec, results_path=out, workers=0)
-        assert not out.exists()
+        for bad in ({"workers": 0}, {"chunk_size": 0}, {"chunk_size": -1}, {"max_points": -2}):
+            (name,) = bad
+            with pytest.raises(ValidationError, match=name):
+                run_sweep(spec, results_path=out, **bad)
+            assert not out.exists()
         summary = run_sweep(spec, results_path=out, workers=1)
         assert summary["ran"] == spec.num_points()
 

@@ -76,7 +76,9 @@ def _assert_parity(evolved: LinearSystem, cold: LinearSystem, seed: int) -> None
     rng = np.random.default_rng(seed)
     observed = rng.uniform(0.0, 50.0, size=evolved.num_paths)
     assert np.abs(evolved.estimate(observed) - cold.estimate(observed)).max() < PARITY_TOL
-    assert np.abs(evolved.residual(observed) - cold.residual(observed)).max() < PARITY_TOL
+    # The eq. (23) residual R x_hat - y, as the detectors form it.
+    residuals = [s.predict(s.estimate(observed)) - observed for s in (evolved, cold)]
+    assert np.abs(residuals[0] - residuals[1]).max() < PARITY_TOL
     # Nullspace bases are not unique; their projectors N N^T are.
     n_evolved = evolved.nullspace
     n_cold = cold.nullspace

@@ -1,15 +1,12 @@
-"""Tests for linear-system utilities."""
+"""Tests for the measurement system ``y = R x``."""
 
 import numpy as np
 import pytest
 import scipy.sparse
 
-from repro.tomography.linear_system import (
-    LinearSystem,
-    estimator_operator,
-    measurement_residual,
-    residual_l1_norm,
-)
+from repro.detection.consistency import ConsistencyDetector
+from repro.exceptions import ReproError, ValidationError
+from repro.tomography.linear_system import LinearSystem
 
 
 def _rank_deficient_matrix() -> np.ndarray:
@@ -45,7 +42,8 @@ class TestLinearSystemParity:
     def test_column_space_projector_matches_pinv_product(self, matrix):
         system = LinearSystem(matrix)
         reference = matrix @ np.linalg.pinv(matrix)  # repro: noqa RP001 (reference)
-        assert np.allclose(system.column_space_projector, reference, atol=1e-12)
+        projector = np.eye(matrix.shape[0]) - system.residual_projector
+        assert np.allclose(projector, reference, atol=1e-12)
 
     def test_residual_projector_matches_identity_minus_product(self, matrix):
         system = LinearSystem(matrix)
@@ -82,10 +80,12 @@ class TestLinearSystem:
         system = LinearSystem(matrix)
         rng = np.random.default_rng(3)
         y = rng.random(matrix.shape[0]) * 100
-        explicit = measurement_residual(matrix, system.estimate(y), y)
-        assert np.allclose(system.residual(y), explicit, atol=1e-10)
-        assert system.residual_l1(y) == pytest.approx(
-            residual_l1_norm(matrix, system.estimate(y), y)
+        explicit = matrix @ system.estimate(y) - y
+        # Eq. (23)'s residual R x_hat - y is -(I - R R⁺) y.
+        assert np.allclose(-(system.residual_projector @ y), explicit, atol=1e-10)
+        # The detector's statistic is its L1 norm (Remark 4).
+        assert ConsistencyDetector(system).check(y).residual_l1 == pytest.approx(
+            np.abs(explicit).sum()
         )
 
     def test_derived_operators_cached(self, fig1_scenario):
@@ -99,15 +99,24 @@ class TestLinearSystem:
         with recording(PerfRecorder()) as recorder:
             system = LinearSystem(fig1_scenario.path_set.routing_matrix())
             system.estimator
-            system.column_space_projector
             system.residual_projector
             system.nullspace
             system.rank
         assert recorder.counters["svd"] == 1
 
     def test_non_2d_rejected(self):
-        with pytest.raises(ValueError):
+        # A ValidationError: a ValueError that an ``except ReproError``
+        # boundary also catches, around a detector too.
+        with pytest.raises(ValidationError, match="2-D"):
             LinearSystem(np.ones(4))
+        with pytest.raises(ReproError, match="2-D"):
+            ConsistencyDetector(np.ones(3))
+
+    def test_regularization_must_be_positive_and_finite(self):
+        system = LinearSystem(np.eye(3))
+        for lam in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValidationError, match="lam"):
+                system.regularized_estimate(np.ones(3), lam)
 
 
 class TestMatches:
@@ -166,18 +175,25 @@ class TestMatches:
 
 
 class TestEstimatorOperator:
+    """``LinearSystem.estimator`` is ``R⁺`` (|L| x |P|)."""
+
     def test_left_inverse_on_full_rank(self, fig1_scenario):
         matrix = fig1_scenario.path_set.routing_matrix()
-        op = estimator_operator(matrix)
+        op = LinearSystem(matrix).estimator
         assert np.allclose(op @ matrix, np.eye(matrix.shape[1]))
 
     def test_shape(self, fig1_scenario):
         matrix = fig1_scenario.path_set.routing_matrix()
-        assert estimator_operator(matrix).shape == (matrix.shape[1], matrix.shape[0])
+        assert LinearSystem(matrix).estimator.shape == (matrix.shape[1], matrix.shape[0])
 
     def test_binary_matrix_accepted(self):
         matrix = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-        assert estimator_operator(matrix).shape == (3, 2)
+        assert LinearSystem(matrix).estimator.shape == (3, 2)
+
+
+def _residual(system: LinearSystem, observed: np.ndarray) -> np.ndarray:
+    """The eq. (23) residual ``R x_hat - y``, as the detectors form it."""
+    return system.predict(system.estimate(observed)) - observed
 
 
 class TestResidual:
@@ -185,8 +201,7 @@ class TestResidual:
         matrix = fig1_scenario.path_set.routing_matrix()
         x = fig1_scenario.true_metrics
         y = matrix @ x
-        estimate = estimator_operator(matrix) @ y
-        assert residual_l1_norm(matrix, estimate, y) < 1e-8
+        assert np.abs(_residual(LinearSystem(matrix), y)).sum() < 1e-8
 
     def test_inconsistent_measurement_detected_per_path(self, fig1_scenario):
         matrix = fig1_scenario.path_set.routing_matrix()
@@ -194,19 +209,19 @@ class TestResidual:
         y = matrix @ x
         y_tampered = y.copy()
         y_tampered[0] += 500.0
-        estimate = estimator_operator(matrix) @ y_tampered
-        residual = measurement_residual(matrix, estimate, y_tampered)
+        residual = _residual(LinearSystem(matrix), y_tampered)
         assert np.abs(residual).sum() > 1.0
 
     def test_residual_orthogonal_to_column_space(self, fig1_scenario):
         matrix = fig1_scenario.path_set.routing_matrix()
         rng = np.random.default_rng(2)
         y = rng.random(matrix.shape[0]) * 100
-        estimate = estimator_operator(matrix) @ y
-        residual = measurement_residual(matrix, estimate, y)
+        residual = _residual(LinearSystem(matrix), y)
         assert np.allclose(matrix.T @ residual, 0.0, atol=1e-7)
 
     def test_length_validation(self, fig1_scenario):
-        matrix = fig1_scenario.path_set.routing_matrix()
-        with pytest.raises(Exception):
-            measurement_residual(matrix, np.ones(3), np.ones(matrix.shape[0]))
+        system = LinearSystem(fig1_scenario.path_set.routing_matrix())
+        with pytest.raises(ValidationError, match="metric"):
+            system.predict(np.ones(3))
+        with pytest.raises(ValidationError, match="measurement"):
+            system.estimate(np.ones(3))
